@@ -39,8 +39,17 @@ class MaxUExp:
         return f"MaxUExp(a={self.a}, lam={self.lam})"
 
     # -- pointwise evaluators -------------------------------------------------
+    #
+    # Each evaluator takes a float or a numpy array.  Floats keep the math
+    # module path, which is ~50x cheaper per call than a numpy expression
+    # (quadrature callbacks pass floats); arrays are evaluated in one pass
+    # with np.where branches that match the scalar ones point for point.
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(x, np.ndarray):
+            xp = np.maximum(x, 0.0)
+            tail = -np.expm1(-self.lam * xp)
+            return np.where(x <= 0.0, 0.0, np.where(x <= self.a, (xp / self.a) * tail, tail))
         if x <= 0.0:
             return 0.0
         tail = -math.expm1(-self.lam * x)
@@ -48,8 +57,13 @@ class MaxUExp:
             return (x / self.a) * tail
         return tail
 
-    def pdf(self, x: float) -> float:
+    def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Density; at the jump point x = a returns the left (uniform-branch) value."""
+        if isinstance(x, np.ndarray):
+            z = self.lam * np.maximum(x, 0.0)
+            ez = np.exp(-z)
+            left = (-np.expm1(-z) + z * ez) / self.a
+            return np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam * ez))
         if x <= 0.0:
             return 0.0
         if x <= self.a:
@@ -57,7 +71,15 @@ class MaxUExp:
             return (-math.expm1(-z) + z * math.exp(-z)) / self.a
         return self.lam * math.exp(-self.lam * x)
 
-    def hazard(self, x: float) -> float:
+    def hazard(self, x: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(x, np.ndarray):
+            # Evaluate the uniform branch on [0, a] only: past a its
+            # denominator can vanish.
+            xl = np.clip(x, 0.0, self.a)
+            z = self.lam * xl
+            ez = np.exp(-z)
+            left = (-np.expm1(-z) + z * ez) / (self.a - xl + xl * ez)
+            return np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam))
         if x <= 0.0:
             return 0.0
         if x <= self.a:

@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from scipy.special import bdtr
 
 from .errors import (
     DegenerateSampleError,
@@ -47,9 +48,16 @@ def validate_sample(values) -> np.ndarray:
     return np.sort(arr)
 
 
+# The public functions below validate their input; fit_auto validates once
+# and calls the private helpers, which take an already validated array.
+
+
 def empirical_moments(values) -> tuple[float, float, float]:
     """(m1, m2, unbiased mean square (n m1^2 - m2)/(n - 1)); needs n >= 2."""
-    x = validate_sample(values)
+    return _empirical_moments(validate_sample(values))
+
+
+def _empirical_moments(x: np.ndarray) -> tuple[float, float, float]:
     n = x.size
     if n < 2:
         raise InsufficientDataError("need at least two observations")
@@ -65,7 +73,11 @@ def ratio_stat(values, variant: str = "unbiased") -> float:
     unbiased estimate, giving m2 (n-1) / (n m1^2 - m2).  The plain variant
     is never below the unbiased one.
     """
-    m1, m2, ms_unbiased = empirical_moments(values)
+    return _ratio_stat(validate_sample(values), variant)
+
+
+def _ratio_stat(x: np.ndarray, variant: str) -> float:
+    m1, m2, ms_unbiased = _empirical_moments(x)
     if variant == "plain":
         return m2 / (m1 * m1)
     if variant != "unbiased":
@@ -131,9 +143,12 @@ def solve_mom(values, variant: str = "unbiased") -> FitReport:
                       reported, selection deferred to least squares;
       r < gmin        the curve cannot reach r; use the argmin (warned).
     """
-    x = validate_sample(values)
+    return _solve_mom(validate_sample(values), variant)
+
+
+def _solve_mom(x: np.ndarray, variant: str) -> FitReport:
     m1 = float(np.mean(x))
-    r = ratio_stat(x, variant)
+    r = _ratio_stat(x, variant)
     x43, argmin, gmin = mom_curve_extrema()
     warnings: list[str] = []
     candidates: list[tuple[float, float]] = []
@@ -197,7 +212,10 @@ def lsq_objective(values, a: float, lam: float, trim: float = 0.25) -> float:
     """Sum of squared gaps between plotting positions i/(n+1) (n the original
     size) and the uniform-branch cdf (x_i/a)(1 - e^(-lam x_i)) over the
     retained (smallest) order statistics."""
-    x = validate_sample(values)
+    return _lsq_objective(validate_sample(values), a, lam, trim)
+
+
+def _lsq_objective(x: np.ndarray, a: float, lam: float, trim: float) -> float:
     kept, n = _trimmed(x, trim)
     i = np.arange(1, kept.size + 1, dtype=float)
     positions = i / (n + 1.0)
@@ -209,7 +227,10 @@ def lsq_objective(values, a: float, lam: float, trim: float = 0.25) -> float:
 def lsq_fit(values, init: tuple[float, float], trim: float = 0.25) -> FitReport:
     """Trimmed least squares on the empirical cdf, constrained to a at least
     the largest retained observation (the model branch assumes x <= a)."""
-    x = validate_sample(values)
+    return _lsq_fit(validate_sample(values), init, trim)
+
+
+def _lsq_fit(x: np.ndarray, init: tuple[float, float], trim: float) -> FitReport:
     kept, n = _trimmed(x, trim)
     a_floor = float(kept[-1])
     i = np.arange(1, kept.size + 1, dtype=float)
@@ -252,7 +273,10 @@ def histogram_init(values, drop_factor: float = 0.5) -> tuple[float, float]:
     memoryless, so lam is the inverted mean exceedance when at least five
     observations land there, else 1/mean.
     """
-    x = validate_sample(values)
+    return _histogram_init(validate_sample(values), drop_factor)
+
+
+def _histogram_init(x: np.ndarray, drop_factor: float = 0.5) -> tuple[float, float]:
     n = x.size
     if n < 20:
         raise InsufficientDataError("histogram heuristic needs at least 20 observations")
@@ -283,9 +307,7 @@ def exceedance_confidence(n: int, p: float, max_exceed: int) -> float:
         raise DomainError(f"max_exceed must be an integer >= 0, got {max_exceed!r}")
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p!r}")
-    kk = min(max_exceed, n)
-    total = sum(math.comb(n, i) * p**i * (1.0 - p) ** (n - i) for i in range(kk + 1))
-    return min(1.0, total)
+    return min(1.0, float(bdtr(min(max_exceed, n), n, p)))
 
 
 def fit_auto(values, trim: float = 0.25, variant: str = "unbiased") -> FitReport:
@@ -298,12 +320,12 @@ def fit_auto(values, trim: float = 0.25, variant: str = "unbiased") -> FitReport
     sample is too small for it).
     """
     x = validate_sample(values)
-    rep = solve_mom(x, variant)
+    rep = _solve_mom(x, variant)
     if rep.branch == "unique":
         return rep
     if rep.branch == "ambiguous_two_roots":
         scored = [
-            (lsq_objective(x, a, lam, trim), (a, lam)) for a, lam in rep.candidates
+            (_lsq_objective(x, a, lam, trim), (a, lam)) for a, lam in rep.candidates
         ]
         obj, (a, lam) = min(scored, key=lambda s: s[0])
         return FitReport(
@@ -321,11 +343,11 @@ def fit_auto(values, trim: float = 0.25, variant: str = "unbiased") -> FitReport
     # fallback_min: refine by least squares from the histogram start.
     warnings = list(rep.warnings)
     try:
-        init = histogram_init(x)
+        init = _histogram_init(x)
     except InsufficientDataError:
         init = (rep.a, rep.lam)
         warnings.append("sample too small for the histogram start; seeding from the argmin fit")
-    refined = lsq_fit(x, init, trim)
+    refined = _lsq_fit(x, init, trim)
     refined.r_hat = rep.r_hat
     refined.r_hat_variant = variant
     refined.warnings = warnings + refined.warnings

@@ -10,6 +10,7 @@ N(t) = n the earlier count N(s) is plain Binomial(n, mu(s)/mu(t)).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -100,10 +101,10 @@ class ProcessPath:
     horizon: float
 
     def count_at(self, t: float) -> int:
-        """N(t): events at or before t."""
+        """N(t): events at or before t (``events`` is ascending)."""
         if not (0.0 <= t <= self.horizon):
             raise DomainError(f"t must lie in [0, horizon], got {t!r}")
-        return sum(1 for e in self.events if e <= t)
+        return bisect.bisect_right(self.events, t)
 
 
 def to_increments(cumulative: Sequence[int]) -> list[int]:
@@ -131,12 +132,16 @@ def conditional_binomial_pmf(n: int, mu_s: float, mu_t: float, j: int) -> float:
     """P(N(s) = j | N(t) = n) = Binomial(n, mu(s)/mu(t)) mass at j."""
     if not isinstance(n, int) or n < 0 or not isinstance(j, int):
         raise DomainError("n and j must be integers with n >= 0")
-    if not (0.0 < mu_s < mu_t):
-        raise DomainError(f"need 0 < mu_s < mu_t, got {mu_s!r}, {mu_t!r}")
+    if not (0.0 < mu_s < mu_t < math.inf):
+        raise DomainError(f"need 0 < mu_s < mu_t < inf, got {mu_s!r}, {mu_t!r}")
     if j < 0 or j > n:
         return 0.0
-    p = mu_s / mu_t
-    return math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
+    # Log-space weight: math.comb(n, j) overflows a float at n ~ 1030.  The
+    # log of p is taken as a difference so that a p below the float range
+    # still gives a finite log.
+    log_comb = math.lgamma(n + 1.0) - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0)
+    log_p = math.log(mu_s) - math.log(mu_t)
+    return math.exp(log_comb + j * log_p + (n - j) * math.log1p(-mu_s / mu_t))
 
 
 class MixedPoissonMaxUExp:
@@ -179,7 +184,7 @@ class MixedPoissonMaxUExp:
         )
         if n > 0:
             total += lam * gamma_upper_reg(float(n), c2) * math.exp(log_rn) / (lam + m)
-        return max(0.0, total)
+        return min(1.0, max(0.0, total))
 
     def pmf_upper_tail_bound(self, m: float, kk: int) -> float:
         """Bound on P(N >= kk) from a falling-factorial moment (Markov)."""

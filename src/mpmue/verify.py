@@ -65,13 +65,19 @@ def default_tolerance() -> float:
 # -- goodness-of-fit helpers ---------------------------------------------------
 
 
-def ks_statistic(values, cdf: Callable[[float], float]) -> float:
-    """Two-sided Kolmogorov distance between a sample and a cdf."""
+def ks_statistic(values, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Two-sided Kolmogorov distance between a sample and a cdf.
+
+    ``cdf`` maps an array to an array of the same shape; it is called once,
+    on the sorted sample.
+    """
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
     if n == 0:
         raise DomainError("empty sample")
-    f = np.fromiter((cdf(v) for v in x), dtype=float, count=n)
+    f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise DomainError(f"cdf returned shape {f.shape} for a sample of shape {x.shape}")
     steps = np.arange(1, n + 1, dtype=float) / n
     return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
 

@@ -29,6 +29,15 @@ def _em2(z: float) -> float:
     return (-math.expm1(-z) - z * ez) / (z * z)
 
 
+def _em2_array(z: np.ndarray) -> np.ndarray:
+    """``_em2`` over an array of z >= 0, with the same series cutover."""
+    zs = np.minimum(z, 1e-3)
+    series = 0.5 - zs / 3.0 + zs * zs / 8.0 - zs**3 / 30.0 + zs**4 / 144.0
+    zd = np.maximum(z, 1e-3)
+    direct = (-np.expm1(-zd) - zd * np.exp(-zd)) / (zd * zd)
+    return np.where(z < 1e-3, series, direct)
+
+
 class ExpMaxUExp:
     """Inter-arrival time eta / xi with eta a unit exponential independent of xi."""
 
@@ -48,20 +57,36 @@ class ExpMaxUExp:
     def __repr__(self) -> str:
         return f"ExpMaxUExp(a={self.a}, lam={self.lam})"
 
-    def pdf(self, t: float) -> float:
+    # pdf and cdf take a float or a numpy array, as MaxUExp's evaluators do.
+
+    def pdf(self, t: float | np.ndarray) -> float | np.ndarray:
+        a, lam = self.a, self.lam
+        if isinstance(t, np.ndarray):
+            tp = np.where(t <= 0.0, 1.0, t)
+            s = lam + tp
+            value = (
+                a * _em2_array(a * tp)
+                + (lam - tp) * (-np.expm1(-a * s)) / (a * s**3)
+                + tp * np.exp(-a * s) / (s * s)
+            )
+            return np.where(t <= 0.0, 0.0, value)
         if t <= 0.0:
             return 0.0
-        a, lam = self.a, self.lam
         s = lam + t
         first = a * _em2(a * t)
         second = (lam - t) * (-math.expm1(-a * s)) / (a * s**3)
         third = t * math.exp(-a * s) / (s * s)
         return first + second + third
 
-    def cdf(self, t: float) -> float:
+    def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
+        a, lam = self.a, self.lam
+        if isinstance(t, np.ndarray):
+            tp = np.where(t <= 0.0, 1.0, t)
+            s = lam + tp
+            value = 1.0 - (-np.expm1(-a * tp)) / (a * tp) + tp * (-np.expm1(-a * s)) / (a * s * s)
+            return np.where(t <= 0.0, 0.0, value)
         if t <= 0.0:
             return 0.0
-        a, lam = self.a, self.lam
         s = lam + t
         return 1.0 - (-math.expm1(-a * t)) / (a * t) + t * (-math.expm1(-a * s)) / (a * s * s)
 

@@ -234,3 +234,39 @@ def test_estimator_facade():
 def test_estimator_rejects_matrix_input():
     with pytest.raises(DomainError):
         MaxUExpEstimator().fit(np.ones((5, 2)))
+
+
+@pytest.mark.parametrize("n,p,k", [(2000, 0.3, 580), (2000, 0.01, 25), (10**6, 1e-5, 14), (10**6, 0.5, 499_500)])
+def test_exceedance_confidence_large_n(n, p, k):
+    # Independent reference: the binomial cdf summed term by term in log space.
+    logs = [
+        math.lgamma(n + 1.0) - math.lgamma(i + 1.0) - math.lgamma(n - i + 1.0)
+        + i * math.log(p) + (n - i) * math.log1p(-p)
+        for i in range(k + 1)
+    ]
+    top = max(logs)
+    want = math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
+    rel = 1e-14 * math.lgamma(n + 1.0)
+    assert exceedance_confidence(n, p, k) == pytest.approx(min(1.0, want), rel=rel)
+
+
+def test_fit_auto_validates_the_sample_once(monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(1)
+        return validate_sample(values)
+
+    monkeypatch.setattr("mpmue.estimation.validate_sample", counting)
+    gen = np.random.Generator(np.random.PCG64(3))
+    samples = {
+        "unique": MaxUExp(1.0, 1.0).sample_many(RandomStream(2), 4_000),
+        "ambiguous": MaxUExp(1.0, 8.0).sample_many(RandomStream(4), 4_000),
+        "fallback": gen.uniform(0.5, 1.0, 4_000),
+    }
+    for name, sample in samples.items():
+        calls.clear()
+        rep = fit_auto(sample)
+        assert len(calls) == 1, name
+        if name == "fallback":
+            assert rep.candidates and "below the curve minimum" in rep.warnings[0]

@@ -166,3 +166,30 @@ def test_hazard_matches_pdf_over_survival(p, x):
 def test_quantile_inverts_cdf(p, q):
     d = MaxUExp(*p)
     assert d.cdf(d.quantile(q)) == pytest.approx(q, abs=1e-8)
+
+
+def _array_grid(a):
+    return np.array([-3.0, -1e-300, 0.0, 1e-300, 1e-9, 0.3 * a, a - 1e-12, a, a + 1e-12, 2.0 * a, 50.0 * a])
+
+
+@pytest.mark.parametrize("name", ["cdf", "pdf", "hazard"])
+@pytest.mark.parametrize("a,lam", [(1.0, 1.0), (2.0, 0.5)])
+def test_array_evaluators_match_scalar(name, a, lam):
+    # The array branch must agree with the scalar one on both sides of the
+    # jump at a, at a itself (left value) and at or below zero.
+    f = getattr(MaxUExp(a, lam), name)
+    xs = _array_grid(a)
+    got = f(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    for x, value in zip(xs, got):
+        assert value == pytest.approx(f(float(x)), abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["cdf", "pdf", "hazard"])
+def test_array_evaluators_keep_shape(name):
+    f = getattr(MaxUExp(1.0, 1.0), name)
+    assert f(np.empty(0)).shape == (0,)
+    xs = np.linspace(-1.0, 4.0, 12).reshape(3, 4)
+    got = f(xs)
+    assert got.shape == (3, 4)
+    assert got[2, 1] == pytest.approx(f(float(xs[2, 1])), abs=1e-15)

@@ -211,3 +211,30 @@ def test_time_transform_changes_intensity(pp):
     mean4, _ = pp.mean_variance(4.0)
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - mean4) < 4.0 * se
+
+
+def test_count_at_matches_event_scan(pp):
+    for path in pp.simulate_paths(PowerTransform(1.5), 3.0, 40, seed=5):
+        for t in (0.0, 0.4, 1.0, 2.2, 3.0, *path.events):
+            assert path.count_at(t) == sum(1 for e in path.events if e <= t)
+
+
+def test_pmf_never_exceeds_one(pp):
+    # At a vanishing clock the three kernel terms cancel to 1 up to rounding.
+    assert pp.pmf(1e-300, 0) <= 1.0
+    for m in (1e-300, 1e-200, 1e-20, 1e-8):
+        assert 0.0 <= pp.pmf(m, 0) <= 1.0
+
+
+def _log_binomial_reference(n, p, j):
+    # log C(n, j) as a sum of logs, independent of lgamma.
+    log_comb = math.fsum(math.log((n - j + i) / i) for i in range(1, j + 1))
+    return log_comb + j * math.log(p) + (n - j) * math.log(1.0 - p)
+
+
+@pytest.mark.parametrize("n,j", [(2000, 1000), (2000, 3), (10**6, 500_000), (10**6, 499_000)])
+def test_conditional_binomial_large_counts(n, j):
+    want = math.exp(_log_binomial_reference(n, 0.5, j))
+    # The log weight is near lgamma(n + 1); allow a few ulps of that.
+    rel = 1e-14 * math.lgamma(n + 1.0)
+    assert conditional_binomial_pmf(n, 1.0, 2.0, j) == pytest.approx(want, rel=rel)

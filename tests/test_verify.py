@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mpmue import DomainError, run_checks, run_ledger, write_ledger
+from mpmue import DomainError, ExpMaxUExp, MaxUExp, RandomStream, run_checks, run_ledger, write_ledger
 from mpmue.verify import (
     REQUIRED_OPS,
     CheckResult,
@@ -243,3 +243,29 @@ def test_run_checks_honors_tol_argument():
     # floating point results from two different computation routes).
     results = run_checks(tol=0.0, mc_draws=2_000, paths=500)
     assert any(not r.passed for r in results)
+
+
+@pytest.mark.parametrize("law", ["maxuexp", "emue"])
+def test_ks_statistic_one_array_call_matches_scalar_loop(law):
+    d = MaxUExp(1.0, 1.0) if law == "maxuexp" else ExpMaxUExp(1.0, 1.0)
+    draws = d.sample_many(RandomStream(11), 2_000)
+    seen = []
+
+    def cdf(x):
+        seen.append(np.array(x, copy=True))
+        return d.cdf(x)
+
+    stat = ks_statistic(draws, cdf)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.sort(draws))
+    x = np.sort(draws)
+    n = x.size
+    f = np.array([d.cdf(float(v)) for v in x])
+    steps = np.arange(1, n + 1) / n
+    reference = max(np.max(steps - f), np.max(f - (steps - 1.0 / n)))
+    assert stat == pytest.approx(reference, abs=1e-15)
+
+
+def test_ks_statistic_rejects_a_cdf_that_does_not_map_arrays():
+    with pytest.raises(DomainError):
+        ks_statistic(np.linspace(0.1, 0.9, 5), lambda x: 0.5)

@@ -194,3 +194,27 @@ def test_erlang_orders_ordered_in_distribution():
     q1 = np.quantile(t1, [0.25, 0.5, 0.75])
     q3 = np.quantile(t3, [0.25, 0.5, 0.75])
     assert np.all(q3 > q1)
+
+
+@pytest.mark.parametrize("name", ["cdf", "pdf"])
+@pytest.mark.parametrize("a,lam", [(1.0, 1.0), (2.0, 0.5)])
+def test_array_evaluators_match_scalar(name, a, lam):
+    # The grid straddles the series cutover of the density at a*t = 1e-3.
+    f = getattr(ExpMaxUExp(a, lam), name)
+    ts = np.array(
+        [-3.0, -1e-300, 0.0, 1e-300, 1e-9, 0.9e-3 / a, 1.1e-3 / a, a - 1e-12, a, a + 1e-12, 50.0 * a]
+    )
+    got = f(ts)
+    assert isinstance(got, np.ndarray) and got.shape == ts.shape
+    for t, value in zip(ts, got):
+        assert value == pytest.approx(f(float(t)), abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["cdf", "pdf"])
+def test_array_evaluators_keep_shape(name):
+    f = getattr(ExpMaxUExp(1.0, 1.0), name)
+    assert f(np.empty(0)).shape == (0,)
+    ts = np.linspace(-1.0, 4.0, 12).reshape(3, 4)
+    got = f(ts)
+    assert got.shape == (3, 4)
+    assert got[2, 1] == pytest.approx(f(float(ts[2, 1])), abs=1e-15)
