@@ -14,9 +14,21 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
-from .numerics import gamma_lower, gamma_upper, integrate, log_gamma
+from .errors import DivergenceError, DomainError, NumericError
+from .numerics import (
+    checked_exp,
+    gamma_lower,
+    gamma_upper,
+    integrate,
+    log_gamma,
+    log_gamma_lower_reg,
+    log_gamma_upper_reg,
+)
 from .rng import RandomStream
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -181,24 +193,56 @@ class MaxUExp:
         s = lam + t
         return -math.expm1(-t * a) / (a * t) + t * math.expm1(-s * a) / (a * s * s)
 
-    def tilted_moment(self, m: float, n: int) -> float:
-        """E(X^n e^(-mX)) for m > 0 and integer n >= 0.
+    def _log_count_pmf(self, m: float, n: int) -> float:
+        """log P(N = n) for N mixed Poisson with mean m*X; m > 0, integer n >= 0.
 
-        This kernel is the common core of the inter-arrival, Erlang, and
-        mixed Poisson closed forms.  The n = 0 variant drops the third term
-        entirely (its n factor vanishes before the upper gamma is touched).
+        P(N = n) = m^n/n! E(X^n e^(-mX)) is 1/(a*m) times a signed sum of
+        three regularized incomplete gammas, with weights taken in log space
+        so that none overflows or underflows.  The middle weight carries the
+        sign of lam*n - m; when it is negative the first two terms are paired
+        through expm1, which keeps their difference accurate at m >> lam.  The
+        n = 0 case drops the third term (its n factor vanishes).  This is the
+        one kernel behind every tilted-moment form.
         """
+        a, lam = self.a, self.lam
+        s = lam + m
+        c = lam * n - m
+        log_r = -math.log1p(lam / m)  # log(m/s)
+        u1 = log_gamma_lower_reg(n + 1.0, a * m)
+        # log(|c|/s).  For c < 0, |c|/s = 1 - lam(n+1)/s; log1p keeps it exact
+        # at m >> lam, where the quotient itself rounds to 1.
+        shortfall = lam * (n + 1) / s
+        log_c = math.log1p(-shortfall) if c < 0.0 and shortfall < 0.5 else _log(abs(c) / s)
+        u2 = log_gamma_lower_reg(n + 1.0, a * s) + log_c + (n + 1) * log_r
+        u3 = -math.inf
+        if n > 0:
+            u3 = log_gamma_upper_reg(float(n), a * s) + (n + 1) * log_r
+            u3 += math.log(a) + math.log(lam)
+        top = max(u1, u2, u3)
+        if c < 0.0:
+            total = -math.expm1(u2 - u1) * math.exp(u1 - top) + math.exp(u3 - top)
+        else:
+            total = math.exp(u1 - top) + math.exp(u2 - top) + math.exp(u3 - top)
+        if not total > 0.0:
+            return -math.inf
+        return top + math.log(total) - math.log(a) - math.log(m)
+
+    def log_tilted_moment(self, m: float, n: int) -> float:
+        """log E(X^n e^(-mX)) for m > 0 and integer n >= 0; finite where the
+        moment itself is beyond the double range."""
         if not (m > 0.0) or not math.isfinite(m):
             raise DomainError(f"tilted_moment requires finite m > 0, got {m!r}")
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"tilted_moment requires integer n >= 0, got {n!r}")
-        a, lam = self.a, self.lam
-        s = lam + m
-        value = gamma_lower(n + 1.0, a * m) / (a * m ** (n + 1.0))
-        value += gamma_lower(n + 1.0, a * s) * (lam * n - m) / (a * s ** (n + 2.0))
-        if n > 0:
-            value += lam * n * gamma_upper(float(n), a * s) / s ** (n + 1.0)
-        return value
+        log_p = self._log_count_pmf(m, n)
+        if not log_p > -math.inf:
+            raise NumericError(f"tilted moment lost to cancellation at m={m!r}, n={n}")
+        return log_p + math.lgamma(n + 1.0) - n * math.log(m)
+
+    def tilted_moment(self, m: float, n: int) -> float:
+        """E(X^n e^(-mX)), the common core of the inter-arrival, Erlang and
+        mixed Poisson closed forms."""
+        return checked_exp(self.log_tilted_moment(m, n))
 
     def scaled(self, c: float) -> "MaxUExp":
         """Law of c*X: parameters map to (c*a, lam/c)."""

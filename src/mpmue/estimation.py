@@ -389,8 +389,9 @@ class MaxUExpEstimator:
         elif self.method == "mom":
             report = solve_mom(arr, variant=self.variant)
         elif self.method == "lsq":
-            start = solve_mom(arr, variant=self.variant)
-            report = lsq_fit(arr, (start.a, start.lam), trim=self.trim)
+            x = validate_sample(arr)
+            start = _solve_mom(x, self.variant)
+            report = _lsq_fit(x, (start.a, start.lam), self.trim)
         else:
             raise DomainError(f"unknown method {self.method!r}")
         self.report_ = report

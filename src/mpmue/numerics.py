@@ -1,11 +1,12 @@
 """Scalar numerical kernels: incomplete gamma functions, bracketed
 root-finding, bounded derivative-free minimization, and adaptive quadrature.
 
-The incomplete gamma pair is implemented directly (power series below the
-``x = alpha + 1`` switch point, modified-Lentz continued fraction above it)
-because the closed-form evaluators need the *non-normalized* functions at
-non-integer order.  Quadrature and simplex minimization delegate to scipy,
-which stays behind the signatures below.
+The regularized incomplete gammas are scipy's ``gammainc``/``gammaincc``
+(DiDonato & Morris, with Temme's uniform asymptotics at large order).  Their
+logs switch to Kummer's M or Tricomi's U where P or Q itself underflows, and
+the non-normalized pair is assembled from the logs.  Quadrature and
+the optimizers also delegate to scipy, which stays behind the signatures
+below.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import numpy as np
 from scipy.integrate import quad as _scipy_quad
 from scipy.optimize import least_squares as _scipy_least_squares
 from scipy.optimize import minimize as _scipy_minimize
+from scipy.special import gammainc as _gammainc
+from scipy.special import gammaincc as _gammaincc
+from scipy.special import hyp1f1 as _hyp1f1
+from scipy.special import hyperu as _hyperu
 
 from .errors import BracketError, DomainError, NumericError
-
-_EPS = 1e-16
-_FPMIN = 1e-300
-_MAX_ITER = 500
 
 
 def log_gamma(x: float) -> float:
@@ -32,44 +33,12 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _gamma_series_core(alpha: float, x: float) -> float:
-    # Power-series factor for the lower integral; valid for x < alpha + 1.
-    # gamma(alpha, x) = core * exp(alpha ln x - x); the core stays moderate
-    # even when gamma or Gamma(alpha) would overflow a double.
-    term = 1.0 / alpha
-    total = term
-    denom = alpha
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total
-    raise NumericError(f"gamma series failed to converge (alpha={alpha}, x={x})")
-
-
-def _gamma_cf_core(alpha: float, x: float) -> float:
-    # Continued-fraction factor for the upper integral by modified Lentz;
-    # valid for x >= alpha + 1.  Gamma(alpha, x) = core * exp(alpha ln x - x).
-    b = x + 1.0 - alpha
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - alpha)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise NumericError(f"gamma continued fraction failed to converge (alpha={alpha}, x={x})")
+def checked_exp(x: float) -> float:
+    """e^x, raising NumericError rather than OverflowError past the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise NumericError(f"e^{x:.17g} exceeds the double range") from None
 
 
 def _check_gamma_args(alpha: float, x: float) -> None:
@@ -82,56 +51,48 @@ def _check_gamma_args(alpha: float, x: float) -> None:
 def gamma_lower(alpha: float, x: float) -> float:
     """Non-normalized lower incomplete gamma: integral of t^(alpha-1) e^-t over (0, x).
 
-    Assembled in log space so that values representable as doubles come out
-    finite even when Gamma(alpha) itself would overflow (alpha beyond ~171).
+    Assembled in log space, so it is finite whenever the value is a double,
+    even where Gamma(alpha) alone overflows; past the double range it raises
+    NumericError.
     """
-    _check_gamma_args(alpha, x)
-    if x == 0.0:
-        return 0.0
-    log_pre = alpha * math.log(x) - x
-    if x < alpha + 1.0:
-        return math.exp(log_pre + math.log(_gamma_series_core(alpha, x)))
-    log_full = math.lgamma(alpha)
-    q = math.exp(log_pre + math.log(_gamma_cf_core(alpha, x)) - log_full)
-    return (1.0 - q) * math.exp(log_full)
+    return checked_exp(log_gamma_lower_reg(alpha, x) + math.lgamma(alpha))
 
 
 def gamma_upper(alpha: float, x: float) -> float:
     """Non-normalized upper incomplete gamma: integral of t^(alpha-1) e^-t over (x, inf)."""
-    _check_gamma_args(alpha, x)
-    if x == 0.0:
-        return math.exp(math.lgamma(alpha))
-    log_pre = alpha * math.log(x) - x
-    if x >= alpha + 1.0:
-        return math.exp(log_pre + math.log(_gamma_cf_core(alpha, x)))
-    log_full = math.lgamma(alpha)
-    p = math.exp(log_pre + math.log(_gamma_series_core(alpha, x)) - log_full)
-    return (1.0 - p) * math.exp(log_full)
+    return checked_exp(log_gamma_upper_reg(alpha, x) + math.lgamma(alpha))
 
 
 def gamma_lower_reg(alpha: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(alpha, x), always within [0, 1].
-
-    Stays finite at alpha where the non-normalized integral overflows doubles.
-    """
+    """Regularized lower incomplete gamma P(alpha, x), always within [0, 1]."""
     _check_gamma_args(alpha, x)
-    if x == 0.0:
-        return 0.0
-    log_pre = alpha * math.log(x) - x - math.lgamma(alpha)
-    if x < alpha + 1.0:
-        return math.exp(log_pre + math.log(_gamma_series_core(alpha, x)))
-    return 1.0 - math.exp(log_pre + math.log(_gamma_cf_core(alpha, x)))
+    return float(_gammainc(alpha, x))
 
 
 def gamma_upper_reg(alpha: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(alpha, x), always within [0, 1]."""
     _check_gamma_args(alpha, x)
-    if x == 0.0:
-        return 1.0
-    log_pre = alpha * math.log(x) - x - math.lgamma(alpha)
-    if x >= alpha + 1.0:
-        return math.exp(log_pre + math.log(_gamma_cf_core(alpha, x)))
-    return 1.0 - math.exp(log_pre + math.log(_gamma_series_core(alpha, x)))
+    return float(_gammaincc(alpha, x))
+
+
+def log_gamma_lower_reg(alpha: float, x: float) -> float:
+    """log P(alpha, x); finite where P itself underflows a double (x far below alpha)."""
+    p = gamma_lower_reg(alpha, x)
+    if p > 0.0 or x == 0.0:
+        return math.log(p) if p > 0.0 else -math.inf
+    # Kummer: P = x^alpha e^-x / Gamma(alpha+1) * M(1, alpha+1, x).
+    log_lead = alpha * math.log(x) - x - math.lgamma(alpha + 1.0)
+    return log_lead + math.log(_hyp1f1(1.0, alpha + 1.0, x))
+
+
+def log_gamma_upper_reg(alpha: float, x: float) -> float:
+    """log Q(alpha, x); finite where Q itself underflows a double (x far above alpha)."""
+    q = gamma_upper_reg(alpha, x)
+    if q > 0.0 or math.isinf(x):
+        return math.log(q) if q > 0.0 else -math.inf
+    # Gamma(alpha, x) = x^alpha e^-x U(1, alpha+1, x), Tricomi's U.
+    log_lead = alpha * math.log(x) - x - math.lgamma(alpha)
+    return log_lead + math.log(_hyperu(1.0, alpha + 1.0, x))
 
 
 def find_root(

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .distribution import MaxUExp
+from .distribution import MaxUExp, _log
 from .errors import DomainError, RangeError
-from .numerics import gamma_lower_reg, gamma_upper_reg
+from .numerics import checked_exp
 from .rng import RandomStream
 
 
@@ -170,21 +170,7 @@ class MixedPoissonMaxUExp:
         m = self._check_m(m)
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"count n must be an integer >= 0, got {n!r}")
-        # Regularized composition of the tilted-moment kernel with the
-        # Poisson weight: every factor stays within double range at counts
-        # where the raw kernel and the n! prefactor both overflow.
-        a, lam = self.xi.a, self.xi.lam
-        c2 = a * (lam + m)
-        log_rn = n * (math.log(m) - math.log(lam + m))
-        total = gamma_lower_reg(n + 1.0, a * m) / (a * m)
-        total += (
-            gamma_lower_reg(n + 1.0, c2)
-            * ((lam * n - m) / (a * (lam + m) ** 2))
-            * math.exp(log_rn)
-        )
-        if n > 0:
-            total += lam * gamma_upper_reg(float(n), c2) * math.exp(log_rn) / (lam + m)
-        return min(1.0, max(0.0, total))
+        return min(1.0, math.exp(self.xi._log_count_pmf(m, n)))
 
     def pmf_upper_tail_bound(self, m: float, kk: int) -> float:
         """Bound on P(N >= kk) from a falling-factorial moment (Markov)."""
@@ -225,14 +211,18 @@ class MixedPoissonMaxUExp:
             raise DomainError(f"count n must be an integer >= 0, got {n!r}")
         if x <= 0.0:
             return 0.0
-        return x**n * math.exp(-m * x) * self.xi.pdf(x) / self.xi.tilted_moment(m, n)
+        # The exponential branch in log form: its density underflows where
+        # the posterior of a large count still has its mass.
+        xi = self.xi
+        log_prior = math.log(xi.lam) - xi.lam * x if x > xi.a else _log(xi.pdf(x))
+        return checked_exp(n * math.log(x) - m * x + log_prior - xi.log_tilted_moment(m, n))
 
     def posterior_mean(self, m: float, n: int) -> float:
         """E(xi | N = n), a ratio of consecutive tilted moments."""
         m = self._check_m(m)
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"count n must be an integer >= 0, got {n!r}")
-        return self.xi.tilted_moment(m, n + 1) / self.xi.tilted_moment(m, n)
+        return checked_exp(self.xi.log_tilted_moment(m, n + 1) - self.xi.log_tilted_moment(m, n))
 
     def factorial_moment(self, m: float, k: int) -> float:
         """E(N(N-1)...(N-k+1)) = m^k E(xi^k)."""
@@ -262,7 +252,7 @@ class MixedPoissonMaxUExp:
             dm, dk = m - prev_m, k - prev_k
             weight += dk * math.log(dm) - math.lgamma(dk + 1.0)
             prev_m, prev_k = m, k
-        return math.exp(weight) * self.xi.tilted_moment(mus[-1], ks[-1])
+        return min(1.0, math.exp(weight + self.xi.log_tilted_moment(mus[-1], ks[-1])))
 
     def increments_pmf(self, mus: Sequence[float], ms: Sequence[int]) -> float:
         """Joint pmf of the increments over consecutive clock intervals.

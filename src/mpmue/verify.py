@@ -34,7 +34,7 @@ import numpy as np
 
 from .distribution import MaxUExp
 from .errors import DomainError
-from .numerics import gamma_upper, integrate, log_gamma
+from .numerics import gamma_upper, gamma_upper_reg, integrate, log_gamma
 from .process import (
     MixedPoissonMaxUExp,
     PowerTransform,
@@ -96,8 +96,7 @@ def chi2_sf(stat: float, dof: int) -> float:
         raise DomainError(f"dof must be >= 1, got {dof!r}")
     if stat <= 0.0:
         return 1.0
-    half = dof / 2.0
-    return gamma_upper(half, stat / 2.0) / math.exp(log_gamma(half))
+    return gamma_upper_reg(dof / 2.0, stat / 2.0)
 
 
 # -- check plumbing --------------------------------------------------------------

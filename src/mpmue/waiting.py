@@ -2,7 +2,7 @@
 
 Conditional on the mixing rate xi = x, inter-arrival times are Exp(x) and
 the n-th arrival is Gamma(n, x).  Mixing over x gives every closed form
-here; they all route through ``MaxUExp.tilted_moment``.  The unconditional
+here; they all route through ``MaxUExp.log_tilted_moment``.  The unconditional
 inter-arrival tail decays like 2*lam/(a*t^2), so the mean is finite but the
 variance is not, and moments E(T^q) exist exactly for q < 2.
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from .distribution import MaxUExp, _require_positive
 from .errors import DomainError
-from .numerics import integrate, log_gamma
+from .numerics import checked_exp, integrate, log_gamma
 from .rng import RandomStream
 
 
@@ -74,7 +74,8 @@ class ExpMaxUExp:
             return 0.0
         s = lam + t
         first = a * _em2(a * t)
-        second = (lam - t) * (-math.expm1(-a * s)) / (a * s**3)
+        # s * s * s, not s**3: a float power raises OverflowError past 1e308.
+        second = (lam - t) * (-math.expm1(-a * s)) / (a * s * s * s)
         third = t * math.exp(-a * s) / (s * s)
         return first + second + third
 
@@ -122,7 +123,7 @@ class ExpMaxUExp:
         """E(xi | T = t), a ratio of tilted moments."""
         if not (t > 0.0):
             raise DomainError(f"requires t > 0, got {t!r}")
-        return self.xi.tilted_moment(t, 2) / self.xi.tilted_moment(t, 1)
+        return checked_exp(self.xi.log_tilted_moment(t, 2) - self.xi.log_tilted_moment(t, 1))
 
     def mean_arrival_given_mixing(self, x: float) -> float:
         """E(T | xi = x) = 1/x."""
@@ -169,7 +170,7 @@ class ErlangMaxUExp:
         if t <= 0.0:
             return 0.0
         n = self.n
-        return t ** (n - 1) / math.factorial(n - 1) * self.xi.tilted_moment(t, n)
+        return math.exp((n - 1) * math.log(t) - math.lgamma(n) + self.xi.log_tilted_moment(t, n))
 
     def cdf(self, t: float) -> float:
         """No closed form; quadrature of the density.  Large arguments go

@@ -270,3 +270,8 @@ def test_fit_auto_validates_the_sample_once(monkeypatch):
         assert len(calls) == 1, name
         if name == "fallback":
             assert rep.candidates and "below the curve minimum" in rep.warnings[0]
+    for method, branch in (("mom", "unique"), ("lsq", "lsq_refined")):
+        calls.clear()
+        est = MaxUExpEstimator(method=method).fit(samples["unique"])
+        assert len(calls) == 1, method
+        assert est.report_.branch == branch

@@ -1,0 +1,138 @@
+"""Large counts and orders through the log-space tilted-moment kernel.
+
+Every case here overflowed or failed to converge when the tilted moment was
+assembled from non-normalized incomplete gammas.  The oracle is quadrature
+of the defining integral E(X^n e^(-mX)), independent of any incomplete
+gamma: each piece of the density (uniform branch on (0, a), exponential
+branch beyond) is scaled by the value of its integrand at its peak, near
+x = n/m, in log space, so that the integral itself stays near 1.
+"""
+
+import math
+import sys
+
+import pytest
+from scipy.integrate import quad
+
+from mpmue import ErlangMaxUExp, MaxUExp, MixedPoissonMaxUExp, NumericError
+from mpmue.numerics import gamma_lower, gamma_lower_reg, gamma_upper, gamma_upper_reg
+
+A = LAM = 1.0
+# The oracle's own rounding: its log weights such as n*log(m) - lgamma(n+1)
+# carry an absolute error of about n*log(m)*1e-16, 1e-11 at n = 1e4.
+REL = 1e-9
+
+
+def _log_piece(log_h, lo, hi, peak, width):
+    top = log_h(peak)
+    f = lambda x: math.exp(log_h(x) - top) if x > 0.0 else 0.0
+    cut = min(hi, peak + 50.0 * width)
+    pts = [p for p in (peak + k * width for k in (-16, -4, -1, 0, 1, 4, 16)) if lo < p < cut]
+    value = quad(f, lo, cut, points=pts or None, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    if cut < hi:
+        value += quad(f, cut, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return top + math.log(value)
+
+
+def log_tilted_quad(m, n, a=A, lam=LAM):
+    """log E(X^n e^(-mX)) by quadrature of the Max-U-Exp density."""
+
+    def log_left(x):
+        z = lam * x
+        return n * math.log(x) - m * x + math.log((-math.expm1(-z) + z * math.exp(-z)) / a)
+
+    def log_right(x):
+        return n * math.log(x) - (m + lam) * x + math.log(lam)
+
+    # Near 0 the uniform-branch density grows like x^2, which shifts its peak.
+    left = _log_piece(log_left, 0.0, a, min(a, (n + 2.0) / m), math.sqrt(n + 2.0) / m)
+    s = m + lam
+    right = _log_piece(log_right, a, math.inf, max(a, n / s), max(1.0, math.sqrt(n)) / s)
+    top = max(left, right)
+    return top + math.log(math.exp(left - top) + math.exp(right - top))
+
+
+@pytest.fixture
+def pp():
+    return MixedPoissonMaxUExp(MaxUExp(A, LAM))
+
+
+@pytest.mark.parametrize("m,n", [(1e4, 10000), (4000.0, 3999)])
+def test_pmf_at_the_mode_of_large_clocks(pp, m, n):
+    want = math.exp(log_tilted_quad(m, n) + n * math.log(m) - math.lgamma(n + 1.0))
+    got = pp.pmf(m, n)
+    assert 0.0 < got <= 1.0
+    assert got == pytest.approx(want, rel=REL)
+
+
+@pytest.mark.parametrize("n", [171, 400])
+def test_posterior_mean_at_large_counts(pp, n):
+    want = math.exp(log_tilted_quad(1.0, n + 1) - log_tilted_quad(1.0, n))
+    got = pp.posterior_mean(1.0, n)
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=REL)
+
+
+@pytest.mark.parametrize("n,x", [(400, 200.0), (10000, 5000.0)])
+def test_posterior_pdf_at_large_counts(pp, n, x):
+    # At x = 5000 the prior density e^-x itself underflows a double.
+    log_prior = math.log(LAM) - LAM * x
+    want = math.exp(n * math.log(x) - x + log_prior - log_tilted_quad(1.0, n))
+    got = pp.posterior_pdf(1.0, n, x)
+    assert got > 0.0
+    assert got == pytest.approx(want, rel=REL)
+
+
+@pytest.mark.parametrize("mus,ks", [([0.5, 1.0], [0, 172]), ([100.0], [300])])
+def test_ordered_pmf_at_large_counts(pp, mus, ks):
+    weight, prev_m, prev_k = 0.0, 0.0, 0
+    for m, k in zip(mus, ks):
+        weight += (k - prev_k) * math.log(m - prev_m) - math.lgamma(k - prev_k + 1.0)
+        prev_m, prev_k = m, k
+    want = math.exp(weight + log_tilted_quad(mus[-1], ks[-1]))
+    got = pp.ordered_pmf(mus, ks)
+    assert 0.0 < got <= 1.0
+    assert got == pytest.approx(want, rel=REL)
+    increments = [ks[0]] + [b - c for c, b in zip(ks[:-1], ks[1:])]
+    assert pp.increments_pmf(mus, increments) == got
+
+
+@pytest.mark.parametrize("n,t", [(142, 142.0), (200, 100.0)])
+def test_erlang_pdf_at_large_orders(n, t):
+    want = math.exp((n - 1) * math.log(t) - math.lgamma(n) + log_tilted_quad(t, n))
+    got = ErlangMaxUExp(n, A, LAM).pdf(t)
+    assert math.isfinite(got) and got > 0.0
+    assert got == pytest.approx(want, rel=REL)
+
+
+def test_log_tilted_moment_past_the_double_range():
+    d = MaxUExp(A, LAM)
+    got = d.log_tilted_moment(1.0, 400)
+    assert math.isfinite(got) and got > math.log(sys.float_info.max)
+    assert got == pytest.approx(log_tilted_quad(1.0, 400), rel=1e-13)
+    with pytest.raises(NumericError):
+        d.tilted_moment(1.0, 400)
+
+
+def test_tilted_moment_is_exp_of_its_log():
+    d = MaxUExp(2.0, 0.5)
+    for m, n in ((0.3, 0), (0.3, 5), (4.0, 1), (4.0, 60)):
+        log_t = d.log_tilted_moment(m, n)
+        assert d.tilted_moment(m, n) == pytest.approx(math.exp(log_t), rel=1e-15)
+        assert log_t == pytest.approx(log_tilted_quad(m, n, 2.0, 0.5), rel=1e-12)
+
+
+def test_non_normalized_gammas_raise_numeric_error_past_the_double_range():
+    assert math.isfinite(gamma_lower_reg(400.0, 300.0))
+    assert gamma_upper_reg(400.0, 300.0) == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(NumericError):
+        gamma_upper(400.0, 300.0)
+    with pytest.raises(NumericError):
+        gamma_lower(400.0, 500.0)
+    # Gamma(180) alone is past the double range, the lower integral to 1 is
+    # not: it is e^-1 * sum over k of 1 / (180 * 181 * ... * (180 + k)).
+    terms, term = [], 1.0
+    for j in range(20):
+        term /= 180.0 + j
+        terms.append(term)
+    assert gamma_lower(180.0, 1.0) == pytest.approx(math.exp(-1.0) * math.fsum(terms), rel=1e-13)

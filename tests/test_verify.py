@@ -87,6 +87,18 @@ def test_chi2_sf_known_values():
     assert chi2_sf(10.0, 3) < chi2_sf(5.0, 3) < chi2_sf(1.0, 3)
 
 
+@pytest.mark.parametrize("dof", [1, 7, 400, 1000])
+def test_chi2_sf_matches_scipy_at_large_dof(dof):
+    # Dividing the non-normalized upper gamma by Gamma(dof/2) overflowed
+    # from dof ~ 344 on; the regularized form needs no Gamma(dof/2).
+    from scipy.special import chdtrc
+
+    for stat in (0.25 * dof, float(dof), 1.5 * dof, 4.0 * dof):
+        got = chi2_sf(stat, dof)
+        assert 0.0 <= got <= 1.0
+        assert got == pytest.approx(float(chdtrc(dof, stat)), rel=1e-12, abs=1e-300)
+
+
 def _const_sampler(value):
     def sampler(n, stream):
         stream.uniforms(n)  # consume the stream like a real sampler

@@ -210,6 +210,16 @@ def test_array_evaluators_match_scalar(name, a, lam):
         assert value == pytest.approx(f(float(t)), abs=1e-15)
 
 
+@pytest.mark.parametrize("t", [1e103, 1e300])
+def test_pdf_far_tail_float_is_finite_and_matches_array(t):
+    # A float s**3 raised OverflowError past t ~ 5.6e102.
+    w = ExpMaxUExp(1.0, 1.0)
+    got = w.pdf(t)
+    assert math.isfinite(got) and got >= 0.0
+    with np.errstate(over="ignore"):
+        assert got == w.pdf(np.array([t]))[0]
+
+
 @pytest.mark.parametrize("name", ["cdf", "pdf"])
 def test_array_evaluators_keep_shape(name):
     f = getattr(ExpMaxUExp(1.0, 1.0), name)
