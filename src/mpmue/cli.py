@@ -23,7 +23,7 @@ import numpy as np
 
 from .distribution import MaxUExp
 from .errors import DomainError
-from .estimation import fit_auto, histogram_init, lsq_fit, mom_curve, mom_curve_extrema, solve_mom
+from .estimation import MaxUExpEstimator, mom_curve, mom_curve_extrema
 from .process import MixedPoissonMaxUExp, PowerTransform, TableTransform
 from .rng import RandomStream
 from .verify import run_checks, run_ledger, write_ledger
@@ -131,17 +131,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_fit(args) -> int:
     values = _read_sample(args.input)
-    if args.method == "auto":
-        report = fit_auto(values, trim=args.trim, variant=args.variant)
-    elif args.method == "mom":
-        report = solve_mom(values, variant=args.variant)
-    else:
-        try:
-            seed_rep = solve_mom(values, variant=args.variant)
-            init = (seed_rep.a, seed_rep.lam)
-        except ValueError:
-            init = histogram_init(values)
-        report = lsq_fit(values, init, trim=args.trim)
+    report = MaxUExpEstimator(args.method, args.trim, args.variant).fit(values).report_
     payload = {
         "a": report.a,
         "lambda": report.lam,

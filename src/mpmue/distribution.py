@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DivergenceError, DomainError, NumericError
 from .numerics import (
     checked_exp,
-    gamma_lower,
     gamma_upper,
     integrate,
     log_gamma,
@@ -136,15 +135,27 @@ class MaxUExp:
             raise DivergenceError(f"moment diverges for k <= -1, got {k!r}")
         if k == 0.0:
             return 1.0
-        a, lam = self.a, self.lam
         if k > 0.0:
-            al = a * lam
-            return (
-                a**k / (k + 1.0)
-                + k * gamma_lower(k + 1.0, al) / (a * lam ** (k + 1.0))
-                + k * gamma_upper(k, al) / lam**k
-            )
+            return checked_exp(self._log_moment(k))
+        a = self.a
         return integrate(lambda x: x**k * self.pdf(x), 0.0, math.inf, tol=1e-11, breakpoints=[a]).value
+
+    def _log_moment(self, k: float) -> float:
+        """log E(X^k) for k > 0: a log-sum-exp of the three closed-form terms
+        a^k/(k+1), k gamma(k+1, a lam)/(a lam^(k+1)) and k Gamma(k, a lam)/lam^k,
+        each built from a regularized incomplete gamma, so that none overflows
+        where the moment itself is a double."""
+        a, lam = self.a, self.lam
+        al = a * lam
+        log_a, log_lam, log_k = math.log(a), math.log(lam), math.log(k)
+        terms = (
+            k * log_a - math.log1p(k),
+            log_k + log_gamma_lower_reg(k + 1.0, al) + math.lgamma(k + 1.0)
+            - log_a - (k + 1.0) * log_lam,
+            log_k + log_gamma_upper_reg(k, al) + math.lgamma(k) - k * log_lam,
+        )
+        top = max(terms)
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
     def mean(self) -> float:
         return self.moment(1.0)
@@ -184,14 +195,13 @@ class MaxUExp:
         return integrate(lambda x: x**-q * self.pdf(x), 0.0, math.inf, tol=1e-11, breakpoints=[a]).value
 
     def lst(self, t: float) -> float:
-        """Laplace-Stieltjes transform E(e^(-tX)) for t >= 0."""
-        if not (t >= 0.0):
-            raise DomainError(f"lst requires t >= 0, got {t!r}")
+        """Laplace-Stieltjes transform E(e^(-tX)) for finite t >= 0: the n = 0
+        count probability at clock value t."""
+        if not (0.0 <= t < math.inf):
+            raise DomainError(f"lst requires finite t >= 0, got {t!r}")
         if t == 0.0:
             return 1.0
-        a, lam = self.a, self.lam
-        s = lam + t
-        return -math.expm1(-t * a) / (a * t) + t * math.expm1(-s * a) / (a * s * s)
+        return min(1.0, math.exp(self._log_count_pmf(t, 0)))
 
     def _log_count_pmf(self, m: float, n: int) -> float:
         """log P(N = n) for N mixed Poisson with mean m*X; m > 0, integer n >= 0.

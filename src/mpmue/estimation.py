@@ -390,8 +390,13 @@ class MaxUExpEstimator:
             report = solve_mom(arr, variant=self.variant)
         elif self.method == "lsq":
             x = validate_sample(arr)
-            start = _solve_mom(x, self.variant)
-            report = _lsq_fit(x, (start.a, start.lam), self.trim)
+            try:
+                start = _solve_mom(x, self.variant)
+                init = (start.a, start.lam)
+            except ValueError:
+                # No moment start (e.g. a degenerate ratio): read one off the histogram.
+                init = _histogram_init(x)
+            report = _lsq_fit(x, init, self.trim)
         else:
             raise DomainError(f"unknown method {self.method!r}")
         self.report_ = report

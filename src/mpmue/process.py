@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 from .distribution import MaxUExp, _log
 from .errors import DomainError, RangeError
-from .numerics import checked_exp
+from .numerics import checked_exp, gamma_lower_reg, log_gamma_upper_reg
 from .rng import RandomStream
 
 
@@ -173,24 +173,32 @@ class MixedPoissonMaxUExp:
         return min(1.0, math.exp(self.xi._log_count_pmf(m, n)))
 
     def pmf_upper_tail_bound(self, m: float, kk: int) -> float:
-        """Bound on P(N >= kk) from a falling-factorial moment (Markov)."""
+        """Bound on P(N >= kk) that does not increase with kk.
+
+        max(U, E) <= U + E, so N is stochastically below A + G with A
+        Poisson(a m) and G geometric, P(G >= j) = r^j with r = m/(m + lam).
+        Summing over A gives P(A + G >= kk) = P(kk, a m) + e^(a lam) r^kk
+        Q(kk, a(m + lam)), with P and Q the regularized incomplete gammas.
+        """
         m = self._check_m(m)
         if kk < 1:
             return 1.0
-        j = max(1, min(kk // 2, 50))
-        log_fact = math.lgamma(kk + 1.0) - math.lgamma(kk - j + 1.0)
-        log_num = j * math.log(m) + math.log(self.xi.moment(float(j)))
-        return math.exp(log_num - log_fact)
+        a, lam = self.xi.a, self.xi.lam
+        log_geometric = a * lam - kk * math.log1p(lam / m) + log_gamma_upper_reg(kk, a * (m + lam))
+        return min(1.0, math.exp(min(log_geometric, 0.0)) + gamma_lower_reg(kk, a * m))
 
     def truncation_point(self, m: float, tail: float = 1e-12) -> int:
-        """Smallest count cutoff whose upper tail bound drops below ``tail``."""
-        mean, var = self.mean_variance(m)
-        kk = max(8, int(math.ceil(mean + 10.0 * math.sqrt(var))))
-        while self.pmf_upper_tail_bound(m, kk) > tail:
-            kk = int(math.ceil(kk * 1.4)) + 1
-            if kk > 100_000:
-                raise DomainError("truncation point exceeds sanity bound")
-        return kk
+        """Smallest count cutoff whose upper tail bound is at most ``tail``,
+        found by doubling and then bisection (the bound does not increase)."""
+        m = self._check_m(m)
+        if not (0.0 < tail < 1.0):
+            raise DomainError(f"tail must lie in (0, 1), got {tail!r}")
+        lo, hi = 0, 1
+        while self.pmf_upper_tail_bound(m, hi) > tail:
+            lo, hi = hi, 2 * hi
+        return bisect.bisect_left(
+            range(hi + 1), True, lo=lo + 1, key=lambda kk: self.pmf_upper_tail_bound(m, kk) <= tail
+        )
 
     def mean_variance(self, m: float) -> tuple[float, float]:
         m = self._check_m(m)
@@ -229,7 +237,7 @@ class MixedPoissonMaxUExp:
         m = self._check_m(m)
         if not isinstance(k, int) or k < 1:
             raise DomainError(f"order k must be an integer >= 1, got {k!r}")
-        return m**k * self.xi.moment(float(k))
+        return checked_exp(k * math.log(m) + self.xi._log_moment(float(k)))
 
     # -- finite-dimensional laws ------------------------------------------
 

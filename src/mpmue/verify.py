@@ -770,6 +770,8 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
             relative=True,
         )
     )
+    # One m = 1 cutoff and pmf table serve the tail-bound, mean/variance,
+    # tower and factorial-moment checks below.
     cutoff = pp.truncation_point(1.0, tail=1e-12)
     all_pmf = [pp.pmf(1.0, n) for n in range(cutoff + 1)]
     bound_ok = True
@@ -791,9 +793,8 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
         )
     )
     mv_pairs = []
-    for m in (1.0, 2.0):
-        cutoff = pp.truncation_point(m, tail=1e-12)
-        probs = [pp.pmf(m, n) for n in range(cutoff + 1)]
+    cutoff2 = pp.truncation_point(2.0, tail=1e-12)
+    for m, probs in ((1.0, all_pmf), (2.0, [pp.pmf(2.0, n) for n in range(cutoff2 + 1)])):
         s1 = math.fsum(n * p for n, p in enumerate(probs))
         s2 = math.fsum(n * n * p for n, p in enumerate(probs))
         mean, var = pp.mean_variance(m)
@@ -874,8 +875,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
         )
         for (m, n) in post_cases
     ]
-    cutoff = pp.truncation_point(1.0, tail=1e-12)
-    tower = math.fsum(pp.posterior_mean(1.0, n) * pp.pmf(1.0, n) for n in range(cutoff + 1))
+    tower = math.fsum(pp.posterior_mean(1.0, n) * p for n, p in enumerate(all_pmf))
     post_pairs.append((tower, d.mean()))
     checks.append(
         check_value(
@@ -904,7 +904,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
     fact_pairs = []
     for k in (1, 2, 3):
         series = math.fsum(
-            math.exp(math.lgamma(n + 1) - math.lgamma(n - k + 1)) * pp.pmf(1.0, n)
+            math.exp(math.lgamma(n + 1) - math.lgamma(n - k + 1)) * all_pmf[n]
             for n in range(k, cutoff + 1)
         )
         fact_pairs.append((pp.factorial_moment(1.0, k), series))

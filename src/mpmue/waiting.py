@@ -38,112 +38,6 @@ def _em2_array(z: np.ndarray) -> np.ndarray:
     return np.where(z < 1e-3, series, direct)
 
 
-class ExpMaxUExp:
-    """Inter-arrival time eta / xi with eta a unit exponential independent of xi."""
-
-    __slots__ = ("xi",)
-
-    def __init__(self, a: float, lam: float):
-        self.xi = MaxUExp(a, lam)
-
-    @property
-    def a(self) -> float:
-        return self.xi.a
-
-    @property
-    def lam(self) -> float:
-        return self.xi.lam
-
-    def __repr__(self) -> str:
-        return f"ExpMaxUExp(a={self.a}, lam={self.lam})"
-
-    # pdf and cdf take a float or a numpy array, as MaxUExp's evaluators do.
-
-    def pdf(self, t: float | np.ndarray) -> float | np.ndarray:
-        a, lam = self.a, self.lam
-        if isinstance(t, np.ndarray):
-            tp = np.where(t <= 0.0, 1.0, t)
-            s = lam + tp
-            value = (
-                a * _em2_array(a * tp)
-                + (lam - tp) * (-np.expm1(-a * s)) / (a * s**3)
-                + tp * np.exp(-a * s) / (s * s)
-            )
-            return np.where(t <= 0.0, 0.0, value)
-        if t <= 0.0:
-            return 0.0
-        s = lam + t
-        first = a * _em2(a * t)
-        # s * s * s, not s**3: a float power raises OverflowError past 1e308.
-        second = (lam - t) * (-math.expm1(-a * s)) / (a * s * s * s)
-        third = t * math.exp(-a * s) / (s * s)
-        return first + second + third
-
-    def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
-        a, lam = self.a, self.lam
-        if isinstance(t, np.ndarray):
-            tp = np.where(t <= 0.0, 1.0, t)
-            s = lam + tp
-            value = 1.0 - (-np.expm1(-a * tp)) / (a * tp) + tp * (-np.expm1(-a * s)) / (a * s * s)
-            return np.where(t <= 0.0, 0.0, value)
-        if t <= 0.0:
-            return 0.0
-        s = lam + t
-        return 1.0 - (-math.expm1(-a * t)) / (a * t) + t * (-math.expm1(-a * s)) / (a * s * s)
-
-    def sample(self, stream: RandomStream) -> float:
-        """One draw as eta / xi; consumes three stream values (eta first, then xi)."""
-        eta = stream.exponential(1.0)
-        return eta / self.xi.sample(stream)
-
-    def sample_many(self, stream: RandomStream, count: int) -> np.ndarray:
-        u = stream.uniforms(3 * count)
-        eta = -np.log(u[0::3])
-        theta = self.a * u[1::3]
-        tail = -np.log(u[2::3]) / self.lam
-        return eta / np.maximum(theta, tail)
-
-    def moment(self, q: float) -> float:
-        """E(T^q) = Gamma(q+1) E(xi^-q); finite exactly for 0 < q < 2."""
-        return math.exp(log_gamma(q + 1.0)) * self.xi.neg_moment(q)
-
-    def joint_pdf(self, t: float, x: float) -> float:
-        """Joint density of (T, xi) at (t, x): x e^(-tx) times the mixing density."""
-        if t <= 0.0 or x <= 0.0:
-            return 0.0
-        return x * math.exp(-t * x) * self.xi.pdf(x)
-
-    def conditional_mixing_pdf(self, t: float, x: float) -> float:
-        """Density of xi given T = t (the joint renormalized by the T marginal)."""
-        if not (t > 0.0):
-            raise DomainError(f"conditioning requires t > 0, got {t!r}")
-        return self.joint_pdf(t, x) / self.pdf(t)
-
-    def mean_mixing_given_arrival(self, t: float) -> float:
-        """E(xi | T = t), a ratio of tilted moments."""
-        if not (t > 0.0):
-            raise DomainError(f"requires t > 0, got {t!r}")
-        return checked_exp(self.xi.log_tilted_moment(t, 2) - self.xi.log_tilted_moment(t, 1))
-
-    def mean_arrival_given_mixing(self, x: float) -> float:
-        """E(T | xi = x) = 1/x."""
-        x = _require_positive("x", x)
-        return 1.0 / x
-
-    def joint_interarrival_pdf(self, ts) -> float:
-        """Joint density of the first k inter-arrival times at (t_1, ..., t_k).
-
-        A single mixing draw couples the coordinates, so this depends on the
-        arguments only through their sum.
-        """
-        ts = [float(t) for t in ts]
-        if not ts:
-            raise DomainError("need at least one coordinate")
-        if any(t <= 0.0 for t in ts):
-            return 0.0
-        return self.xi.tilted_moment(sum(ts), len(ts))
-
-
 class ErlangMaxUExp:
     """Time of the n-th arrival: Gamma(n, 1) / xi with one shared mixing draw."""
 
@@ -200,3 +94,86 @@ class ErlangMaxUExp:
         """E(T_n^q) = (Gamma(q+n)/Gamma(n)) E(xi^-q); finite exactly for 0 < q < 2."""
         scale = math.exp(log_gamma(q + self.n) - log_gamma(float(self.n)))
         return scale * self.xi.neg_moment(q)
+
+
+class ExpMaxUExp(ErlangMaxUExp):
+    """Inter-arrival time eta / xi with eta a unit exponential independent of
+    xi: the n = 1 arrival, with closed-form pdf and cdf."""
+
+    __slots__ = ()
+
+    def __init__(self, a: float, lam: float):
+        super().__init__(1, a, lam)
+
+    def __repr__(self) -> str:
+        return f"ExpMaxUExp(a={self.a}, lam={self.lam})"
+
+    # pdf and cdf take a float or a numpy array, as MaxUExp's evaluators do.
+
+    def pdf(self, t: float | np.ndarray) -> float | np.ndarray:
+        a, lam = self.a, self.lam
+        if isinstance(t, np.ndarray):
+            tp = np.where(t <= 0.0, 1.0, t)
+            s = lam + tp
+            value = (
+                a * _em2_array(a * tp)
+                + (lam - tp) * (-np.expm1(-a * s)) / (a * s**3)
+                + tp * np.exp(-a * s) / (s * s)
+            )
+            return np.where(t <= 0.0, 0.0, value)
+        if t <= 0.0:
+            return 0.0
+        s = lam + t
+        first = a * _em2(a * t)
+        # s * s * s, not s**3: a float power raises OverflowError past 1e308.
+        second = (lam - t) * (-math.expm1(-a * s)) / (a * s * s * s)
+        third = t * math.exp(-a * s) / (s * s)
+        return first + second + third
+
+    def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
+        a, lam = self.a, self.lam
+        if isinstance(t, np.ndarray):
+            tp = np.where(t <= 0.0, 1.0, t)
+            s = lam + tp
+            value = 1.0 - (-np.expm1(-a * tp)) / (a * tp) + tp * (-np.expm1(-a * s)) / (a * s * s)
+            return np.where(t <= 0.0, 0.0, value)
+        if t <= 0.0:
+            return 0.0
+        s = lam + t
+        return 1.0 - (-math.expm1(-a * t)) / (a * t) + t * (-math.expm1(-a * s)) / (a * s * s)
+
+    def joint_pdf(self, t: float, x: float) -> float:
+        """Joint density of (T, xi) at (t, x): x e^(-tx) times the mixing density."""
+        if t <= 0.0 or x <= 0.0:
+            return 0.0
+        return x * math.exp(-t * x) * self.xi.pdf(x)
+
+    def conditional_mixing_pdf(self, t: float, x: float) -> float:
+        """Density of xi given T = t (the joint renormalized by the T marginal)."""
+        if not (t > 0.0):
+            raise DomainError(f"conditioning requires t > 0, got {t!r}")
+        return self.joint_pdf(t, x) / self.pdf(t)
+
+    def mean_mixing_given_arrival(self, t: float) -> float:
+        """E(xi | T = t), a ratio of tilted moments."""
+        if not (t > 0.0):
+            raise DomainError(f"requires t > 0, got {t!r}")
+        return checked_exp(self.xi.log_tilted_moment(t, 2) - self.xi.log_tilted_moment(t, 1))
+
+    def mean_arrival_given_mixing(self, x: float) -> float:
+        """E(T | xi = x) = 1/x."""
+        x = _require_positive("x", x)
+        return 1.0 / x
+
+    def joint_interarrival_pdf(self, ts) -> float:
+        """Joint density of the first k inter-arrival times at (t_1, ..., t_k).
+
+        A single mixing draw couples the coordinates, so this depends on the
+        arguments only through their sum.
+        """
+        ts = [float(t) for t in ts]
+        if not ts:
+            raise DomainError("need at least one coordinate")
+        if any(t <= 0.0 for t in ts):
+            return 0.0
+        return self.xi.tilted_moment(sum(ts), len(ts))

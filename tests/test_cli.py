@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from mpmue import ErlangMaxUExp, MaxUExp, MixedPoissonMaxUExp, RandomStream
+from mpmue import ErlangMaxUExp, MaxUExp, MaxUExpEstimator, MixedPoissonMaxUExp, RandomStream
+from mpmue.cli import main
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -101,7 +102,7 @@ def test_simulate_path_format():
     assert all(0.0 < t <= 50.0 for t in ts)
 
 
-def test_fit_json_contract(tmp_path):
+def test_fit_json_contract(tmp_path, capsys):
     draws = MaxUExp(1.0, 1.0).sample_many(RandomStream(5), 2_000)
     sample = tmp_path / "sample.csv"
     sample.write_text("x\n" + "\n".join(f"{v:.17g}" for v in draws) + "\n")
@@ -114,6 +115,13 @@ def test_fit_json_contract(tmp_path):
     assert rep["branch"] in ("unique", "ambiguous_two_roots", "fallback_min", "lsq_refined")
     assert abs(rep["a"] - 1.0) < 0.25
     assert abs(rep["lambda"] - 1.0) < 0.25
+    # Every method is the library estimator's report, field for field.
+    for method in ("auto", "mom", "lsq"):
+        assert main(["fit", "--input", str(sample), "--method", method]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        want = MaxUExpEstimator(method).fit(draws).report_
+        assert (rep["a"], rep["lambda"], rep["branch"]) == (want.a, want.lam, want.branch)
+        assert rep["objective"] == want.objective and rep["warnings"] == want.warnings
 
 
 def test_fit_rejects_bad_rows(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpmue import (
+    DegenerateSampleError,
     DomainError,
     InsufficientDataError,
     MaxUExp,
@@ -21,6 +22,7 @@ from mpmue import (
     ratio_stat,
     solve_mom,
 )
+from mpmue import estimation
 from mpmue.estimation import empirical_moments, validate_sample
 
 
@@ -213,7 +215,7 @@ def test_fit_auto_tiny_sample_does_not_crash():
     assert rep2.branch in ("lsq_refined", "fallback_min")
 
 
-def test_estimator_facade():
+def test_estimator_facade(monkeypatch):
     est = MaxUExpEstimator()
     assert est.get_params() == {"method": "auto", "trim": 0.25, "variant": "unbiased"}
     est.set_params(trim=0.3)
@@ -229,6 +231,14 @@ def test_estimator_facade():
     # 1-D input works the same.
     again = MaxUExpEstimator().fit(draws)
     assert again.a_ == fitted.a_
+
+    # Without a moment fit to start from, lsq starts from the histogram.
+    def no_moment_fit(x, variant):
+        raise DegenerateSampleError("no moment start")
+
+    monkeypatch.setattr(estimation, "_solve_mom", no_moment_fit)
+    report = MaxUExpEstimator("lsq").fit(draws).report_
+    assert report.params() == lsq_fit(draws, histogram_init(draws)).params()
 
 
 def test_estimator_rejects_matrix_input():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpmue import DivergenceError, DomainError, MaxUExp, RandomStream
+from mpmue import DivergenceError, DomainError, MaxUExp, NumericError, RandomStream
 
 params = st.tuples(st.floats(0.2, 8.0), st.floats(0.2, 8.0))
 
@@ -76,6 +76,11 @@ def test_moments_closed_form():
         d.moment(-1.0)
     with pytest.raises(DivergenceError):
         d.moment(-1.5)
+    # A high moment whose closed-form terms overflow on their own: X is
+    # nearly U(0, 1) when lam = 100.
+    assert MaxUExp(1.0, 100.0).moment(200.0) == pytest.approx(1.0 / 201.0, rel=1e-12)
+    with pytest.raises(NumericError):
+        MaxUExp(10.0, 1.0).moment(400.0)
 
 
 def test_neg_moment_values_and_domain():
@@ -100,6 +105,14 @@ def test_lst_values():
         d.lst(-0.5)
     # Completely monotone: decreasing in t.
     assert d.lst(0.5) > d.lst(1.0) > d.lst(2.0)
+    # Past t = 50/a the e^(-ta) terms are below 1e-21 of the value, which
+    # regroups to lam(lam + 2t)/(a t (lam + t)^2) with no cancellation.
+    for a, lam in ((2.0, 0.5), (1.0, 1.0), (0.01, 100.0), (100.0, 0.01)):
+        law = MaxUExp(a, lam)
+        for t in (50.0 / a, 1e3 / a, 1e8 / a, 1e100 / a):
+            exact = lam * (lam + 2.0 * t) / (a * t * (lam + t) ** 2)
+            assert law.lst(t) == pytest.approx(exact, rel=1e-12)
+    assert MaxUExp(1.0, 1.0).lst(1e300) == 0.0
 
 
 def test_tilted_moment_reductions():

@@ -7,6 +7,7 @@ from mpmue import (
     DomainError,
     MaxUExp,
     MixedPoissonMaxUExp,
+    NumericError,
     PowerTransform,
     ProcessPath,
     RangeError,
@@ -46,6 +47,15 @@ def test_pmf_mass_and_truncation(pp):
         mass = math.fsum(pp.pmf(m, n) for n in range(cut + 1))
         assert mass == pytest.approx(1.0, abs=1e-8)
     assert pp.truncation_point(1.0, tail=1e-4) <= pp.truncation_point(1.0, tail=1e-12)
+    # The cutoff is the first count whose tail bound reaches the target, with
+    # no cap: at m = 1e3 the true 1e-12 cutoff is 27645.
+    for m, tail in ((1.0, 1e-12), (2.0, 1e-4), (1e3, 1e-12), (1e4, 1e-12)):
+        cut = pp.truncation_point(m, tail)
+        assert pp.pmf_upper_tail_bound(m, cut) <= tail < pp.pmf_upper_tail_bound(m, cut - 1)
+    assert pp.truncation_point(1e3) <= 29_000
+    for bad in (0.0, 1.0, -1.0):
+        with pytest.raises(DomainError):
+            pp.truncation_point(1.0, tail=bad)
 
 
 def test_tail_bound_dominates_actual_tail(pp):
@@ -54,6 +64,19 @@ def test_tail_bound_dominates_actual_tail(pp):
     for kk in (3, 7, 15):
         actual = max(0.0, 1.0 - math.fsum(probs[:kk]))
         assert actual <= pp.pmf_upper_tail_bound(1.0, kk) + 1e-12
+    # Across parameters and clock values, from the body of the law to four
+    # times its mean; the bound never increases with the count.
+    for a, lam in ((1.0, 1.0), (2.0, 0.5), (0.01, 100.0), (100.0, 0.01)):
+        law = MixedPoissonMaxUExp(MaxUExp(a, lam))
+        for m in (0.5, 2.0, 50.0):
+            mean = math.ceil(law.mean_variance(m)[0])
+            probs = [law.pmf(m, n) for n in range(4 * mean + 8)]
+            bounds = []
+            for kk in sorted({1, 2, mean, 2 * mean + 1, len(probs)}):
+                actual = max(0.0, 1.0 - math.fsum(probs[:kk]))
+                bounds.append(law.pmf_upper_tail_bound(m, kk))
+                assert actual <= bounds[-1] + 1e-12
+            assert all(b <= a2 for a2, b in zip(bounds[:-1], bounds[1:]))
 
 
 def test_mean_variance_closed_form(pp):
@@ -95,6 +118,12 @@ def test_factorial_moment_first_is_mean(pp):
     assert pp.factorial_moment(1.3, 1) == pytest.approx(mean, rel=1e-12)
     with pytest.raises(DomainError):
         pp.factorial_moment(1.0, 0)
+    # m^k E(xi^k) in log space: overflow is a NumericError, and a tiny clock
+    # offsets a huge moment (E(xi^120) is about 120!).
+    with pytest.raises(NumericError):
+        pp.factorial_moment(1e3, 120)
+    small = 1e-180 * (1e-180 * pp.xi.moment(120.0))
+    assert pp.factorial_moment(1e-3, 120) == pytest.approx(small, rel=1e-12)
 
 
 def test_ordered_pmf_reductions(pp):

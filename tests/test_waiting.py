@@ -144,6 +144,10 @@ def test_erlang_validation_and_reduction():
     assert e1.pdf(0.0) == 0.0
     assert e1.pdf(-1.0) == 0.0
     assert e1.cdf(0.0) == 0.0
+    # The inter-arrival law is the n = 1 arrival: same draws, same moments.
+    assert w.n == 1 and not hasattr(w, "__dict__")
+    assert np.array_equal(w.sample_many(RandomStream(9), 50), e1.sample_many(RandomStream(9), 50))
+    assert w.moment(0.5) == e1.moment(0.5)
 
 
 def test_erlang_cdf_monotone_and_tail_route():
