@@ -122,9 +122,11 @@ class MaxUExp:
     def sample_many(self, stream: RandomStream, count: int) -> np.ndarray:
         """Vectorized draws, identical to ``count`` sequential ``sample`` calls."""
         u = stream.uniforms(2 * count)
-        theta = self.a * u[0::2]
-        eta = -np.log(u[1::2]) / self.lam
-        return np.maximum(theta, eta)
+        return self._from_uniforms(u[0::2], u[1::2])
+
+    def _from_uniforms(self, u_theta: np.ndarray, u_eta: np.ndarray) -> np.ndarray:
+        """Draws from the uniforms of their two legs, as ``sample`` takes them."""
+        return np.maximum(self.a * u_theta, -np.log(u_eta) / self.lam)
 
     # -- closed-form functionals ----------------------------------------------
 

@@ -15,16 +15,24 @@ import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
+import numpy as np
+
 from .distribution import MaxUExp, _log
 from .errors import DomainError, RangeError
 from .numerics import checked_exp, gamma_lower_reg, log_gamma_upper_reg
-from .rng import RandomStream
+from .rng import RandomStream, counter_uniforms, substream_seeds
+
+# Exponentials drawn per active path in each round of ``_simulate``.
+_ROUND = 8
 
 
 class TimeTransform(Protocol):
+    """A clock mu; ``inverse`` maps a float to a float and an array to an
+    array, element for element with the same arithmetic."""
+
     def value(self, t: float) -> float: ...
 
-    def inverse(self, y: float) -> float: ...
+    def inverse(self, y: float | np.ndarray) -> float | np.ndarray: ...
 
 
 class PowerTransform:
@@ -43,9 +51,9 @@ class PowerTransform:
             raise DomainError(f"time must be >= 0, got {t!r}")
         return t**self.c
 
-    def inverse(self, y: float) -> float:
-        if y < 0.0:
-            raise DomainError(f"clock value must be >= 0, got {y!r}")
+    def inverse(self, y: float | np.ndarray) -> float | np.ndarray:
+        if (np.any(y < 0.0) if isinstance(y, np.ndarray) else y < 0.0):
+            raise DomainError("clock values must be >= 0")
         return y ** (1.0 / self.c)
 
 
@@ -71,30 +79,31 @@ class TableTransform:
         self.ts = [p[0] for p in pts]
         self.mus = [p[1] for p in pts]
 
-    def _segment(self, xs: list[float], x: float) -> int:
-        if x < xs[0] or x > xs[-1]:
-            raise RangeError(f"{x!r} outside table range [{xs[0]}, {xs[-1]}]")
-        lo, hi = 0, len(xs) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if xs[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    @staticmethod
+    def _interpolate(xs: list[float], ys: list[float], x: float | np.ndarray) -> float | np.ndarray:
+        """The polyline through (xs, ys) at x.  Floats find their segment with
+        bisect, arrays with searchsorted; both then do the same arithmetic."""
+        last = len(xs) - 1
+        if isinstance(x, np.ndarray):
+            if x.size and not (xs[0] <= x.min() and x.max() <= xs[-1]):
+                raise RangeError(f"values outside table range [{xs[0]}, {xs[-1]}]")
+            i = np.minimum(np.searchsorted(xs, x, side="right"), last) - 1
+            xs, ys = np.asarray(xs), np.asarray(ys)
+        else:
+            if not (xs[0] <= x <= xs[-1]):
+                raise RangeError(f"{x!r} outside table range [{xs[0]}, {xs[-1]}]")
+            i = min(bisect.bisect_right(xs, x), last) - 1
+        w = (x - xs[i]) / (xs[i + 1] - xs[i])
+        return ys[i] + w * (ys[i + 1] - ys[i])
 
     def value(self, t: float) -> float:
-        i = self._segment(self.ts, t)
-        w = (t - self.ts[i]) / (self.ts[i + 1] - self.ts[i])
-        return self.mus[i] + w * (self.mus[i + 1] - self.mus[i])
+        return self._interpolate(self.ts, self.mus, t)
 
-    def inverse(self, y: float) -> float:
-        i = self._segment(self.mus, y)
-        w = (y - self.mus[i]) / (self.mus[i + 1] - self.mus[i])
-        return self.ts[i] + w * (self.ts[i + 1] - self.ts[i])
+    def inverse(self, y: float | np.ndarray) -> float | np.ndarray:
+        return self._interpolate(self.mus, self.ts, y)
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessPath:
     xi: float
     events: list[float]
@@ -277,29 +286,59 @@ class MixedPoissonMaxUExp:
     ) -> ProcessPath:
         """One trajectory on [0, horizon]: draw xi, then unit-rate arrival
         epochs S_k accepted while S_k <= xi * mu(horizon), mapped back through
-        the clock as t_k = mu^-1(S_k / xi)."""
-        horizon = float(horizon)
-        if not (horizon > 0.0) or not math.isfinite(horizon):
-            raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
-        xi = self.xi.sample(stream)
-        budget = xi * transform.value(horizon)
-        events: list[float] = []
-        s = 0.0
-        while True:
-            s += stream.exponential(1.0)
-            if s > budget:
-                break
-            events.append(min(transform.inverse(s / xi), horizon))
-        return ProcessPath(xi=xi, events=events, horizon=horizon)
+        the clock as t_k = mu^-1(S_k / xi).  The path batch of one stream,
+        starting at its position; consumes 2 + (events + 1) positions."""
+        seeds = np.array([stream.seed], dtype=np.uint64)
+        paths = self._simulate(transform, horizon, seeds, stream.position)
+        stream.position += 3 + len(paths[0].events)
+        return paths[0]
 
     def simulate_paths(
         self, transform: TimeTransform, horizon: float, count: int, seed: int
     ) -> list[ProcessPath]:
         """Batch of paths on per-path substreams of one seed, so any prefix of
-        the batch is reproducible independently of the others."""
+        the batch is reproducible independently of the others: path i equals
+        ``simulate_path(transform, horizon, RandomStream(seed).substream(i))``."""
         if count < 0:
             raise DomainError("count must be >= 0")
-        root = RandomStream(seed)
+        return self._simulate(transform, horizon, substream_seeds(RandomStream(seed).seed, count), 0)
+
+    def _simulate(
+        self, transform: TimeTransform, horizon: float, seeds: np.ndarray, position: int
+    ) -> list[ProcessPath]:
+        """Paths on the streams with the given seeds, all from one position,
+        in one numpy pass.  Each stream gives xi from its next two draws and
+        then unit exponentials, drawn in rounds of ``_ROUND`` for the paths
+        still below their budget."""
+        horizon = float(horizon)
+        if not (horizon > 0.0) or not math.isfinite(horizon):
+            raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
+        mu_h = transform.value(horizon)
+        u = counter_uniforms(seeds[:, None], position, 2)
+        xi = self.xi._from_uniforms(u[:, 0], u[:, 1])
+        budget = xi * mu_h
+        position += 2
+        s = np.zeros(len(seeds))
+        active = np.arange(len(seeds))
+        sums, owners = [], []
+        while active.size:
+            e = -np.log(counter_uniforms(seeds[active, None], position, _ROUND))
+            # The carried sum goes in first, so each row adds exactly as
+            # ``s += e`` would, one draw at a time.
+            cum = np.cumsum(np.concatenate([s[active, None], e], axis=1), axis=1)[:, 1:]
+            kept = cum <= budget[active, None]
+            sums.append(cum[kept])
+            owners.append(np.repeat(active, kept.sum(axis=1)))
+            going = kept[:, -1]
+            s[active[going]] = cum[going, -1]
+            active = active[going]
+            position += _ROUND
+        sums = np.concatenate([np.zeros(0)] + sums)
+        owners = np.concatenate([np.zeros(0, dtype=np.intp)] + owners)
+        order = np.argsort(owners, kind="stable")
+        events = np.minimum(transform.inverse(sums[order] / xi[owners[order]]), horizon).tolist()
+        ends = np.cumsum(np.bincount(owners, minlength=len(seeds))).tolist()
+        starts = [0] + ends[:-1]
         return [
-            self.simulate_path(transform, horizon, root.substream(i)) for i in range(count)
+            ProcessPath(x, events[lo:hi], horizon) for x, lo, hi in zip(xi.tolist(), starts, ends)
         ]

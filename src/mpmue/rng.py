@@ -6,16 +6,23 @@ golden-ratio constant 0x9E3779B97F4A7C15 and ``mix64`` is the xor-shift /
 multiply finalizer with constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB
 and shifts 30, 27, 31.  Uniform doubles take the top 53 bits:
 ``u = ((z >> 11) + 0.5) * 2^-53``, which lies strictly inside (0, 1).
+Positions wrap mod 2^64, in scalar and batch draws alike.
 
 Because output depends only on (seed, position), batch draws vectorize to
 the exact sequence scalar draws produce, and substreams derive from the seed
 alone: ``substream(k)`` has seed ``mix64((seed + (k+1) * SUBSTREAM_GAMMA)
-mod 2^64)`` with SUBSTREAM_GAMMA = 0xD1B54A32D192ED03.
+mod 2^64)`` with SUBSTREAM_GAMMA = 0xD1B54A32D192ED03.  ``counter_uniforms``
+computes any block of draws of many streams in one numpy pass, without
+stepping a stream; ``MixedPoissonMaxUExp.simulate_paths`` draws every path
+of a batch that way.
+
+Exponentials are ``-log(u) / rate`` with numpy's ``log`` in scalar and batch
+draws alike: numpy's and the math module's logarithms can differ in the
+last bit, and one shared logarithm keeps ``sample`` and ``sample_many``, and
+a path and its batch, bit-identical.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -34,6 +41,28 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``_mix64`` over uint64 arrays, which wrap mod 2^64 by themselves."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def counter_uniforms(seeds: np.ndarray, position: int, count: int) -> np.ndarray:
+    """Uniform draws ``position + 1`` to ``position + count`` of the streams
+    with the given uint64 seeds, positions taken mod 2^64.  A seed column of
+    shape (n, 1) gives one row per stream."""
+    idx = np.uint64(position & _MASK) + np.arange(1, count + 1, dtype=np.uint64)
+    z = _mix64_array(seeds + idx * np.uint64(_GAMMA))
+    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _TO_UNIT
+
+
+def substream_seeds(seed: int, count: int) -> np.ndarray:
+    """Seeds of ``RandomStream(seed).substream(i)`` for i < count, as uint64."""
+    idx = np.arange(1, count + 1, dtype=np.uint64)
+    return _mix64_array(np.uint64(seed & _MASK) + idx * np.uint64(_SUBSTREAM_GAMMA))
 
 
 class RandomStream:
@@ -61,19 +90,16 @@ class RandomStream:
         """Vectorized batch of uniforms, bit-identical to ``count`` scalar draws."""
         if count < 0:
             raise DomainError("count must be >= 0")
-        idx = np.arange(self.position + 1, self.position + count + 1, dtype=np.uint64)
-        z = (np.uint64(self.seed) + idx * np.uint64(_GAMMA))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        u = counter_uniforms(np.uint64(self.seed), self.position, count)
         self.position += count
-        return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * _TO_UNIT
+        return u
 
     def exponential(self, rate: float = 1.0) -> float:
-        """Exponential draw by inverse transform; consumes one position."""
+        """Exponential draw by inverse transform; consumes one position.
+        The logarithm is numpy's, as in ``exponentials``."""
         if not (rate > 0.0):
             raise DomainError(f"rate must be positive, got {rate!r}")
-        return -math.log(self.uniform()) / rate
+        return float(-np.log(self.uniform())) / rate
 
     def exponentials(self, count: int, rate: float = 1.0) -> np.ndarray:
         if not (rate > 0.0):

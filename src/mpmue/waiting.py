@@ -19,6 +19,21 @@ from .numerics import checked_exp, integrate, log_gamma
 from .rng import RandomStream
 
 
+def _em1(z: float) -> float:
+    """1 - (1 - e^-z) / z, series-stabilized below z = 1e-3."""
+    if z < 1e-3:
+        return z / 2.0 - z * z / 6.0 + z**3 / 24.0 - z**4 / 120.0 + z**5 / 720.0
+    return 1.0 - (-math.expm1(-z)) / z
+
+
+def _em1_array(z: np.ndarray) -> np.ndarray:
+    """``_em1`` over an array of z > 0, with the same series cutover."""
+    zs = np.minimum(z, 1e-3)
+    series = zs / 2.0 - zs * zs / 6.0 + zs**3 / 24.0 - zs**4 / 120.0 + zs**5 / 720.0
+    zd = np.maximum(z, 1e-3)
+    return np.where(z < 1e-3, series, 1.0 - (-np.expm1(-zd)) / zd)
+
+
 def _em2(z: float) -> float:
     """(1 - e^-z - z e^-z) / z^2, series-stabilized below z = 1e-3."""
     if z < 0.0:
@@ -86,9 +101,7 @@ class ErlangMaxUExp:
         w = self.n + 2
         u = stream.uniforms(w * count).reshape(count, w)
         top = -np.log(u[:, : self.n]).sum(axis=1)
-        theta = self.a * u[:, self.n]
-        tail = -np.log(u[:, self.n + 1]) / self.lam
-        return top / np.maximum(theta, tail)
+        return top / self.xi._from_uniforms(u[:, self.n], u[:, self.n + 1])
 
     def moment(self, q: float) -> float:
         """E(T_n^q) = (Gamma(q+n)/Gamma(n)) E(xi^-q); finite exactly for 0 < q < 2."""
@@ -135,12 +148,12 @@ class ExpMaxUExp(ErlangMaxUExp):
         if isinstance(t, np.ndarray):
             tp = np.where(t <= 0.0, 1.0, t)
             s = lam + tp
-            value = 1.0 - (-np.expm1(-a * tp)) / (a * tp) + tp * (-np.expm1(-a * s)) / (a * s * s)
+            value = _em1_array(a * tp) + tp * (-np.expm1(-a * s)) / (a * s * s)
             return np.where(t <= 0.0, 0.0, value)
         if t <= 0.0:
             return 0.0
         s = lam + t
-        return 1.0 - (-math.expm1(-a * t)) / (a * t) + t * (-math.expm1(-a * s)) / (a * s * s)
+        return _em1(a * t) + t * (-math.expm1(-a * s)) / (a * s * s)
 
     def joint_pdf(self, t: float, x: float) -> float:
         """Joint density of (T, xi) at (t, x): x e^(-tx) times the mixing density."""

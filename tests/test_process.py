@@ -267,3 +267,101 @@ def test_conditional_binomial_large_counts(n, j):
     # The log weight is near lgamma(n + 1); allow a few ulps of that.
     rel = 1e-14 * math.lgamma(n + 1.0)
     assert conditional_binomial_pmf(n, 1.0, 2.0, j) == pytest.approx(want, rel=rel)
+
+
+CLOCKS = [
+    (PowerTransform(1.0), 2.0),
+    (PowerTransform(1.5), 3.0),
+    (PowerTransform(2.0), 5.15),
+    (TableTransform([(0.0, 0.0), (1.0, 2.0), (3.0, 4.0), (4.0, 9.0)]), 4.0),
+]
+
+
+@pytest.mark.parametrize("clock,horizon", CLOCKS)
+def test_batch_prefix_matches_single_paths(pp, clock, horizon):
+    # Path i of a batch is simulate_path on substream i, bit for bit, and a
+    # batch of k is the first k paths of a batch of N.
+    batch = pp.simulate_paths(clock, horizon, 300, seed=17)
+    prefix = pp.simulate_paths(clock, horizon, 40, seed=17)
+    assert [(p.xi, p.events) for p in prefix] == [(p.xi, p.events) for p in batch[:40]]
+    root = RandomStream(17)
+    for i, path in enumerate(batch[:60]):
+        single = pp.simulate_path(clock, horizon, root.substream(i))
+        assert (single.xi, single.events, single.horizon) == (path.xi, path.events, horizon)
+    # Counts are long enough to need several rounds of exponentials.
+    assert max(len(p.events) for p in batch) > 16
+
+
+def _event_loop(pp, clock, horizon, stream):
+    # The event-at-a-time simulation: one exponential per arrival, accepted
+    # while the running sum stays within xi mu(horizon).  The clock inverse
+    # takes one-element arrays, as numpy's power can differ from Python's.
+    xi = pp.xi.sample(stream)
+    budget = xi * clock.value(horizon)
+    events, s = [], 0.0
+    while True:
+        s += stream.exponential(1.0)
+        if s > budget:
+            return xi, events
+        events.append(min(float(clock.inverse(np.array([s / xi]))[0]), horizon))
+
+
+@pytest.mark.parametrize("clock,horizon", CLOCKS)
+def test_batch_matches_event_loop(pp, clock, horizon):
+    batch = pp.simulate_paths(clock, horizon, 100, seed=29)
+    root = RandomStream(29)
+    for i, path in enumerate(batch):
+        stream = root.substream(i)
+        assert _event_loop(pp, clock, horizon, stream) == (path.xi, path.events)
+        assert stream.position == 3 + len(path.events)
+
+
+def test_simulate_path_consumes_its_draws(pp):
+    # xi takes two positions and each arrival one, plus the one that passes
+    # the budget, so a stream can carry on after a path.
+    stream = RandomStream(3)
+    path = pp.simulate_path(PowerTransform(2.0), 5.15, stream)
+    assert stream.position == 3 + len(path.events)
+    again = RandomStream(3, position=stream.position)
+    assert pp.simulate_path(PowerTransform(1.0), 2.0, stream) == pp.simulate_path(
+        PowerTransform(1.0), 2.0, again
+    )
+
+
+def test_simulate_paths_empty_batch(pp):
+    assert pp.simulate_paths(PowerTransform(1.0), 2.0, 0, seed=1) == []
+    with pytest.raises(DomainError):
+        pp.simulate_paths(PowerTransform(1.0), 2.0, -1, seed=1)
+
+
+@pytest.mark.parametrize("clock,horizon", CLOCKS)
+def test_batch_events_rise_within_horizon(pp, clock, horizon):
+    for path in pp.simulate_paths(clock, horizon, 500, seed=23):
+        ev = path.events
+        assert all(0.0 < t <= horizon for t in ev)
+        assert all(b > a for a, b in zip(ev[:-1], ev[1:]))
+        assert all(type(t) is float for t in ev) and type(path.xi) is float
+
+
+def test_table_inverse_array_matches_scalar():
+    # At the anchor (2.9, 2.75) the segment to its left would give
+    # 0.7 + 1.0 * (2.9 - 0.7) = 2.9000000000000004.
+    tr = TableTransform([(0.0, 0.0), (0.3, 1.0), (0.7, 2.5), (2.9, 2.75), (5.0, 9.0)])
+    ys = np.concatenate([tr.mus, np.linspace(0.0, 9.0, 1001), RandomStream(4).uniforms(500) * 9.0])
+    ts = np.concatenate([tr.ts, np.linspace(0.0, 5.0, 1001)])
+    assert tr.inverse(ys).tolist() == [tr.inverse(y) for y in ys.tolist()]
+    assert tr.inverse(np.array(tr.mus)).tolist() == tr.ts
+    assert [tr.value(t) for t in tr.ts] == tr.mus
+    assert tr.inverse(np.zeros((2, 0))).shape == (2, 0)
+    for bad in (np.array([1.0, 9.5]), np.array([-1e-300]), np.array([math.nan])):
+        with pytest.raises(RangeError):
+            tr.inverse(bad)
+
+
+def test_power_inverse_array_matches_scalar():
+    for c in (1.0, 1.5, 2.0):
+        tr = PowerTransform(c)
+        ys = RandomStream(6).uniforms(1000) * 30.0
+        assert tr.inverse(ys).tolist() == [float(tr.inverse(np.array([y]))[0]) for y in ys.tolist()]
+        with pytest.raises(DomainError):
+            tr.inverse(np.array([1.0, -1.0]))

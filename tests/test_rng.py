@@ -73,3 +73,20 @@ def test_uniform_moments_sane():
     u = RandomStream(3).uniforms(200_000)
     assert float(u.mean()) == pytest.approx(0.5, abs=0.005)
     assert float(u.var()) == pytest.approx(1.0 / 12.0, abs=0.002)
+
+
+def test_uniforms_wrap_past_the_last_position():
+    # Positions wrap mod 2^64 in batch draws as in scalar draws.
+    s1 = RandomStream(11, position=2**64 - 2)
+    s2 = RandomStream(11, position=2**64 - 2)
+    vec = s1.uniforms(5)
+    assert np.array_equal(vec, [s2.uniform() for _ in range(5)])
+    assert s1.position == s2.position == 2**64 + 3
+    assert np.array_equal(RandomStream(11, position=2**64 + 3).uniforms(3), s1.uniforms(3))
+
+
+def test_exponential_matches_batch_bit_for_bit():
+    s1 = RandomStream(21)
+    s2 = RandomStream(21)
+    vec = s1.exponentials(20_000, 0.9)
+    assert np.array_equal(vec, [s2.exponential(0.9) for _ in range(20_000)])

@@ -36,6 +36,28 @@ def test_pdf_series_matches_direct_branch():
     assert below == pytest.approx(above, rel=1e-6)
 
 
+def _cdf_reference(a, lam, t):
+    # The closed form in 60-digit arithmetic, where 1 - (1 - e^-at)/(at)
+    # does not cancel.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a, lam, t = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(t)
+        s = lam + t
+        return float(1 - (-mpmath.expm1(-a * t)) / (a * t) + t * (-mpmath.expm1(-a * s)) / (a * s * s))
+
+
+@pytest.mark.parametrize("a,lam", [(1.0, 1.0), (2.0, 0.5), (0.01, 100.0)])
+def test_cdf_small_t_keeps_relative_accuracy(a, lam):
+    w = ExpMaxUExp(a, lam)
+    cut = 1e-3 / a  # the series cutover of a*t
+    # Below the cutover the series is good to a few ulps; just above it the
+    # direct form still cancels over about three digits.
+    for t, rel in ((1e-12, 1e-15), (1e-8, 1e-15), (cut * (1.0 - 1e-9), 1e-15), (cut * (1.0 + 1e-9), 2e-13)):
+        want = _cdf_reference(a, lam, t)
+        assert w.cdf(t) == pytest.approx(want, rel=rel)
+        assert w.cdf(np.array([t]))[0] == pytest.approx(want, rel=rel)
+
+
 def test_cdf_is_integral_of_pdf():
     w = ExpMaxUExp(2.0, 0.5)
     for t in (0.2, 1.0, 3.0):
