@@ -23,7 +23,7 @@ from .numerics import (
     log_gamma_lower_reg,
     log_gamma_upper_reg,
 )
-from .rng import RandomStream
+from .rng import RandomStream, _draw_rows
 
 
 def _log(x: float) -> float:
@@ -121,12 +121,12 @@ class MaxUExp:
 
     def sample_many(self, stream: RandomStream, count: int) -> np.ndarray:
         """Vectorized draws, identical to ``count`` sequential ``sample`` calls."""
-        u = stream.uniforms(2 * count)
-        return self._from_uniforms(u[0::2], u[1::2])
+        return _draw_rows(stream, count, 2, self._from_uniforms)
 
-    def _from_uniforms(self, u_theta: np.ndarray, u_eta: np.ndarray) -> np.ndarray:
-        """Draws from the uniforms of their two legs, as ``sample`` takes them."""
-        return np.maximum(self.a * u_theta, -np.log(u_eta) / self.lam)
+    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """Draws from rows of two uniforms, the uniform leg's first, as
+        ``sample`` takes them."""
+        return np.maximum(self.a * u[:, 0], -np.log(u[:, 1]) / self.lam)
 
     # -- closed-form functionals ----------------------------------------------
 

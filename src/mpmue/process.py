@@ -18,7 +18,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .distribution import MaxUExp, _log
-from .errors import DomainError, RangeError
+from .errors import DomainError, NumericError, RangeError
 from .numerics import checked_exp, gamma_lower_reg, log_gamma_upper_reg
 from .rng import RandomStream, counter_uniforms, substream_seeds
 
@@ -49,12 +49,23 @@ class PowerTransform:
     def value(self, t: float) -> float:
         if t < 0.0:
             raise DomainError(f"time must be >= 0, got {t!r}")
-        return t**self.c
+        return self._power(t, self.c)
 
     def inverse(self, y: float | np.ndarray) -> float | np.ndarray:
+        """mu^-1(y).  A float past the double range raises NumericError; an
+        array gives inf there, with numpy's overflow warning, since
+        ``simulate_paths`` passes it only clock values up to mu(horizon)."""
         if (np.any(y < 0.0) if isinstance(y, np.ndarray) else y < 0.0):
             raise DomainError("clock values must be >= 0")
-        return y ** (1.0 / self.c)
+        return self._power(y, 1.0 / self.c)
+
+    @staticmethod
+    def _power(x: float | np.ndarray, p: float) -> float | np.ndarray:
+        # Only a Python float raises here; numpy overflows to inf.
+        try:
+            return x**p
+        except OverflowError:
+            raise NumericError(f"{x!r} ** {p!r} overflows a double") from None
 
 
 class TableTransform:
@@ -314,8 +325,7 @@ class MixedPoissonMaxUExp:
         if not (horizon > 0.0) or not math.isfinite(horizon):
             raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
         mu_h = transform.value(horizon)
-        u = counter_uniforms(seeds[:, None], position, 2)
-        xi = self.xi._from_uniforms(u[:, 0], u[:, 1])
+        xi = self.xi._from_uniforms(counter_uniforms(seeds[:, None], position, 2))
         budget = xi * mu_h
         position += 2
         s = np.zeros(len(seeds))

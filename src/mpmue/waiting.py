@@ -16,22 +16,35 @@ import numpy as np
 from .distribution import MaxUExp, _require_positive
 from .errors import DomainError
 from .numerics import checked_exp, integrate, log_gamma
-from .rng import RandomStream
+from .rng import RandomStream, _draw_rows
+
+
+# 1 - (1 - e^-z)/z = sum over k >= 1 of (-1)^(k+1) z^k / (k+1)!.  Below
+# _EM1_CUT fourteen terms reach double precision; above it the direct form
+# loses at most two bits to cancellation.
+_EM1_CUT = 0.5
+_EM1_SERIES = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 15))
+
+
+def _em1_series(z: float | np.ndarray) -> float | np.ndarray:
+    """The series of ``_em1`` by Horner's rule, for a float or an array."""
+    acc = _EM1_SERIES[-1]
+    for c in reversed(_EM1_SERIES[:-1]):
+        acc = acc * z + c
+    return acc * z
 
 
 def _em1(z: float) -> float:
-    """1 - (1 - e^-z) / z, series-stabilized below z = 1e-3."""
-    if z < 1e-3:
-        return z / 2.0 - z * z / 6.0 + z**3 / 24.0 - z**4 / 120.0 + z**5 / 720.0
+    """1 - (1 - e^-z) / z for z > 0, by its series below z = _EM1_CUT."""
+    if z < _EM1_CUT:
+        return _em1_series(z)
     return 1.0 - (-math.expm1(-z)) / z
 
 
 def _em1_array(z: np.ndarray) -> np.ndarray:
     """``_em1`` over an array of z > 0, with the same series cutover."""
-    zs = np.minimum(z, 1e-3)
-    series = zs / 2.0 - zs * zs / 6.0 + zs**3 / 24.0 - zs**4 / 120.0 + zs**5 / 720.0
-    zd = np.maximum(z, 1e-3)
-    return np.where(z < 1e-3, series, 1.0 - (-np.expm1(-zd)) / zd)
+    zd = np.maximum(z, _EM1_CUT)
+    return np.where(z < _EM1_CUT, _em1_series(np.minimum(z, _EM1_CUT)), 1.0 - (-np.expm1(-zd)) / zd)
 
 
 def _em2(z: float) -> float:
@@ -98,10 +111,14 @@ class ErlangMaxUExp:
         return top / self.xi.sample(stream)
 
     def sample_many(self, stream: RandomStream, count: int) -> np.ndarray:
-        w = self.n + 2
-        u = stream.uniforms(w * count).reshape(count, w)
-        top = -np.log(u[:, : self.n]).sum(axis=1)
-        return top / self.xi._from_uniforms(u[:, self.n], u[:, self.n + 1])
+        """Vectorized draws, identical to ``count`` sequential ``sample`` calls."""
+        return _draw_rows(stream, count, self.n + 2, self._from_uniforms)
+
+    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """Draws from rows of n + 2 uniforms, taken in ``sample``'s order."""
+        n = self.n
+        top = -np.log(u[:, :n]).sum(axis=1)
+        return top / self.xi._from_uniforms(u[:, n:])
 
     def moment(self, q: float) -> float:
         """E(T_n^q) = (Gamma(q+n)/Gamma(n)) E(xi^-q); finite exactly for 0 < q < 2."""

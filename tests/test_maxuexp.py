@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpmue import DivergenceError, DomainError, MaxUExp, NumericError, RandomStream
+from mpmue.rng import _BLOCK
 
 params = st.tuples(st.floats(0.2, 8.0), st.floats(0.2, 8.0))
 
@@ -154,6 +155,29 @@ def test_sample_scalar_vector_agree_long_run():
     s = RandomStream(21)
     scl = np.array([d.sample(s) for _ in range(20_000)])
     assert np.array_equal(vec, scl)
+
+
+# sample_many draws rows of two uniforms, _BLOCK uniforms at a time.
+ROWS = _BLOCK // 2
+
+
+@pytest.mark.parametrize("count", [0, 1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 5])
+def test_sample_many_blocks_match_one_shot(count):
+    d = MaxUExp(1.3, 0.9)
+    s = RandomStream(8, position=2**64 - ROWS)
+    got = d.sample_many(s, count)
+    u = RandomStream(8, position=2**64 - ROWS).uniforms(2 * count)
+    assert np.array_equal(got, np.maximum(d.a * u[0::2], -np.log(u[1::2]) / d.lam))
+    assert s.position == 2**64 - ROWS + 2 * count
+
+
+def test_sample_many_matches_sample_across_a_block_edge():
+    d = MaxUExp(1.3, 0.9)
+    s = RandomStream(9)
+    scl = np.array([d.sample(s) for _ in range(ROWS + 3)])
+    t = RandomStream(9)
+    assert np.array_equal(d.sample_many(t, ROWS + 3), scl)
+    assert t.position == s.position
 
 
 def test_sample_within_support():

@@ -186,6 +186,17 @@ def test_power_transform():
         tr.value(-1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: PowerTransform(400.0).value(10.0), lambda: PowerTransform(0.0025).inverse(10.0)],
+    ids=["value", "inverse"],
+)
+def test_power_transform_overflow_is_typed(call):
+    # Float powers past the double range raised a raw OverflowError.
+    with pytest.raises(NumericError):
+        call()
+
+
 def test_table_transform():
     tr = TableTransform([(0.0, 0.0), (1.0, 2.0), (3.0, 4.0)])
     assert tr.value(0.5) == pytest.approx(1.0)

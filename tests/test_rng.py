@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpmue.rng import RandomStream
+from mpmue import ErlangMaxUExp, MaxUExp
+from mpmue.rng import _BLOCK, RandomStream, counter_uniforms, substream_seeds
 
 
 def test_deterministic_and_seed_sensitive():
@@ -90,3 +93,73 @@ def test_exponential_matches_batch_bit_for_bit():
     s2 = RandomStream(21)
     vec = s1.exponentials(20_000, 0.9)
     assert np.array_equal(vec, [s2.exponential(0.9) for _ in range(20_000)])
+
+
+def _one_shot_uniforms(seeds, position, count):
+    # The unblocked formula: every draw of the batch through whole-array
+    # uint64 temporaries.
+    idx = np.uint64(position % 2**64) + np.arange(1, count + 1, dtype=np.uint64)
+    z = seeds + idx * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+BLOCK_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_blocked_draws_match_one_shot(count):
+    seed = np.uint64(0xC0FFEE)
+    want = _one_shot_uniforms(seed, 12345, count)
+    assert np.array_equal(counter_uniforms(seed, 12345, count), want)
+    s = RandomStream(0xC0FFEE, position=12345)
+    assert np.array_equal(s.uniforms(count), want)
+    assert s.position == 12345 + count
+
+
+@pytest.mark.parametrize(
+    "position", [2**64 - 3, 2**64 - _BLOCK // 2, 2**64 - _BLOCK - 5, 2**65 - 7]
+)
+def test_blocked_draws_wrap_inside_a_block(position):
+    # The 2^64 wrap falls inside the first or the second block.
+    count = 2 * _BLOCK + 3
+    want = _one_shot_uniforms(np.uint64(77), position, count)
+    assert np.array_equal(counter_uniforms(np.uint64(77), position, count), want)
+    assert np.array_equal(RandomStream(77, position=position).uniforms(count), want)
+
+
+@pytest.mark.parametrize("rows,count", [(1000, 8), (3, _BLOCK + 5)])
+def test_blocked_draws_of_a_seed_column(rows, count):
+    seeds = substream_seeds(2024, rows)[:, None]
+    got = counter_uniforms(seeds, 2**64 - 4, count)
+    assert got.shape == (rows, count)
+    assert np.array_equal(got, _one_shot_uniforms(seeds, 2**64 - 4, count))
+
+
+def _peak_ratio(draw):
+    # tracemalloc sees numpy's buffers, so the peak counts every temporary.
+    tracemalloc.start()
+    try:
+        out = draw()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        lambda s: s.uniforms(10**6),
+        lambda s: MaxUExp(1.0, 1.0).sample_many(s, 10**6),
+        lambda s: ErlangMaxUExp(3, 1.0, 1.0).sample_many(s, 10**6),
+    ],
+    ids=["uniforms", "maxuexp", "erlang3"],
+)
+def test_batch_draws_peak_near_output_size(sampler):
+    # One-shot draws held 4x (uniforms), 8x (Max-U-Exp) and 20x (Erlang) of
+    # their output; blocked draws hold the output plus a block.
+    stream = RandomStream(5)
+    assert _peak_ratio(lambda: sampler(stream)) <= 1.5

@@ -5,6 +5,7 @@ import pytest
 
 from mpmue import DivergenceError, DomainError, ErlangMaxUExp, ExpMaxUExp, RandomStream
 from mpmue.numerics import integrate
+from mpmue.rng import _BLOCK
 
 
 def _ks2(x, y):
@@ -48,14 +49,16 @@ def _cdf_reference(a, lam, t):
 
 @pytest.mark.parametrize("a,lam", [(1.0, 1.0), (2.0, 0.5), (0.01, 100.0)])
 def test_cdf_small_t_keeps_relative_accuracy(a, lam):
+    # a*t around the old series cutover 1e-3, where the direct form cancelled
+    # over three digits, and around the new one at 0.5.
     w = ExpMaxUExp(a, lam)
-    cut = 1e-3 / a  # the series cutover of a*t
-    # Below the cutover the series is good to a few ulps; just above it the
-    # direct form still cancels over about three digits.
-    for t, rel in ((1e-12, 1e-15), (1e-8, 1e-15), (cut * (1.0 - 1e-9), 1e-15), (cut * (1.0 + 1e-9), 2e-13)):
+    for at in (1e-8, 1e-3 - 1e-12, 1e-3 + 1e-12, 2e-3, 1e-2, 0.5 - 1e-12, 0.5 + 1e-12, 1.0, 10.0):
+        t = at / a
         want = _cdf_reference(a, lam, t)
-        assert w.cdf(t) == pytest.approx(want, rel=rel)
-        assert w.cdf(np.array([t]))[0] == pytest.approx(want, rel=rel)
+        got, got_array = w.cdf(t), w.cdf(np.array([t]))[0]
+        assert got == pytest.approx(want, rel=2e-15, abs=0.0)
+        assert got_array == pytest.approx(want, rel=2e-15, abs=0.0)
+        assert abs(got - got_array) <= np.spacing(got)
 
 
 def test_cdf_is_integral_of_pdf():
@@ -210,6 +213,37 @@ def test_sampling_scalar_vector_agree():
     s = RandomStream(32)
     scl = np.array([e.sample(s) for _ in range(30)])
     assert np.allclose(vec, scl, rtol=1e-14)
+
+
+def _one_shot_erlang(e, stream, count):
+    # The unblocked formula: all rows of n + 2 uniforms at once.
+    n = e.n
+    u = stream.uniforms((n + 2) * count).reshape(count, n + 2)
+    top = -np.log(u[:, :n]).sum(axis=1)
+    return top / np.maximum(e.a * u[:, n], -np.log(u[:, n + 1]) / e.lam)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_sample_many_blocks_match_one_shot(n):
+    e = ErlangMaxUExp(n, 1.1, 0.6)
+    rows = _BLOCK // (n + 2)  # rows drawn per block
+    start = 2**64 - 2 * rows  # the 2^64 wrap falls inside the first block
+    for count in (0, 1, rows - 1, rows, rows + 1, 2 * rows + 5):
+        s = RandomStream(33, position=start)
+        got = e.sample_many(s, count)
+        assert np.array_equal(got, _one_shot_erlang(e, RandomStream(33, position=start), count))
+        assert s.position == start + (n + 2) * count
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_sample_many_matches_sample_across_a_block_edge(n):
+    e = ErlangMaxUExp(n, 1.1, 0.6)
+    count = _BLOCK // (n + 2) + 3
+    s = RandomStream(34)
+    scl = np.array([e.sample(s) for _ in range(count)])
+    t = RandomStream(34)
+    assert np.array_equal(e.sample_many(t, count), scl)
+    assert t.position == s.position
 
 
 def test_erlang_orders_ordered_in_distribution():
