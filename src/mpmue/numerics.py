@@ -6,7 +6,11 @@ The regularized incomplete gammas are scipy's ``gammainc``/``gammaincc``
 logs switch to Kummer's M or Tricomi's U where P or Q itself underflows, and
 the non-normalized pair is assembled from the logs.  Quadrature and
 the optimizers also delegate to scipy, which stays behind the signatures
-below.
+below.  Only ``scipy.special`` is imported with this module, since the count
+kernel calls it on nearly every evaluation.  ``integrate``,
+``least_squares`` and ``minimize`` import ``scipy.integrate`` or
+``scipy.optimize`` on first call, so ``import mpmue`` loads neither, nor the
+``scipy.linalg`` and ``scipy.sparse`` they pull in.
 """
 
 from __future__ import annotations
@@ -15,9 +19,6 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
-from scipy.optimize import least_squares as _scipy_least_squares
-from scipy.optimize import minimize as _scipy_minimize
 from scipy.special import gammainc as _gammainc
 from scipy.special import gammaincc as _gammaincc
 from scipy.special import hyp1f1 as _hyp1f1
@@ -155,6 +156,8 @@ def minimize(
     improving, which guards against premature shrinkage.  The result never
     has a larger objective than the (clipped) start point.
     """
+    from scipy.optimize import minimize as scipy_minimize
+
     x0 = np.asarray(start, dtype=float)
     if bounds is not None:
         lob = np.array([b[0] for b in bounds])
@@ -163,7 +166,7 @@ def minimize(
     best_x = x0
     best_f = f(x0)
     for _ in range(4):
-        res = _scipy_minimize(
+        res = scipy_minimize(
             f,
             best_x,
             method="Nelder-Mead",
@@ -197,6 +200,8 @@ def least_squares(
     Curved valleys that stall a simplex are handled well here, which is why
     the cdf fitters use this entry point instead of ``minimize``.
     """
+    from scipy.optimize import least_squares as scipy_least_squares
+
     x0 = np.asarray(start, dtype=float)
     if bounds is not None:
         lob = np.array([b[0] for b in bounds])
@@ -206,7 +211,7 @@ def least_squares(
     else:
         box = (-np.inf, np.inf)
     tol = max(tol, 1e-14)
-    res = _scipy_least_squares(
+    res = scipy_least_squares(
         residuals, x0, bounds=box, xtol=tol, ftol=tol, gtol=tol, max_nfev=10_000
     )
     out = np.asarray(res.x, dtype=float)
@@ -234,6 +239,8 @@ def integrate(
     or jumps) and each piece is integrated adaptively; a semi-infinite tail
     piece is handled by the integrator's variable substitution.
     """
+    from scipy.integrate import quad
+
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
     if math.isinf(lo):
@@ -246,7 +253,7 @@ def integrate(
     err = 0.0
     evals = 0
     for a, b in zip(edges[:-1], edges[1:]):
-        v, e, info = _scipy_quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)[:3]
+        v, e, info = quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)[:3]
         value += v
         err += e
         evals += info["neval"]

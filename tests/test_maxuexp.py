@@ -112,7 +112,7 @@ def test_lst_values():
         law = MaxUExp(a, lam)
         for t in (50.0 / a, 1e3 / a, 1e8 / a, 1e100 / a):
             exact = lam * (lam + 2.0 * t) / (a * t * (lam + t) ** 2)
-            assert law.lst(t) == pytest.approx(exact, rel=1e-12)
+            assert law.lst(t) == pytest.approx(exact, rel=1e-12, abs=0.0)
     assert MaxUExp(1.0, 1.0).lst(1e300) == 0.0
 
 

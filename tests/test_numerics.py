@@ -1,9 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpmue
 from mpmue.errors import BracketError, DomainError
 from mpmue.numerics import (
     find_root,
@@ -103,3 +108,56 @@ def test_integrate_breakpoints_with_infinite_tail():
     f = lambda x: 1.0 if x < 1.0 else math.exp(-(x - 1.0))
     got = integrate(f, 0.0, math.inf, tol=1e-12, breakpoints=[1.0]).value
     assert got == pytest.approx(2.0, rel=1e-10)
+
+
+# Run in a fresh interpreter: the quadrature-free sweep must leave
+# scipy.integrate and scipy.optimize unloaded, and the three scipy-backed
+# kernels must still work once they import them on first call.
+_COLD_START_CHILD = """
+import json, math, sys
+import numpy as np
+import mpmue, mpmue.cli
+from mpmue import ErlangMaxUExp, MaxUExp, MixedPoissonMaxUExp, PowerTransform, RandomStream
+
+def lazy_loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"]))
+
+after_import = lazy_loaded()
+xi = MaxUExp(1.0, 1.0)
+proc = MixedPoissonMaxUExp(xi)
+proc.pmf(1.0, 3)
+proc.posterior_mean(1.0, 3)
+proc.ordered_pmf([0.5, 1.0], [1, 2])
+ErlangMaxUExp(3, 1.0, 1.0).pdf(2.0)
+xi.lst(1.0)
+xi.moment(2.0)
+xi.sample_many(RandomStream(1), 1000)
+proc.simulate_paths(PowerTransform(1.0), 2.0, 100, seed=5)
+after_sweep = lazy_loaded()
+
+from mpmue.numerics import integrate, least_squares, minimize
+quad = integrate(lambda x: math.exp(-x), 0.0, math.inf, tol=1e-12).value
+lsq = least_squares(lambda p: np.array([p[0] - 2.0, 3.0 * (p[1] + 0.5)]), [0.0, 0.0],
+                    bounds=[(-5.0, 5.0), (-5.0, 5.0)]).tolist()
+nm = minimize(lambda p: (p[0] - 3.0) ** 2, [0.0], bounds=[(-10.0, 10.0)], tol=1e-12).tolist()
+print(json.dumps({"after_import": after_import, "after_sweep": after_sweep,
+                  "after_calls": lazy_loaded(), "quad": quad, "lsq": lsq, "minimize": nm}))
+"""
+
+
+def test_import_leaves_quadrature_and_optimizers_unloaded():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mpmue.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", _COLD_START_CHILD],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout.strip().splitlines()[-1])
+    assert out["after_import"] == []
+    assert out["after_sweep"] == []
+    assert "scipy.integrate" in out["after_calls"]
+    assert "scipy.optimize" in out["after_calls"]
+    assert out["quad"] == pytest.approx(1.0, rel=1e-12)
+    assert out["lsq"] == pytest.approx([2.0, -0.5], abs=1e-10)
+    assert out["minimize"] == pytest.approx([3.0], abs=1e-6)
