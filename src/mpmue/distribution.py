@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError, NumericError
 from .numerics import (
     checked_exp,
+    find_root,
     gamma_upper,
     integrate,
     log_gamma,
@@ -107,8 +108,6 @@ class MaxUExp:
             raise DomainError(f"quantile requires 0 < q < 1, got {q!r}")
         if q >= self.cdf(self.a):
             return -math.log1p(-q) / self.lam
-        from .numerics import find_root
-
         return find_root(lambda x: self.cdf(x) - q, 0.0, self.a, tol=1e-13 * max(1.0, self.a))
 
     # -- sampling -------------------------------------------------------------

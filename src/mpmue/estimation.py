@@ -236,12 +236,6 @@ def _lsq_fit(x: np.ndarray, init: tuple[float, float], trim: float) -> FitReport
     i = np.arange(1, kept.size + 1, dtype=float)
     positions = i / (n + 1.0)
 
-    def objective(p) -> float:
-        a, lam = p
-        model = (kept / a) * (-np.expm1(-lam * kept))
-        gaps = positions - model
-        return float(np.dot(gaps, gaps))
-
     def residuals(p) -> np.ndarray:
         a, lam = p
         return positions - (kept / a) * (-np.expm1(-lam * kept))
@@ -260,7 +254,7 @@ def _lsq_fit(x: np.ndarray, init: tuple[float, float], trim: float) -> FitReport
         r_hat=m2 / (m1 * m1),
         r_hat_variant="plain",
         branch="lsq_refined",
-        objective=objective([a, lam]),
+        objective=_lsq_objective(x, a, lam, trim),
     )
 
 

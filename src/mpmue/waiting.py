@@ -47,23 +47,26 @@ def _em1_array(z: np.ndarray) -> np.ndarray:
     return np.where(z < _EM1_CUT, _em1_series(np.minimum(z, _EM1_CUT)), 1.0 - (-np.expm1(-zd)) / zd)
 
 
+def _em2_series(z: float | np.ndarray) -> float | np.ndarray:
+    """The series of ``_em2`` below z = 1e-3, for a float or an array."""
+    return 0.5 - z / 3.0 + z * z / 8.0 - z**3 / 30.0 + z**4 / 144.0
+
+
 def _em2(z: float) -> float:
     """(1 - e^-z - z e^-z) / z^2, series-stabilized below z = 1e-3."""
     if z < 0.0:
         raise DomainError(f"_em2 requires z >= 0, got {z!r}")
     if z < 1e-3:
-        return 0.5 - z / 3.0 + z * z / 8.0 - z**3 / 30.0 + z**4 / 144.0
+        return _em2_series(z)
     ez = math.exp(-z)
     return (-math.expm1(-z) - z * ez) / (z * z)
 
 
 def _em2_array(z: np.ndarray) -> np.ndarray:
     """``_em2`` over an array of z >= 0, with the same series cutover."""
-    zs = np.minimum(z, 1e-3)
-    series = 0.5 - zs / 3.0 + zs * zs / 8.0 - zs**3 / 30.0 + zs**4 / 144.0
     zd = np.maximum(z, 1e-3)
     direct = (-np.expm1(-zd) - zd * np.exp(-zd)) / (zd * zd)
-    return np.where(z < 1e-3, series, direct)
+    return np.where(z < 1e-3, _em2_series(np.minimum(z, 1e-3)), direct)
 
 
 class ErlangMaxUExp:

@@ -10,7 +10,10 @@ from mpmue.verify import (
     CheckResult,
     DiscrepancyRecord,
     check_density,
+    check_flag,
+    check_ks,
     check_mc,
+    check_quantiles,
     check_value,
     chi2_sf,
     default_tolerance,
@@ -175,6 +178,34 @@ def test_check_mc_heavy_tail_guard():
     assert "quantile" in res.detail
 
 
+def test_check_ks_gate():
+    draws = RandomStream(9).uniforms(2_000)
+    res = check_ks("uniform", draws, lambda x: x, ("op",))
+    assert res.passed
+    assert res.tol == res.target == ks_critical(2_000)
+    assert (res.detail, res.ops) == ("1% Kolmogorov gate", ("op",))
+    assert not check_ks("wrong-cdf", draws, lambda x: x * x, ("op",)).passed
+
+
+def test_check_flag():
+    ok = check_flag("holds", True, "a property", ("op",))
+    assert ok.line() == "PASS holds: value=1 target=1 tol=0 (a property)"
+    assert ok.ops == ("op",)
+    bad = check_flag("broken", False, "a property", ())
+    assert not bad.passed
+    assert bad.value == 0.0
+
+
+def test_check_quantiles():
+    draws = -np.log(RandomStream(10).uniforms(5_000))
+    res = check_quantiles("exp", draws, lambda t: -math.expm1(-t), (0.5, 1.0, 2.0), "requested", ())
+    assert res.passed
+    assert res.detail == "quantile mode (requested); worst z over 3 cdf points"
+    assert (res.target, res.tol) == (4.0, 4.0)
+    wrong = check_quantiles("exp", draws, lambda t: -math.expm1(-2.0 * t), (1.0,), "requested", ())
+    assert not wrong.passed
+
+
 def test_discrepancy_record_json_fields():
     rec = DiscrepancyRecord(
         formula_id="demo",
@@ -211,7 +242,7 @@ def test_write_ledger_round_trip(tmp_path):
     assert back[1]["paper_literal"] == math.inf
 
 
-EXPECTED_FORMULA_IDS = {
+EXPECTED_FORMULA_IDS = [
     "lst-first-term",
     "count-variance-sign",
     "arrival-moment-rate-factor",
@@ -221,12 +252,12 @@ EXPECTED_FORMULA_IDS = {
     "conditional-density-factor",
     "posterior-density-scale",
     "interarrival-mean-finite",
-}
+]
 
 
 def test_run_ledger_all_corrections_confirmed():
     records = run_ledger(mc_draws=20_000)
-    assert {r.formula_id for r in records} == EXPECTED_FORMULA_IDS
+    assert {r.formula_id for r in records} == set(EXPECTED_FORMULA_IDS)
     for rec in records:
         assert rec.verdict == "corrected_adopted", rec.formula_id
         assert rec.abs_dev_corrected < rec.abs_dev_literal
@@ -281,3 +312,84 @@ def test_ks_statistic_one_array_call_matches_scalar_loop(law):
 def test_ks_statistic_rejects_a_cdf_that_does_not_map_arrays():
     with pytest.raises(DomainError):
         ks_statistic(np.linspace(0.1, 0.9, 5), lambda x: 0.5)
+
+
+# Each parameter point runs these checks in this order: (name, ops, tol at the
+# default tolerance); None marks a 1% KS gate, whose tol is ks_critical(n).
+_POINT_CONTRACT = [
+    ("maxuexp-pdf-mass", ("maxuexp.pdf",), 1e-8),
+    ("maxuexp-cdf-vs-quadrature", ("maxuexp.cdf",), 1e-8),
+    ("maxuexp-hazard-identity", ("maxuexp.hazard",), 1e-12),
+    ("maxuexp-quantile-roundtrip", ("maxuexp.quantile",), 1e-9),
+    ("maxuexp-moment-vs-quadrature", ("maxuexp.moment", "maxuexp.mean"), 1e-8),
+    ("maxuexp-variance-vs-quadrature", ("maxuexp.variance",), 1e-8),
+    ("maxuexp-neg-moment-vs-quadrature", ("maxuexp.neg_moment",), 1e-8),
+    ("maxuexp-neg-moment-mellin", ("maxuexp.neg_moment", "maxuexp.lst"), 1e-7),
+    ("maxuexp-lst-vs-quadrature", ("maxuexp.lst",), 1e-6),
+    ("maxuexp-tilted-vs-quadrature", ("maxuexp.tilted_moment",), 1e-8),
+    ("maxuexp-scaling-identity", ("maxuexp.scaled",), 1e-9),
+    ("maxuexp-sample-mean", ("maxuexp.sample",), 4.0),
+    ("maxuexp-sample-ks", ("maxuexp.sample",), None),
+    ("emue-pdf-mass", ("waiting.emue_pdf",), 1e-6),
+    ("emue-cdf-vs-quadrature", ("waiting.emue_cdf",), 1e-8),
+    ("emue-tail-index", ("waiting.emue_cdf",), 0.05),
+    ("emue-moment-vs-quadrature", ("waiting.emue_moment",), 1e-7),
+    ("emue-joint-marginals", ("waiting.joint_pdf",), 1e-8),
+    ("emue-conditional-mass", ("waiting.conditional_mixing_pdf",), 1e-8),
+    ("emue-regress-mixing", ("waiting.mean_mixing_given_arrival",), 1e-5),
+    ("emue-regress-arrival", ("waiting.mean_arrival_given_mixing",), 1e-9),
+    ("emue-joint-interarrival", ("waiting.joint_interarrival_pdf",), 1e-7),
+    ("erlang-pdf-mass-n1", ("waiting.erlang_pdf",), 1e-6),
+    ("erlang-pdf-mass-n2", ("waiting.erlang_pdf",), 1e-6),
+    ("erlang-pdf-mass-n3", ("waiting.erlang_pdf",), 1e-6),
+    ("erlang-first-order-reduction", ("waiting.erlang_pdf",), 1e-12),
+    ("erlang-pdf-mixture", ("waiting.erlang_pdf",), 1e-8),
+    ("erlang-cdf-mass-split", ("waiting.erlang_cdf",), 1e-8),
+    ("erlang-moment-vs-quadrature", ("waiting.erlang_moment",), 1e-6),
+    ("emue-sample-ks", ("waiting.emue_sample",), None),
+    ("erlang-sample-quantiles", ("waiting.erlang_sample", "waiting.erlang_cdf"), 4.0),
+]
+
+# The count-process checks, run once at a=1, lam=1.
+_PROCESS_CONTRACT = [
+    ("pmf-total-mass", ("process.pmf", "process.truncation_point"), 1e-8),
+    ("pmf-vs-quadrature", ("process.pmf",), 1e-8),
+    ("pmf-tail-bound-valid", ("process.pmf_upper_tail_bound",), 1e-12),
+    ("meanvar-vs-series", ("process.mean_variance",), 1e-8),
+    ("overdispersion-strict", ("process.mean_variance",), 0.0),
+    ("pgf-vs-quadrature", ("process.pgf",), 1e-6),
+    ("posterior-mass", ("process.posterior_pdf",), 1e-8),
+    ("posterior-mean-vs-quadrature", ("process.posterior_mean",), 1e-6),
+    ("posterior-mean-monotone", ("process.posterior_mean",), 0.0),
+    ("factorial-moment-vs-series", ("process.factorial_moment",), 1e-6),
+    ("ordered-pmf-identities", ("process.ordered_pmf",), 1e-8),
+    (
+        "increments-ordered-consistency",
+        ("process.increments_pmf", "process.to_increments", "process.to_cumulative"),
+        0.0,
+    ),
+    ("conditional-binomial-vs-ordered", ("process.conditional_binomial_pmf",), 1e-8),
+    ("time-transform-roundtrip", ("process.time_transform",), 1e-10),
+    ("path-shape", ("process.simulate_path",), 0.0),
+    ("path-count-law", ("process.simulate_path",), 4.0),
+]
+
+def test_run_checks_contract(monkeypatch):
+    monkeypatch.delenv("MPMUE_TOL", raising=False)
+    mc_draws = 20_000
+    ks_n = {"maxuexp-sample-ks": mc_draws, "emue-sample-ks": mc_draws // 2}
+    expected = []
+    for tag in ("a=1,lam=1", "a=2,lam=0.5"):
+        expected += [(f"{name}[{tag}]", ops, tol) for name, ops, tol in _POINT_CONTRACT]
+    expected += [(f"{name}[a=1,lam=1]", ops, tol) for name, ops, tol in _PROCESS_CONTRACT]
+    expected.append(("coverage-registry", (), 0.0))
+    assert len(expected) == 79
+
+    results = run_checks(mc_draws=mc_draws, paths=2_000)
+    assert [(r.name, r.ops) for r in results] == [(name, ops) for name, ops, _ in expected]
+    for r, (name, _, tol) in zip(results, expected):
+        if tol is None:
+            assert r.tol == r.target == ks_critical(ks_n[name.split("[")[0]]), name
+        else:
+            assert r.tol == tol, name
+    assert [r.formula_id for r in run_ledger(mc_draws=mc_draws)] == EXPECTED_FORMULA_IDS
