@@ -15,15 +15,7 @@ import math
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericError
-from .numerics import (
-    checked_exp,
-    find_root,
-    gamma_upper,
-    integrate,
-    log_gamma,
-    log_gamma_lower_reg,
-    log_gamma_upper_reg,
-)
+from .numerics import _log_p, _log_q, checked_exp, find_root, gamma_upper, integrate, log_gamma
 from .rng import RandomStream, _draw_rows
 
 
@@ -134,6 +126,8 @@ class MaxUExp:
         and 1 by continuity at k = 0."""
         if not (k > -1.0):
             raise DivergenceError(f"moment diverges for k <= -1, got {k!r}")
+        if k == math.inf:
+            raise DomainError("moment requires finite k, got inf")
         if k == 0.0:
             return 1.0
         if k > 0.0:
@@ -151,9 +145,9 @@ class MaxUExp:
         log_a, log_lam, log_k = math.log(a), math.log(lam), math.log(k)
         terms = (
             k * log_a - math.log1p(k),
-            log_k + log_gamma_lower_reg(k + 1.0, al) + math.lgamma(k + 1.0)
+            log_k + _log_p(k + 1.0, al) + math.lgamma(k + 1.0)
             - log_a - (k + 1.0) * log_lam,
-            log_k + log_gamma_upper_reg(k, al) + math.lgamma(k) - k * log_lam,
+            log_k + _log_q(k, al) + math.lgamma(k) - k * log_lam,
         )
         top = max(terms)
         return top + math.log(math.fsum(math.exp(t - top) for t in terms))
@@ -219,15 +213,15 @@ class MaxUExp:
         s = lam + m
         c = lam * n - m
         log_r = -math.log1p(lam / m)  # log(m/s)
-        u1 = log_gamma_lower_reg(n + 1.0, a * m)
+        u1 = _log_p(n + 1.0, a * m)
         # log(|c|/s).  For c < 0, |c|/s = 1 - lam(n+1)/s; log1p keeps it exact
         # at m >> lam, where the quotient itself rounds to 1.
         shortfall = lam * (n + 1) / s
         log_c = math.log1p(-shortfall) if c < 0.0 and shortfall < 0.5 else _log(abs(c) / s)
-        u2 = log_gamma_lower_reg(n + 1.0, a * s) + log_c + (n + 1) * log_r
+        u2 = _log_p(n + 1.0, a * s) + log_c + (n + 1) * log_r
         u3 = -math.inf
         if n > 0:
-            u3 = log_gamma_upper_reg(float(n), a * s) + (n + 1) * log_r
+            u3 = _log_q(n, a * s) + (n + 1) * log_r
             u3 += math.log(a) + math.log(lam)
         top = max(u1, u2, u3)
         if c < 0.0:

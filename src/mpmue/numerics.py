@@ -4,10 +4,15 @@ root-finding, bounded derivative-free minimization, and adaptive quadrature.
 The regularized incomplete gammas are scipy's ``gammainc``/``gammaincc``
 (DiDonato & Morris, with Temme's uniform asymptotics at large order).  Their
 logs switch to Kummer's M or Tricomi's U where P or Q itself underflows, and
-the non-normalized pair is assembled from the logs.  Quadrature and
-the optimizers also delegate to scipy, which stays behind the signatures
-below.  Only ``scipy.special`` is imported with this module, since the count
-kernel calls it on nearly every evaluation.  ``integrate``,
+the non-normalized pair is assembled from the logs.  All four are scalar
+calls, so they reach the same C routines as the ``scipy.special`` ufuncs
+through ``scipy.special.cython_special``, with the same results and without
+the ufunc dispatch, which costs several times the routine itself on one pair
+of floats.  ``_log_p`` and ``_log_q`` take already-checked arguments; the
+count kernel calls them directly, and the public functions check first.
+Quadrature and the optimizers also delegate to scipy, which stays behind the
+signatures below.  Only ``scipy.special`` is imported with this module, since
+the count kernel calls it on nearly every evaluation.  ``integrate``,
 ``least_squares`` and ``minimize`` import ``scipy.integrate`` or
 ``scipy.optimize`` on first call, so ``import mpmue`` loads neither, nor the
 ``scipy.linalg`` and ``scipy.sparse`` they pull in.
@@ -19,10 +24,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammainc as _gammainc
-from scipy.special import gammaincc as _gammaincc
-from scipy.special import hyp1f1 as _hyp1f1
-from scipy.special import hyperu as _hyperu
+from scipy.special import cython_special as _cs
 
 from .errors import BracketError, DomainError, NumericError
 
@@ -67,33 +69,45 @@ def gamma_upper(alpha: float, x: float) -> float:
 def gamma_lower_reg(alpha: float, x: float) -> float:
     """Regularized lower incomplete gamma P(alpha, x), always within [0, 1]."""
     _check_gamma_args(alpha, x)
-    return float(_gammainc(alpha, x))
+    return _cs.gammainc(alpha, x)
 
 
 def gamma_upper_reg(alpha: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(alpha, x), always within [0, 1]."""
     _check_gamma_args(alpha, x)
-    return float(_gammaincc(alpha, x))
+    return _cs.gammaincc(alpha, x)
 
 
 def log_gamma_lower_reg(alpha: float, x: float) -> float:
     """log P(alpha, x); finite where P itself underflows a double (x far below alpha)."""
-    p = gamma_lower_reg(alpha, x)
-    if p > 0.0 or x == 0.0:
-        return math.log(p) if p > 0.0 else -math.inf
-    # Kummer: P = x^alpha e^-x / Gamma(alpha+1) * M(1, alpha+1, x).
-    log_lead = alpha * math.log(x) - x - math.lgamma(alpha + 1.0)
-    return log_lead + math.log(_hyp1f1(1.0, alpha + 1.0, x))
+    _check_gamma_args(alpha, x)
+    return _log_p(alpha, x)
 
 
 def log_gamma_upper_reg(alpha: float, x: float) -> float:
     """log Q(alpha, x); finite where Q itself underflows a double (x far above alpha)."""
-    q = gamma_upper_reg(alpha, x)
+    _check_gamma_args(alpha, x)
+    return _log_q(alpha, x)
+
+
+def _log_p(alpha: float, x: float) -> float:
+    """log P(alpha, x) for arguments that pass ``_check_gamma_args``."""
+    p = _cs.gammainc(alpha, x)
+    if p > 0.0 or x == 0.0:
+        return math.log(p) if p > 0.0 else -math.inf
+    # Kummer: P = x^alpha e^-x / Gamma(alpha+1) * M(1, alpha+1, x).
+    log_lead = alpha * math.log(x) - x - math.lgamma(alpha + 1.0)
+    return log_lead + math.log(_cs.hyp1f1(1.0, alpha + 1.0, x))
+
+
+def _log_q(alpha: float, x: float) -> float:
+    """log Q(alpha, x) for arguments that pass ``_check_gamma_args``."""
+    q = _cs.gammaincc(alpha, x)
     if q > 0.0 or math.isinf(x):
         return math.log(q) if q > 0.0 else -math.inf
     # Gamma(alpha, x) = x^alpha e^-x U(1, alpha+1, x), Tricomi's U.
     log_lead = alpha * math.log(x) - x - math.lgamma(alpha)
-    return log_lead + math.log(_hyperu(1.0, alpha + 1.0, x))
+    return log_lead + math.log(_cs.hyperu(1.0, alpha + 1.0, x))
 
 
 def find_root(

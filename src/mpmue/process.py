@@ -19,7 +19,7 @@ import numpy as np
 
 from .distribution import MaxUExp, _log
 from .errors import DomainError, NumericError, RangeError
-from .numerics import checked_exp, gamma_lower_reg, log_gamma_upper_reg
+from .numerics import _log_q, checked_exp, gamma_lower_reg
 from .rng import RandomStream, counter_uniforms, substream_seeds
 
 # Exponentials drawn per active path in each round of ``_simulate``.
@@ -204,8 +204,10 @@ class MixedPoissonMaxUExp:
         if kk < 1:
             return 1.0
         a, lam = self.xi.a, self.xi.lam
-        log_geometric = a * lam - kk * math.log1p(lam / m) + log_gamma_upper_reg(kk, a * (m + lam))
-        return min(1.0, math.exp(min(log_geometric, 0.0)) + gamma_lower_reg(kk, a * m))
+        # The checked call first: it rejects a nan or infinite kk before _log_q sees it.
+        poisson = gamma_lower_reg(kk, a * m)
+        log_geometric = a * lam - kk * math.log1p(lam / m) + _log_q(kk, a * (m + lam))
+        return min(1.0, math.exp(min(log_geometric, 0.0)) + poisson)
 
     def truncation_point(self, m: float, tail: float = 1e-12) -> int:
         """Smallest count cutoff whose upper tail bound is at most ``tail``,

@@ -1,15 +1,19 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.special as sc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpmue
 from mpmue.errors import BracketError, DomainError
+from mpmue import numerics
 from mpmue.numerics import (
     find_root,
     gamma_lower,
@@ -73,6 +77,69 @@ def test_gamma_domain_errors():
         gamma_lower(0.0, 1.0)
     with pytest.raises(DomainError):
         gamma_upper(1.0, -0.5)
+
+
+def _ufunc_log_p(alpha, x):
+    p = float(sc.gammainc(alpha, x))
+    if p > 0.0 or x == 0.0:
+        return math.log(p) if p > 0.0 else -math.inf
+    log_lead = alpha * math.log(x) - x - math.lgamma(alpha + 1.0)
+    return log_lead + math.log(sc.hyp1f1(1.0, alpha + 1.0, x))
+
+
+def _ufunc_log_q(alpha, x):
+    q = float(sc.gammaincc(alpha, x))
+    if q > 0.0 or math.isinf(x):
+        return math.log(q) if q > 0.0 else -math.inf
+    log_lead = alpha * math.log(x) - x - math.lgamma(alpha)
+    return log_lead + math.log(sc.hyperu(1.0, alpha + 1.0, x))
+
+
+def _bits(v):
+    assert type(v) is float
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def _gamma_grid():
+    alphas = [1e-3, 0.5, 1.0, 2.5, 3.0, 7.0, 30.0, 171.5, 400.0, 1e4]
+    xs = [0.0, 1e-300, 1e-3, 0.5, 1.0, 2.5, 10.0, 300.0, 2000.0, 1e5, math.inf]
+    grid = [(a, x) for a in alphas for x in xs]
+    rng = np.random.default_rng(7)
+    logs = rng.uniform(-6.0, 4.0, size=(1000, 2))
+    return grid + [(float(10.0**u), float(10.0**v)) for u, v in logs]
+
+
+def test_scalar_gammas_match_the_ufuncs_bit_for_bit():
+    """The cython_special route gives the ufuncs' bits on both branches:
+    plain P and Q, and Kummer's M / Tricomi's U where P or Q underflows."""
+    kummer = tricomi = 0
+    for alpha, x in _gamma_grid():
+        want_p, want_q = _ufunc_log_p(alpha, x), _ufunc_log_q(alpha, x)
+        kummer += sc.gammainc(alpha, x) == 0.0 and x > 0.0
+        tricomi += sc.gammaincc(alpha, x) == 0.0 and x < math.inf
+        pairs = [
+            (numerics._log_p(alpha, x), want_p),
+            (numerics._log_q(alpha, x), want_q),
+            (numerics.log_gamma_lower_reg(alpha, x), want_p),
+            (numerics.log_gamma_upper_reg(alpha, x), want_q),
+            (numerics.gamma_lower_reg(alpha, x), float(sc.gammainc(alpha, x))),
+            (numerics.gamma_upper_reg(alpha, x), float(sc.gammaincc(alpha, x))),
+        ]
+        for got, want in pairs:
+            assert _bits(got) == _bits(want), (alpha, x, got, want)
+    assert sc.gammainc(400.0, 1e-3) == 0.0 and sc.gammaincc(3.0, 2000.0) == 0.0
+    assert kummer > 0 and tricomi > 0
+
+
+@pytest.mark.parametrize(
+    "name", ["gamma_lower_reg", "gamma_upper_reg", "log_gamma_lower_reg", "log_gamma_upper_reg"]
+)
+@pytest.mark.parametrize(
+    "alpha,x", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (2.0, -1e-300), (2.0, math.nan)]
+)
+def test_public_gammas_check_their_arguments(name, alpha, x):
+    with pytest.raises(DomainError):
+        getattr(numerics, name)(alpha, x)
 
 
 def test_find_root_simple():

@@ -376,3 +376,38 @@ def test_power_inverse_array_matches_scalar():
         assert tr.inverse(ys).tolist() == [float(tr.inverse(np.array([y]))[0]) for y in ys.tolist()]
         with pytest.raises(DomainError):
             tr.inverse(np.array([1.0, -1.0]))
+
+
+STRESS_SCALES = [1e-300, 1e-12, 1.0, 1e12, 1e300]
+STRESS_CLOCKS = [1e-320, 1e-300, 1e-12, 1.0, 1e12, 1e300, 1.7e308]
+STRESS_COUNTS = [0, 1, 5, 1000, 10**6]
+
+
+def _finite_or_typed(f, *args, probability=False):
+    """1 for a finite float (within [0, 1] for a probability), 0 for a
+    DomainError or NumericError; anything else fails the test."""
+    try:
+        v = f(*args)
+    except (DomainError, NumericError):
+        return 0
+    assert type(v) is float and math.isfinite(v), (f.__name__, args, v)
+    if probability:
+        assert 0.0 <= v <= 1.0, (f.__name__, args, v)
+    return 1
+
+
+@pytest.mark.parametrize("a", STRESS_SCALES)
+def test_count_laws_return_finite_or_raise_typed_errors(a):
+    """The count kernel calls the incomplete gammas without their argument
+    checks; at extreme scales, clocks and counts only typed errors escape."""
+    finite = 0
+    for lam in STRESS_SCALES:
+        xi = MaxUExp(a, lam)
+        proc = MixedPoissonMaxUExp(xi)
+        for m in STRESS_CLOCKS:
+            for n in STRESS_COUNTS:
+                finite += _finite_or_typed(proc.pmf, m, n, probability=True)
+                finite += _finite_or_typed(proc.posterior_mean, m, n)
+                finite += _finite_or_typed(xi.lst, m, probability=True)
+                finite += _finite_or_typed(proc.pmf_upper_tail_bound, m, n, probability=True)
+    assert finite > 0
