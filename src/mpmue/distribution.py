@@ -5,22 +5,35 @@ The cdf factorizes as F(x) = (x/a)(1 - e^(-lambda x)) on (0, a] and
 1 - e^(-lambda x) beyond a, so the density has an upward jump of size
 (1 - e^(-lambda a))/a at x = a.  Closed-form moments, the Laplace-Stieltjes
 transform, reciprocal moments, and the exponentially tilted moments that
-drive the mixed Poisson formulas all reduce to incomplete gamma functions.
+drive the mixed Poisson formulas all reduce to incomplete gamma functions,
+with no quadrature.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericError
-from .numerics import _log_p, _log_q, checked_exp, find_root, gamma_upper, integrate, log_gamma
+from .numerics import _gamma_upper_cf, _log_p, _log_q, checked_exp, find_root
 from .rng import RandomStream, _draw_rows
 
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
+
+
+def _alternating_sum(terms) -> float:
+    """Sum of a series whose terms fall in size, stopped at the first term
+    below double precision of the partial sum."""
+    total = 0.0
+    for term in terms:
+        total += term
+        if abs(term) <= 2.0**-53 * abs(total):
+            return total
 
 
 def _require_positive(name: str, value: float) -> float:
@@ -75,22 +88,38 @@ class MaxUExp:
             return (-math.expm1(-z) + z * math.exp(-z)) / self.a
         return self.lam * math.exp(-self.lam * x)
 
+    def _log_pdf(self, x: float) -> float:
+        """log of the density at a float x > 0.  The exponential branch is in
+        log form: its density underflows where a posterior of a large count,
+        or of a late arrival, still has its mass."""
+        return math.log(self.lam) - self.lam * x if x > self.a else _log(self.pdf(x))
+
     def hazard(self, x: float | np.ndarray) -> float | np.ndarray:
+        """pdf/(1 - cdf).  Just below the jump the survival is about
+        e^(-lam a), so the hazard passes the double range once lam*a exceeds
+        about 709; there it raises NumericError."""
         if isinstance(x, np.ndarray):
             # Evaluate the uniform branch on [0, a] only: past a its
             # denominator can vanish.
             xl = np.clip(x, 0.0, self.a)
             z = self.lam * xl
             ez = np.exp(-z)
-            left = (-np.expm1(-z) + z * ez) / (self.a - xl + xl * ez)
-            return np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam))
+            with np.errstate(divide="ignore", over="ignore"):
+                left = (-np.expm1(-z) + z * ez) / (self.a - xl + xl * ez)
+            out = np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam))
+            if np.any(out == math.inf):
+                raise NumericError(f"hazard of {self!r} exceeds the double range near the jump")
+            return out
         if x <= 0.0:
             return 0.0
         if x <= self.a:
             z = self.lam * x
             num = -math.expm1(-z) + z * math.exp(-z)
             den = self.a - x + x * math.exp(-z)
-            return num / den
+            value = num / den if den > 0.0 else math.inf
+            if value == math.inf:
+                raise NumericError(f"hazard of {self!r} at x={x!r} exceeds the double range")
+            return value
         return self.lam
 
     def quantile(self, q: float) -> float:
@@ -122,72 +151,128 @@ class MaxUExp:
     # -- closed-form functionals ----------------------------------------------
 
     def moment(self, k: float) -> float:
-        """E(X^k) for k > -1.  Closed form for k > 0, quadrature on (-1, 0),
-        and 1 by continuity at k = 0."""
-        if not (k > -1.0):
-            raise DivergenceError(f"moment diverges for k <= -1, got {k!r}")
+        """E(X^k) for k > -2, from ``_log_moment``; 1 at k = 0.  The density
+        behaves like 2 lam x / a near 0, so E(X^k) diverges exactly for k <= -2."""
+        if not (k > -2.0):
+            raise DivergenceError(f"moment diverges for k <= -2, got {k!r}")
         if k == math.inf:
             raise DomainError("moment requires finite k, got inf")
-        if k == 0.0:
-            return 1.0
-        if k > 0.0:
-            return checked_exp(self._log_moment(k))
-        a = self.a
-        return integrate(lambda x: x**k * self.pdf(x), 0.0, math.inf, tol=1e-11, breakpoints=[a]).value
+        return checked_exp(self._log_moment(k))
 
     def _log_moment(self, k: float) -> float:
-        """log E(X^k) for k > 0: a log-sum-exp of the three closed-form terms
+        """log E(X^k) for k > -2, the one moment kernel.
+
+        For k > 0 it is a log-sum-exp of the three closed-form terms
         a^k/(k+1), k gamma(k+1, a lam)/(a lam^(k+1)) and k Gamma(k, a lam)/lam^k,
         each built from a regularized incomplete gamma, so that none overflows
-        where the moment itself is a double."""
+        where the moment itself is a double.
+
+        For k = -q < 0, split at a and put x = a lam and s = 1 - q:
+        E(X^-q) = lam^q [K(q, x)/x + Gamma(s, x)], where K(q, x) is the
+        integral of u^-q (1 - e^-u + u e^-u) over (0, x).  Up to x = 1, K is
+        its alternating series, and Gamma(s, x) is Gamma(s, 1) plus the series
+        of the integral of u^-q e^-u over (x, 1).  Past x = 1, K(q, 1) gains
+        the integral over (1, x) in closed form.  Gamma(s, .) at x >= 1 is a
+        continued fraction, since s <= 0 is outside scipy's ``gammaincc``.
+        The scale lam^i a^j comes out with exact exponents and goes through
+        pow, so that the log of the product is the only rounding at its size;
+        logs take over only where the product leaves the double range.
+        """
+        if k == 0.0:
+            return 0.0
         a, lam = self.a, self.lam
-        al = a * lam
-        log_a, log_lam, log_k = math.log(a), math.log(lam), math.log(k)
-        terms = (
-            k * log_a - math.log1p(k),
-            log_k + _log_p(k + 1.0, al) + math.lgamma(k + 1.0)
-            - log_a - (k + 1.0) * log_lam,
-            log_k + _log_q(k, al) + math.lgamma(k) - k * log_lam,
+        log_a, log_lam = math.log(a), math.log(lam)
+        x = a * lam
+        if k > 0.0:
+            log_k = math.log(k)
+            terms = (
+                k * log_a - math.log1p(k),
+                log_k + _log_p(k + 1.0, x) + math.lgamma(k + 1.0)
+                - log_a - (k + 1.0) * log_lam,
+                log_k + _log_q(k, x) + math.lgamma(k) - k * log_lam,
+            )
+            top = max(terms)
+            return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        q = -k
+        s = 1.0 - q
+        log_x = log_a + log_lam
+        # K(q, y)/y^s at y = min(x, 1).
+        y = min(x, 1.0)
+        k_series = _alternating_sum(
+            (-1.0) ** (j + 1) * (j + 1) * y ** (j - 1) / (math.factorial(j) * (j + s))
+            for j in itertools.count(1)
         )
-        top = max(terms)
-        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        gamma_1 = _gamma_upper_cf(s, 1.0) / math.e
+        if x < 1.0:
+            # Gamma(s, x) = tail + rest: tail integrates u^-q over (x, 1), and
+            # rest is Gamma(s, 1) plus the integral of u^-q (e^-u - 1).
+            rest = gamma_1 + _alternating_sum(
+                (-1.0) ** j * -math.expm1((j + s) * log_x) / (math.factorial(j) * (j + s))
+                for j in itertools.count(1)
+            )
+            if s < 0.0:
+                # x^s may pass the double range, so it goes into the scale.
+                scale_lam, scale_a = 1.0, s
+                core = k_series + math.expm1(-s * log_x) / s + rest * math.exp(-s * log_x)
+            else:
+                scale_lam, scale_a = q, 0.0
+                tail = -log_x if s == 0.0 else -math.expm1(s * log_x) / s
+                core = math.exp(s * log_x) * k_series + tail + rest
+        else:
+            # K(q, x) = K(q, 1) + head + bump, where head integrates u^-q and
+            # bump u^-q (u - 1) e^-u over (1, x).  Gamma(s, x) = x^s e^-x h,
+            # and e^-x underflows past x = 745.
+            h = _gamma_upper_cf(s, x) if x < 746.0 else 0.0
+            x_s_e_x = math.exp(s * log_x - x)
+            bump = -q * (gamma_1 - x_s_e_x * h) + 1.0 / math.e - x_s_e_x
+            if s > 0.0:
+                scale_lam, scale_a = 0.0, -q
+                core = (
+                    (k_series + bump) * math.exp(-s * log_x)
+                    - math.expm1(-s * log_x) / s
+                    + math.exp(log_x - x) * h
+                )
+            else:
+                scale_lam, scale_a = q - 1.0, -1.0
+                head = log_x if s == 0.0 else math.expm1(s * log_x) / s
+                core = k_series + head + bump + math.exp((s + 1.0) * log_x - x) * h
+        # E(X^-q) = lam^scale_lam a^scale_a core.  a^scale_a is taken as
+        # (1/a)^-scale_a, since scale_a <= 0 and a float power that
+        # overflows raises where one of 1/a gives inf.
+        value = lam**scale_lam * (1.0 / a) ** -scale_a * core
+        if sys.float_info.min <= value < math.inf:
+            return math.log(value)
+        return scale_lam * log_lam + scale_a * log_a + math.log(core)
 
     def mean(self) -> float:
         return self.moment(1.0)
 
     def variance(self) -> float:
+        """Var X = v(a lam)/lam^2, where v(x) = x^2/12 + c(x) is the variance
+        at lam = 1 (``scaled``).  Its x^2/(12 lam^2) part is formed as a^2/12,
+        so neither a lam nor lam^2 has to be a double; past the double range
+        the variance raises NumericError."""
         a, lam = self.a, self.lam
-        al = a * lam
-        w = -math.expm1(-al)
-        return (
-            a * a / 12.0
-            - (1.0 + math.exp(-al)) / lam**2
-            + 4.0 * w / (a * lam**3)
-            - w * w / (a * lam * lam) ** 2
-        )
+        x = a * lam
+        r = -math.expm1(-x) / x if x > 0.0 else 1.0  # (1 - e^-x)/x
+        value = a * a / 12.0 + math.fsum((4.0 * r, -r * r, -1.0, -math.exp(-x))) / lam / lam
+        if not math.isfinite(value):
+            raise NumericError(f"variance of {self!r} exceeds the double range")
+        return value
 
     def neg_moment(self, q: float) -> float:
-        """E(X^-q) for 0 < q < 2.
+        """E(X^-q) = ``moment(-q)`` for 0 < q < 2; q >= 2 diverges.
 
-        On (0, 1) the closed form holds; the sign of the e^(-lambda a) term
-        is negative (the positive variant fails against quadrature by a wide
-        margin; see the verification ledger).  On [1, 2) the density near 0
-        behaves like 2*lam*x/a, so the integral converges and is evaluated by
-        quadrature.  q >= 2 diverges.
+        The printed closed form for 0 < q < 1 carries its
+        (lam a)^(1-q) e^(-lam a) term with a plus sign, which fails against
+        quadrature by a wide margin; the verification ledger records it as
+        ``reciprocal-moment-sign``.
         """
         if not (q > 0.0):
             raise DomainError(f"neg_moment requires q > 0, got {q!r}")
         if q >= 2.0:
             raise DivergenceError(f"E(X^-q) diverges for q >= 2, got q={q!r}")
-        a, lam = self.a, self.lam
-        if q < 1.0:
-            al = a * lam
-            return 1.0 / (a**q * (1.0 - q)) + (lam ** (q - 1.0) / a) * (
-                (q + al) * gamma_upper(1.0 - q, al)
-                - al ** (1.0 - q) * math.exp(-al)
-                - q * math.exp(log_gamma(1.0 - q))
-            )
-        return integrate(lambda x: x**-q * self.pdf(x), 0.0, math.inf, tol=1e-11, breakpoints=[a]).value
+        return self.moment(-q)
 
     def lst(self, t: float) -> float:
         """Laplace-Stieltjes transform E(e^(-tX)) for finite t >= 0: the n = 0

@@ -10,12 +10,14 @@ through ``scipy.special.cython_special``, with the same results and without
 the ufunc dispatch, which costs several times the routine itself on one pair
 of floats.  ``_log_p`` and ``_log_q`` take already-checked arguments; the
 count kernel calls them directly, and the public functions check first.
-Quadrature and the optimizers also delegate to scipy, which stays behind the
-signatures below.  Only ``scipy.special`` is imported with this module, since
-the count kernel calls it on nearly every evaluation.  ``integrate``,
-``least_squares`` and ``minimize`` import ``scipy.integrate`` or
-``scipy.optimize`` on first call, so ``import mpmue`` loads neither, nor the
-``scipy.linalg`` and ``scipy.sparse`` they pull in.
+``_gamma_upper_cf`` gives Gamma(s, x) at the orders s <= 0 that the negative
+moments need and scipy's ``gammaincc`` does not take.  Quadrature and the
+optimizers also delegate to scipy, which stays behind the signatures below.
+Only ``scipy.special`` is imported with this module, since the count kernel
+calls it on nearly every evaluation.  ``integrate``, ``least_squares`` and
+``minimize`` import ``scipy.integrate`` or ``scipy.optimize`` on first call,
+so ``import mpmue`` loads neither, nor the ``scipy.linalg`` and
+``scipy.sparse`` they pull in.
 """
 
 from __future__ import annotations
@@ -108,6 +110,28 @@ def _log_q(alpha: float, x: float) -> float:
     # Gamma(alpha, x) = x^alpha e^-x U(1, alpha+1, x), Tricomi's U.
     log_lead = alpha * math.log(x) - x - math.lgamma(alpha)
     return log_lead + math.log(_cs.hyperu(1.0, alpha + 1.0, x))
+
+
+def _gamma_upper_cf(s: float, x: float) -> float:
+    """h with Gamma(s, x) = x^s e^-x h, for real s < 1 and x >= 1: Legendre's
+    continued fraction, evaluated by the modified Lentz method.  It takes the
+    orders s <= 0 that ``gammaincc`` does not, and needs at most about 100
+    steps, at x = 1.  With partial numerators -i (i - s) and denominators
+    x + 2i + 1 - s, induction keeps both Lentz denominators at step i above
+    x + i, so Lentz's guard against a vanishing one is left out."""
+    b = x + 1.0 - s
+    c, d = math.inf, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (i - s)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= 2.0**-53:
+            return h
+    raise NumericError(f"continued fraction for Gamma({s!r}, {x!r}) did not converge")
 
 
 def find_root(

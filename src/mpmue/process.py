@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .distribution import MaxUExp, _log
+from .distribution import MaxUExp
 from .errors import DomainError, NumericError, RangeError
 from .numerics import _log_q, checked_exp, gamma_lower_reg
 from .rng import RandomStream, counter_uniforms, substream_seeds
@@ -185,11 +185,15 @@ class MixedPoissonMaxUExp:
             raise DomainError(f"clock value m must be finite and positive, got {m!r}")
         return m
 
+    @staticmethod
+    def _check_count(n: int) -> None:
+        if not isinstance(n, int) or n < 0:
+            raise DomainError(f"count n must be an integer >= 0, got {n!r}")
+
     def pmf(self, m: float, n: int) -> float:
         """P(N = n) at clock value m = mu(t)."""
         m = self._check_m(m)
-        if not isinstance(n, int) or n < 0:
-            raise DomainError(f"count n must be an integer >= 0, got {n!r}")
+        self._check_count(n)
         return min(1.0, math.exp(self.xi._log_count_pmf(m, n)))
 
     def pmf_upper_tail_bound(self, m: float, kk: int) -> float:
@@ -201,10 +205,10 @@ class MixedPoissonMaxUExp:
         Q(kk, a(m + lam)), with P and Q the regularized incomplete gammas.
         """
         m = self._check_m(m)
-        if kk < 1:
+        self._check_count(kk)
+        if kk == 0:
             return 1.0
         a, lam = self.xi.a, self.xi.lam
-        # The checked call first: it rejects a nan or infinite kk before _log_q sees it.
         poisson = gamma_lower_reg(kk, a * m)
         log_geometric = a * lam - kk * math.log1p(lam / m) + _log_q(kk, a * (m + lam))
         return min(1.0, math.exp(min(log_geometric, 0.0)) + poisson)
@@ -237,21 +241,16 @@ class MixedPoissonMaxUExp:
     def posterior_pdf(self, m: float, n: int, x: float) -> float:
         """Density of xi given N = n at clock value m (Bayes weighting of the prior)."""
         m = self._check_m(m)
-        if not isinstance(n, int) or n < 0:
-            raise DomainError(f"count n must be an integer >= 0, got {n!r}")
+        self._check_count(n)
         if x <= 0.0:
             return 0.0
-        # The exponential branch in log form: its density underflows where
-        # the posterior of a large count still has its mass.
         xi = self.xi
-        log_prior = math.log(xi.lam) - xi.lam * x if x > xi.a else _log(xi.pdf(x))
-        return checked_exp(n * math.log(x) - m * x + log_prior - xi.log_tilted_moment(m, n))
+        return checked_exp(n * math.log(x) - m * x + xi._log_pdf(x) - xi.log_tilted_moment(m, n))
 
     def posterior_mean(self, m: float, n: int) -> float:
         """E(xi | N = n), a ratio of consecutive tilted moments."""
         m = self._check_m(m)
-        if not isinstance(n, int) or n < 0:
-            raise DomainError(f"count n must be an integer >= 0, got {n!r}")
+        self._check_count(n)
         return checked_exp(self.xi.log_tilted_moment(m, n + 1) - self.xi.log_tilted_moment(m, n))
 
     def factorial_moment(self, m: float, k: int) -> float:

@@ -403,8 +403,9 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
             relative=True,
         )
     )
-    # Mellin route: E(X^-q) = (1/Gamma(q)) * integral of t^(q-1) lst(t); reaches
-    # the quadrature-backed q >= 1 branch through an integral in t, not x.
+    # Mellin route: E(X^-q) = (1/Gamma(q)) * integral of t^(q-1) lst(t), an
+    # integral in t, not x.  Its q >= 1 points reach the orders 1 - q <= 0
+    # that the moment kernel takes from a continued fraction.
     checks.append(
         check_value(
             f"maxuexp-neg-moment-mellin[{tag}]",

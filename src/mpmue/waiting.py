@@ -15,7 +15,8 @@ import numpy as np
 
 from .distribution import MaxUExp, _require_positive
 from .errors import DomainError
-from .numerics import checked_exp, integrate, log_gamma
+from .numerics import checked_exp, log_gamma
+from .process import MixedPoissonMaxUExp
 from .rng import RandomStream, _draw_rows
 
 
@@ -98,15 +99,32 @@ class ErlangMaxUExp:
         return math.exp((n - 1) * math.log(t) - math.lgamma(n) + self.xi.log_tilted_moment(t, n))
 
     def cdf(self, t: float) -> float:
-        """No closed form; quadrature of the density.  Large arguments go
-        through the complementary tail integral, which the infinite-range
-        transform resolves far better than a wide finite panel."""
+        """P(T_n <= t) = P(N(t) >= n), N the mixed Poisson count on the unit
+        clock: a finite sum of the count pmf, with no quadrature.
+
+        The result is 1 - P(N < n) unless that falls below 1/16, where the
+        subtraction would cost relative accuracy.  Then the pmf is summed
+        upward from k = n until ``pmf_upper_tail_bound``, a proven bound on
+        P(N >= k), is below 2^-53 of the partial sum, so that a lower tail
+        far below 1e-16 keeps its relative accuracy."""
         if t <= 0.0:
             return 0.0
-        if t > 20.0 * self.n:
-            tail = integrate(self.pdf, t, math.inf, tol=1e-12).value
-            return max(0.0, 1.0 - tail)
-        return min(1.0, integrate(self.pdf, 0.0, t, tol=1e-11).value)
+        if not t < math.inf:
+            raise DomainError(f"cdf requires finite t, got {t!r}")
+        xi, n = self.xi, self.n
+        lower = 1.0 - math.fsum(math.exp(xi._log_count_pmf(t, k)) for k in range(n))
+        if lower >= 1.0 / 16.0:
+            return min(1.0, lower)
+        bound = MixedPoissonMaxUExp(xi).pmf_upper_tail_bound
+        total, k = 0.0, n
+        while True:
+            term = math.exp(xi._log_count_pmf(t, k))
+            total += term
+            k += 1
+            # P(N >= k) is at least P(N = k), so the bound, two incomplete
+            # gammas, is tried only once the terms are this small too.
+            if term <= 2.0**-53 * total and bound(t, k) <= 2.0**-53 * total:
+                return total
 
     def sample(self, stream: RandomStream) -> float:
         """One draw; consumes n + 2 stream values (n exponential legs, then xi)."""
@@ -142,38 +160,40 @@ class ExpMaxUExp(ErlangMaxUExp):
         return f"ExpMaxUExp(a={self.a}, lam={self.lam})"
 
     # pdf and cdf take a float or a numpy array, as MaxUExp's evaluators do.
+    # With s = lam + t and y = a s, both carry (1 - e^-y)/y over powers of s.
+    # Each division by s comes alone, and the quotient is 1 where y
+    # underflows, so no product such as a s^3 can underflow to 0.
 
     def pdf(self, t: float | np.ndarray) -> float | np.ndarray:
         a, lam = self.a, self.lam
         if isinstance(t, np.ndarray):
             tp = np.where(t <= 0.0, 1.0, t)
             s = lam + tp
-            value = (
-                a * _em2_array(a * tp)
-                + (lam - tp) * (-np.expm1(-a * s)) / (a * s**3)
-                + tp * np.exp(-a * s) / (s * s)
-            )
+            y = a * s
+            ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
+            value = a * _em2_array(a * tp) + (lam - tp) / s * ratio / s + tp / s * np.exp(-y) / s
             return np.where(t <= 0.0, 0.0, value)
         if t <= 0.0:
             return 0.0
         s = lam + t
-        first = a * _em2(a * t)
-        # s * s * s, not s**3: a float power raises OverflowError past 1e308.
-        second = (lam - t) * (-math.expm1(-a * s)) / (a * s * s * s)
-        third = t * math.exp(-a * s) / (s * s)
-        return first + second + third
+        y = a * s
+        ratio = -math.expm1(-y) / y if y > 0.0 else 1.0
+        return a * _em2(a * t) + (lam - t) / s * ratio / s + t / s * math.exp(-y) / s
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         a, lam = self.a, self.lam
         if isinstance(t, np.ndarray):
             tp = np.where(t <= 0.0, 1.0, t)
             s = lam + tp
-            value = _em1_array(a * tp) + tp * (-np.expm1(-a * s)) / (a * s * s)
-            return np.where(t <= 0.0, 0.0, value)
+            y = a * s
+            ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
+            return np.where(t <= 0.0, 0.0, _em1_array(a * tp) + tp / s * ratio)
         if t <= 0.0:
             return 0.0
         s = lam + t
-        return _em1(a * t) + t * (-math.expm1(-a * s)) / (a * s * s)
+        y = a * s
+        ratio = -math.expm1(-y) / y if y > 0.0 else 1.0
+        return _em1(a * t) + t / s * ratio
 
     def joint_pdf(self, t: float, x: float) -> float:
         """Joint density of (T, xi) at (t, x): x e^(-tx) times the mixing density."""
@@ -182,10 +202,15 @@ class ExpMaxUExp(ErlangMaxUExp):
         return x * math.exp(-t * x) * self.xi.pdf(x)
 
     def conditional_mixing_pdf(self, t: float, x: float) -> float:
-        """Density of xi given T = t (the joint renormalized by the T marginal)."""
+        """Density of xi given T = t: the joint density x e^(-tx) f(x) over the
+        T marginal E(xi e^(-t xi)), in log space as ``posterior_pdf`` is, so
+        that neither underflows alone."""
         if not (t > 0.0):
             raise DomainError(f"conditioning requires t > 0, got {t!r}")
-        return self.joint_pdf(t, x) / self.pdf(t)
+        if x <= 0.0:
+            return 0.0
+        xi = self.xi
+        return checked_exp(math.log(x) - t * x + xi._log_pdf(x) - xi.log_tilted_moment(t, 1))
 
     def mean_mixing_given_arrival(self, t: float) -> float:
         """E(xi | T = t), a ratio of tilted moments."""

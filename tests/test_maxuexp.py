@@ -58,6 +58,91 @@ def test_hazard_values_and_zero_left_of_support():
     assert MaxUExp(2.0, 0.7).hazard(5.0) == 0.7
 
 
+MOMENT_GRID = [(1.0, 1.0), (2.0, 0.5), (1e-12, 1.0), (1e-14, 1.0), (1e-300, 1.0), (1e300, 1.0),
+               (100.0, 0.01), (0.01, 100.0)]
+MOMENT_ORDERS = [0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.3, 1.7, 1.99]
+
+
+def _neg_moment_reference(a, lam, q):
+    """E(X^-q) = lam^q [K(q, x)/x + Gamma(1 - q, x)] in 50-digit arithmetic,
+    with x = a lam and K(q, x) the integral of u^-q (1 - e^-u + u e^-u) over
+    (0, x).  K is summed from its series up to x = 1, because the bracket
+    form [x^(1-q) (1 - e^-x) - q gamma(2-q, x)]/(1-q) cancels to noise at
+    x = 1e-300 even at 60 digits; past x = 1 the integral over (1, x) is
+    added from mpmath's incomplete gammas."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, lam, q = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(q)
+        s, x = 1 - q, a * lam
+
+        def k_series(y):
+            return mpmath.nsum(
+                lambda j: (-1) ** (j + 1) * (j + 1) * y ** (j + s) / (mpmath.factorial(j) * (j + s)), [1, mpmath.inf]
+            )
+
+        if x <= 1:
+            k = k_series(x)
+        else:
+            head = mpmath.log(x) if s == 0 else mpmath.expm1(s * mpmath.log(x)) / s
+            bump = (mpmath.gammainc(s + 1, 1) - mpmath.gammainc(s + 1, x)) - (
+                mpmath.gammainc(s, 1) - mpmath.gammainc(s, x)
+            )
+            k = k_series(mpmath.mpf(1)) + head + bump
+        return lam**q * (k / x + mpmath.gammainc(s, x))
+
+
+@pytest.mark.parametrize("a,lam", MOMENT_GRID)
+def test_negative_moments_match_mpmath(a, lam):
+    d = MaxUExp(a, lam)
+    for q in MOMENT_ORDERS:
+        want = _neg_moment_reference(a, lam, q)
+        got = d.neg_moment(q)
+        assert got == d.moment(-q)
+        assert math.isfinite(got) and abs(got - want) <= 1e-13 * want, (q, got, float(want))
+
+
+def test_moment_diverges_exactly_from_minus_two():
+    d = MaxUExp(1.0, 1.0)
+    assert d.moment(-1.5) == d.neg_moment(1.5)
+    assert math.isfinite(d.moment(math.nextafter(-2.0, 0.0)))
+    assert math.isfinite(d.neg_moment(math.nextafter(2.0, 0.0)))
+    for k in (-2.0, -2.5, -math.inf, math.nan):
+        with pytest.raises(DivergenceError):
+            d.moment(k)
+    for q in (2.0, 2.5, math.inf):
+        with pytest.raises(DivergenceError):
+            d.neg_moment(q)
+
+
+@pytest.mark.parametrize("a,lam", [(1e-300, 1e-300), (1e300, 1e300), (1e100, 1e250), (5e-324, 1.0), (1.0, 5e-324)])
+def test_negative_moments_at_extreme_scales_are_finite_or_typed(a, lam):
+    # a lam underflows or overflows here; the kernel works from log a + log lam.
+    d = MaxUExp(a, lam)
+    for q in (0.01, 0.5, 1.0, 1.5, 1.999):
+        try:
+            value = d.neg_moment(q)
+        except NumericError:
+            continue
+        assert math.isfinite(value) and value > 0.0
+
+
+def test_variance_is_a_function_of_a_lam_over_lam_squared():
+    mpmath = pytest.importorskip("mpmath")
+    for x in np.logspace(-7.0, 5.0, 49):
+        x = float(x)
+        with mpmath.workdps(50):
+            xm = mpmath.mpf(x)
+            w = -mpmath.expm1(-xm)
+            want = xm * xm / 12 - 1 - mpmath.exp(-xm) + 4 * w / xm - (w / xm) ** 2
+        assert abs(MaxUExp(x, 1.0).variance() - want) <= 4e-16 * want, x
+    # Where a lam, lam^2 or the variance leave the double range.
+    assert MaxUExp(1e-300, 1.0).variance() == 1.0
+    assert MaxUExp(1e100, 1e250).variance() == pytest.approx(1e200 / 12.0, rel=1e-15)
+    for a, lam in ((1e300, 1e300), (1.0, 1e-300), (1e-300, 1e-300), (1e200, 1e-160)):
+        with pytest.raises(NumericError):
+            MaxUExp(a, lam).variance()
+
+
 def test_quantile_roundtrip_and_domain():
     d = MaxUExp(2.0, 0.5)
     for q in (0.01, 0.2, 0.5, 0.9, 0.999):
@@ -73,10 +158,13 @@ def test_moments_closed_form():
     assert d.moment(0.0) == 1.0
     assert d.variance() == pytest.approx(0.8443597266, rel=1e-9)
     assert d.moment(2.0) == pytest.approx(d.variance() + d.mean() ** 2, rel=1e-12)
+    # The density behaves like 2 lam x / a near 0: E(X^k) is finite for k > -2.
+    assert d.moment(-1.0) == d.neg_moment(1.0)
+    assert d.moment(-1.5) == pytest.approx(3.394851390999008, rel=1e-14)
     with pytest.raises(DivergenceError):
-        d.moment(-1.0)
+        d.moment(-2.0)
     with pytest.raises(DivergenceError):
-        d.moment(-1.5)
+        d.moment(-2.5)
     # A high moment whose closed-form terms overflow on their own: X is
     # nearly U(0, 1) when lam = 100.
     assert MaxUExp(1.0, 100.0).moment(200.0) == pytest.approx(1.0 / 201.0, rel=1e-12)
@@ -230,6 +318,20 @@ def test_array_evaluators_match_scalar(name, a, lam):
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
     for x, value in zip(xs, got):
         assert value == pytest.approx(f(float(x)), abs=1e-15)
+
+
+def test_hazard_past_the_double_range_raises_typed_error():
+    # Just below the jump the survival is e^(-lam a): e^(-1000) underflows.
+    d = MaxUExp(1.0, 1000.0)
+    with pytest.raises(NumericError):
+        d.hazard(1.0)
+    with pytest.raises(NumericError):
+        d.hazard(np.array([0.5, 1.0, 2.0]))
+    # Elsewhere the values are those of pdf/(1 - cdf), as before.
+    assert d.hazard(2.0) == 1000.0
+    assert np.array_equal(d.hazard(np.array([0.5, 2.0])), [d.hazard(0.5), 1000.0])
+    near = MaxUExp(1.0, 700.0)
+    assert near.hazard(1.0) == pytest.approx(math.exp(700.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["cdf", "pdf", "hazard"])

@@ -177,9 +177,9 @@ def test_integrate_breakpoints_with_infinite_tail():
     assert got == pytest.approx(2.0, rel=1e-10)
 
 
-# Run in a fresh interpreter: the quadrature-free sweep must leave
-# scipy.integrate and scipy.optimize unloaded, and the three scipy-backed
-# kernels must still work once they import them on first call.
+# Run in a fresh interpreter: the sweep over every library evaluator must
+# leave scipy.integrate and scipy.optimize unloaded, and the three
+# scipy-backed kernels must still work once they import them on first call.
 _COLD_START_CHILD = """
 import json, math, sys
 import numpy as np
@@ -199,6 +199,12 @@ proc.ordered_pmf([0.5, 1.0], [1, 2])
 ErlangMaxUExp(3, 1.0, 1.0).pdf(2.0)
 xi.lst(1.0)
 xi.moment(2.0)
+xi.moment(-0.5)
+xi.moment(-1.5)
+xi.neg_moment(1.5)
+ErlangMaxUExp(10, 1.0, 1.0).cdf(1.0)   # below 1/16: the upward pmf sum
+ErlangMaxUExp(10, 1.0, 1.0).cdf(20.0)  # above it: 1 - P(N < n)
+ErlangMaxUExp(2, 1.0, 1.0).moment(1.5)
 xi.sample_many(RandomStream(1), 1000)
 proc.simulate_paths(PowerTransform(1.0), 2.0, 100, seed=5)
 after_sweep = lazy_loaded()

@@ -79,6 +79,15 @@ def test_tail_bound_dominates_actual_tail(pp):
             assert all(b <= a2 for a2, b in zip(bounds[:-1], bounds[1:]))
 
 
+def test_tail_bound_takes_counts_as_pmf_does(pp):
+    assert pp.pmf_upper_tail_bound(2.0, 0) == 1.0
+    for bad in (2.5, 2.0, -1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            pp.pmf_upper_tail_bound(2.0, bad)
+        with pytest.raises(DomainError):
+            pp.pmf(2.0, bad)
+
+
 def test_mean_variance_closed_form(pp):
     mean, var = pp.mean_variance(2.0)
     assert mean == pytest.approx(2.2642411177, rel=1e-9)
@@ -87,6 +96,9 @@ def test_mean_variance_closed_form(pp):
     xi = pp.xi
     assert var == pytest.approx(2.0 * xi.mean() + 4.0 * xi.variance(), rel=1e-12)
     assert var > mean
+    # Var(xi) = 1/lam^2 + ... passes the double range at lam = 1e-300.
+    with pytest.raises(NumericError):
+        MixedPoissonMaxUExp(MaxUExp(1.0, 1e-300)).mean_variance(1.0)
 
 
 def test_pgf_domain_and_derivative(pp):

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mpmue import DivergenceError, DomainError, ErlangMaxUExp, ExpMaxUExp, RandomStream
-from mpmue.numerics import integrate
+from mpmue import (
+    DivergenceError,
+    DomainError,
+    ErlangMaxUExp,
+    ExpMaxUExp,
+    MixedPoissonMaxUExp,
+    RandomStream,
+)
+from mpmue.numerics import find_root, integrate
 from mpmue.rng import _BLOCK
 
 
@@ -98,6 +105,21 @@ def test_joint_pdf_support_and_marginal():
     assert marg == pytest.approx(w.pdf(1.0), rel=1e-9)
 
 
+def test_extreme_parameters_keep_closed_forms_finite():
+    # a s = 2e-600 and s^2 = 4e-600 underflow; with a -> 0 the law is the
+    # Exp(lam)-mixed exponential, pdf lam/(lam + t)^2 and cdf t/(lam + t).
+    w = ExpMaxUExp(1e-300, 1e-300)
+    assert w.pdf(1e-300) == pytest.approx(2.5e299, rel=1e-12)
+    assert w.cdf(1e-300) == pytest.approx(0.5, rel=1e-12)
+    assert w.pdf(np.array([1e-300]))[0] == w.pdf(1e-300)
+    assert w.cdf(np.array([1e-300]))[0] == w.cdf(1e-300)
+    # The T marginal underflows at t = 1e300; the log-space ratio does not.
+    u = ExpMaxUExp(1.0, 1.0)
+    assert u.conditional_mixing_pdf(1e300, 1.0) == 0.0
+    assert u.conditional_mixing_pdf(1.0, 0.5) == pytest.approx(u.joint_pdf(1.0, 0.5) / u.pdf(1.0), rel=1e-14)
+    assert u.conditional_mixing_pdf(1.0, -0.5) == 0.0
+
+
 def test_conditional_mixing_pdf_normalizes():
     w = ExpMaxUExp(2.0, 0.5)
     mass = integrate(lambda x: w.conditional_mixing_pdf(1.0, x), 0.0, math.inf,
@@ -181,12 +203,55 @@ def test_erlang_cdf_monotone_and_tail_route():
     vals = [e2.cdf(t) for t in ts]
     assert all(b > a for a, b in zip(vals[:-1], vals[1:]))
     assert vals[-1] < 1.0
-    # Large arguments switch to the complementary tail integral; the two
-    # routes must agree where they hand over.
-    t = 20.0 * e2.n
-    lo = integrate(e2.pdf, 0.0, t, tol=1e-11).value
-    hi = 1.0 - integrate(e2.pdf, t * 1.0000001, math.inf, tol=1e-12).value
-    assert lo == pytest.approx(hi, abs=1e-8)
+    # Below 1/16 the cdf switches from 1 - P(N < n) to the upward pmf sum;
+    # the two routes must agree where they hand over.
+    law = MixedPoissonMaxUExp(e2.xi)
+
+    def one_minus_sf(t):
+        return 1.0 - sum(law.pmf(t, k) for k in range(e2.n))
+
+    switch = find_root(lambda t: one_minus_sf(t) - 1.0 / 16.0, 0.1, 1.0, tol=1e-15)
+    below, above = switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)
+    assert e2.cdf(below) < 1.0 / 16.0 <= e2.cdf(above)
+    assert e2.cdf(below) == pytest.approx(one_minus_sf(below), rel=1e-14)
+    assert e2.cdf(above) == one_minus_sf(above)
+    assert e2.cdf(below) < e2.cdf(switch) <= e2.cdf(above)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            e2.cdf(bad)
+
+
+def _erlang_cdf_reference(a, lam, n, t):
+    """1 - sum over k < n of P(N(t) = k) in 80-digit arithmetic, each count
+    probability t^k/k! E(xi^k e^(-t xi)) from mpmath's incomplete gammas."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        a, lam, t = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(t)
+        s = t + lam
+        sf = 0
+        for k in range(n):
+            tilted = (
+                mpmath.gammainc(k + 1, 0, a * t) / t ** (k + 1)
+                - mpmath.gammainc(k + 1, 0, a * s) / s ** (k + 1)
+                + lam * mpmath.gammainc(k + 2, 0, a * s) / s ** (k + 2)
+            ) / a + lam * mpmath.gammainc(k + 1, a * s) / s ** (k + 1)
+            sf += t**k / mpmath.factorial(k) * tilted
+        return 1 - sf
+
+
+@pytest.mark.parametrize("a,lam", [(1.0, 1.0), (2.0, 0.5), (0.01, 100.0)])
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_erlang_cdf_matches_mpmath(a, lam, n):
+    # Relative accuracy holds in the lower tail too: at (1, 1), n = 10 and
+    # t = 1e-3 the cdf is 9.90054794805e-31, where 1 - P(N < n) is noise.
+    e = ErlangMaxUExp(n, a, lam)
+    previous = 0.0
+    for t in np.logspace(-3.0, 4.0, 29):
+        t = float(t)
+        got, want = e.cdf(t), _erlang_cdf_reference(a, lam, n, t)
+        assert abs(got - want) <= 1e-13 * want, (t, got, float(want))
+        assert previous <= got <= 1.0
+        previous = got
 
 
 def test_erlang_moment_scaling():
