@@ -16,6 +16,7 @@ import math
 import sys
 
 import numpy as np
+from scipy.special import cython_special as _cs
 
 from .errors import DivergenceError, DomainError, NumericError
 from .numerics import _gamma_upper_cf, _log_p, _log_q, checked_exp, find_root
@@ -24,6 +25,17 @@ from .rng import RandomStream, _draw_rows
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
+
+
+def _z_exp(z: float) -> float:
+    """z e^-z for z >= 0, 0 where z overflows to inf (not inf * 0)."""
+    ez = math.exp(-z)
+    return z * ez if ez > 0.0 else 0.0
+
+
+def _z_exp_array(z: np.ndarray, ez: np.ndarray) -> np.ndarray:
+    """``_z_exp`` over an array, given ez = e^-z."""
+    return np.multiply(z, ez, out=np.zeros_like(z), where=ez > 0.0)
 
 
 def _alternating_sum(terms) -> float:
@@ -79,13 +91,13 @@ class MaxUExp:
         if isinstance(x, np.ndarray):
             z = self.lam * np.maximum(x, 0.0)
             ez = np.exp(-z)
-            left = (-np.expm1(-z) + z * ez) / self.a
+            left = (-np.expm1(-z) + _z_exp_array(z, ez)) / self.a
             return np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam * ez))
         if x <= 0.0:
             return 0.0
         if x <= self.a:
             z = self.lam * x
-            return (-math.expm1(-z) + z * math.exp(-z)) / self.a
+            return (-math.expm1(-z) + _z_exp(z)) / self.a
         return self.lam * math.exp(-self.lam * x)
 
     def _log_pdf(self, x: float) -> float:
@@ -105,7 +117,7 @@ class MaxUExp:
             z = self.lam * xl
             ez = np.exp(-z)
             with np.errstate(divide="ignore", over="ignore"):
-                left = (-np.expm1(-z) + z * ez) / (self.a - xl + xl * ez)
+                left = (-np.expm1(-z) + _z_exp_array(z, ez)) / (self.a - xl + xl * ez)
             out = np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam))
             if np.any(out == math.inf):
                 raise NumericError(f"hazard of {self!r} exceeds the double range near the jump")
@@ -114,7 +126,7 @@ class MaxUExp:
             return 0.0
         if x <= self.a:
             z = self.lam * x
-            num = -math.expm1(-z) + z * math.exp(-z)
+            num = -math.expm1(-z) + _z_exp(z)
             den = self.a - x + x * math.exp(-z)
             value = num / den if den > 0.0 else math.inf
             if value == math.inf:
@@ -316,6 +328,32 @@ class MaxUExp:
         if not total > 0.0:
             return -math.inf
         return top + math.log(total) - math.log(a) - math.log(m)
+
+    def _log_count_sf(self, m: float, n: int) -> float:
+        """log P(N >= n) for N mixed Poisson with mean m*X; m > 0, integer n >= 1.
+
+        P(N >= n) = E P(n, m X) = [P(n, y) - (n/y) P(n+1, y)] + r^n [Q(n, z) +
+        (n/z) P(n+1, z)], y = a m, z = a (m + lam), r = m/(m + lam); the first
+        bracket is E P(n, U m), U uniform on (0, a), so no term is negative.
+        Up to y = n it cancels to about P(n, y)/(n+1), so it comes from
+        Kummer's M, not scipy's P (1e-12 relative off at n = 1000); past y = n,
+        or where M is nan (n past 2^34, y near n), from P.  As z underflows,
+        Q(n, z) is 1 and (n/z) P(n+1, z) tends to 0."""
+        a, lam = self.a, self.lam
+        y, z = a * m, a * (m + lam)
+        uniform = -math.inf
+        kummer = 1.0 - (n - y) / (n + 1.0) * _cs.hyp1f1(1.0, n + 2.0, y) if 0.0 < y <= n else math.nan
+        if kummer >= 0.0:
+            uniform = n * math.log(y) - y - math.lgamma(n + 1.0) + _log(kummer)
+        elif y > 0.0:
+            uniform = _log(_cs.gammainc(n, y) - n / y * _cs.gammainc(n + 1.0, y))
+        log_r_n = -n * math.log1p(lam / m)
+        p_z = math.log(n) - math.log(z) + _log_p(n + 1.0, z) if z > 0.0 else -math.inf
+        terms = (uniform, _log_q(n, z) + log_r_n, p_z + log_r_n)
+        top = max(terms)
+        if top == -math.inf:
+            return top
+        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
     def log_tilted_moment(self, m: float, n: int) -> float:
         """log E(X^n e^(-mX)) for m > 0 and integer n >= 0; finite where the

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distribution import MaxUExp
 from .errors import DomainError, NumericError, RangeError
-from .numerics import _log_q, checked_exp, gamma_lower_reg
+from .numerics import checked_exp
 from .rng import RandomStream, counter_uniforms, substream_seeds
 
 # Exponentials drawn per active path in each round of ``_simulate``.
@@ -197,39 +197,38 @@ class MixedPoissonMaxUExp:
         return min(1.0, math.exp(self.xi._log_count_pmf(m, n)))
 
     def pmf_upper_tail_bound(self, m: float, kk: int) -> float:
-        """Bound on P(N >= kk) that does not increase with kk.
-
-        max(U, E) <= U + E, so N is stochastically below A + G with A
-        Poisson(a m) and G geometric, P(G >= j) = r^j with r = m/(m + lam).
-        Summing over A gives P(A + G >= kk) = P(kk, a m) + e^(a lam) r^kk
-        Q(kk, a(m + lam)), with P and Q the regularized incomplete gammas.
-        """
+        """Bound on P(N >= kk) that does not increase with kk: the tail itself,
+        ``MaxUExp._log_count_sf``, its own tightest bound."""
         m = self._check_m(m)
         self._check_count(kk)
         if kk == 0:
             return 1.0
-        a, lam = self.xi.a, self.xi.lam
-        poisson = gamma_lower_reg(kk, a * m)
-        log_geometric = a * lam - kk * math.log1p(lam / m) + _log_q(kk, a * (m + lam))
-        return min(1.0, math.exp(min(log_geometric, 0.0)) + poisson)
+        return min(1.0, math.exp(self.xi._log_count_sf(m, kk)))
 
     def truncation_point(self, m: float, tail: float = 1e-12) -> int:
-        """Smallest count cutoff whose upper tail bound is at most ``tail``,
-        found by doubling and then bisection (the bound does not increase)."""
+        """Smallest count cutoff K with P(N >= K) at most ``tail``, found by
+        doubling and then bisection (the tail does not increase).  A cutoff
+        past 2^53, where counts stop being exact doubles, raises NumericError."""
         m = self._check_m(m)
         if not (0.0 < tail < 1.0):
             raise DomainError(f"tail must lie in (0, 1), got {tail!r}")
         lo, hi = 0, 1
         while self.pmf_upper_tail_bound(m, hi) > tail:
+            if hi >= 2**53:
+                raise NumericError(f"truncation point of {self!r} at m={m!r} passes 2^53")
             lo, hi = hi, 2 * hi
         return bisect.bisect_left(
             range(hi + 1), True, lo=lo + 1, key=lambda kk: self.pmf_upper_tail_bound(m, kk) <= tail
         )
 
     def mean_variance(self, m: float) -> tuple[float, float]:
+        """m E(xi) and m E(xi) + m^2 Var(xi); NumericError past the double range."""
         m = self._check_m(m)
-        mu_xi = self.xi.mean()
-        return m * mu_xi, m * mu_xi + m * m * self.xi.variance()
+        mean = m * self.xi.mean()
+        var = mean + m * (m * self.xi.variance())
+        if var == math.inf:
+            raise NumericError(f"count variance of {self!r} at m={m!r} exceeds the double range")
+        return mean, var
 
     def pgf(self, m: float, z: float) -> float:
         """E(z^N) = lst(m(1-z)) for |z| < 1."""

@@ -2,9 +2,10 @@
 
 Conditional on the mixing rate xi = x, inter-arrival times are Exp(x) and
 the n-th arrival is Gamma(n, x).  Mixing over x gives every closed form
-here; they all route through ``MaxUExp.log_tilted_moment``.  The unconditional
-inter-arrival tail decays like 2*lam/(a*t^2), so the mean is finite but the
-variance is not, and moments E(T^q) exist exactly for q < 2.
+here, through ``MaxUExp.log_tilted_moment`` or, for the Erlang cdf, the count
+tail ``MaxUExp._log_count_sf``.  The unconditional inter-arrival tail decays
+like 2*lam/(a*t^2), so the mean is finite but the variance is not, and
+moments E(T^q) exist exactly for q < 2.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import math
 
 import numpy as np
 
-from .distribution import MaxUExp, _require_positive
+from .distribution import MaxUExp, _require_positive, _z_exp, _z_exp_array
 from .errors import DomainError
 from .numerics import checked_exp, log_gamma
-from .process import MixedPoissonMaxUExp
 from .rng import RandomStream, _draw_rows
 
 
@@ -59,14 +59,13 @@ def _em2(z: float) -> float:
         raise DomainError(f"_em2 requires z >= 0, got {z!r}")
     if z < 1e-3:
         return _em2_series(z)
-    ez = math.exp(-z)
-    return (-math.expm1(-z) - z * ez) / (z * z)
+    return (-math.expm1(-z) - _z_exp(z)) / (z * z)
 
 
 def _em2_array(z: np.ndarray) -> np.ndarray:
     """``_em2`` over an array of z >= 0, with the same series cutover."""
     zd = np.maximum(z, 1e-3)
-    direct = (-np.expm1(-zd) - zd * np.exp(-zd)) / (zd * zd)
+    direct = (-np.expm1(-zd) - _z_exp_array(zd, np.exp(-zd))) / (zd * zd)
     return np.where(z < 1e-3, _em2_series(np.minimum(z, 1e-3)), direct)
 
 
@@ -100,31 +99,12 @@ class ErlangMaxUExp:
 
     def cdf(self, t: float) -> float:
         """P(T_n <= t) = P(N(t) >= n), N the mixed Poisson count on the unit
-        clock: a finite sum of the count pmf, with no quadrature.
-
-        The result is 1 - P(N < n) unless that falls below 1/16, where the
-        subtraction would cost relative accuracy.  Then the pmf is summed
-        upward from k = n until ``pmf_upper_tail_bound``, a proven bound on
-        P(N >= k), is below 2^-53 of the partial sum, so that a lower tail
-        far below 1e-16 keeps its relative accuracy."""
+        clock: the closed-form tail ``MaxUExp._log_count_sf``, at any n."""
         if t <= 0.0:
             return 0.0
         if not t < math.inf:
             raise DomainError(f"cdf requires finite t, got {t!r}")
-        xi, n = self.xi, self.n
-        lower = 1.0 - math.fsum(math.exp(xi._log_count_pmf(t, k)) for k in range(n))
-        if lower >= 1.0 / 16.0:
-            return min(1.0, lower)
-        bound = MixedPoissonMaxUExp(xi).pmf_upper_tail_bound
-        total, k = 0.0, n
-        while True:
-            term = math.exp(xi._log_count_pmf(t, k))
-            total += term
-            k += 1
-            # P(N >= k) is at least P(N = k), so the bound, two incomplete
-            # gammas, is tried only once the terms are this small too.
-            if term <= 2.0**-53 * total and bound(t, k) <= 2.0**-53 * total:
-                return total
+        return min(1.0, math.exp(self.xi._log_count_sf(t, self.n)))
 
     def sample(self, stream: RandomStream) -> float:
         """One draw; consumes n + 2 stream values (n exponential legs, then xi)."""

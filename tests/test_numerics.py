@@ -202,8 +202,8 @@ xi.moment(2.0)
 xi.moment(-0.5)
 xi.moment(-1.5)
 xi.neg_moment(1.5)
-ErlangMaxUExp(10, 1.0, 1.0).cdf(1.0)   # below 1/16: the upward pmf sum
-ErlangMaxUExp(10, 1.0, 1.0).cdf(20.0)  # above it: 1 - P(N < n)
+ErlangMaxUExp(10, 1.0, 1.0).cdf(1.0)   # lower tail: the closed-form count tail
+ErlangMaxUExp(10, 1.0, 1.0).cdf(20.0)  # the same closed form near the median
 ErlangMaxUExp(2, 1.0, 1.0).moment(1.5)
 xi.sample_many(RandomStream(1), 1000)
 proc.simulate_paths(PowerTransform(1.0), 2.0, 100, seed=5)

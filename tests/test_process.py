@@ -5,6 +5,7 @@ import pytest
 
 from mpmue import (
     DomainError,
+    ErlangMaxUExp,
     MaxUExp,
     MixedPoissonMaxUExp,
     NumericError,
@@ -47,12 +48,14 @@ def test_pmf_mass_and_truncation(pp):
         mass = math.fsum(pp.pmf(m, n) for n in range(cut + 1))
         assert mass == pytest.approx(1.0, abs=1e-8)
     assert pp.truncation_point(1.0, tail=1e-4) <= pp.truncation_point(1.0, tail=1e-12)
-    # The cutoff is the first count whose tail bound reaches the target, with
-    # no cap: at m = 1e3 the true 1e-12 cutoff is 27645.
+    # The cutoff is the first count whose tail reaches the target, with no
+    # cap: the bound is the exact tail, so at m = 1e3 it is the true 1e-12
+    # cutoff, 27645.
     for m, tail in ((1.0, 1e-12), (2.0, 1e-4), (1e3, 1e-12), (1e4, 1e-12)):
         cut = pp.truncation_point(m, tail)
         assert pp.pmf_upper_tail_bound(m, cut) <= tail < pp.pmf_upper_tail_bound(m, cut - 1)
-    assert pp.truncation_point(1e3) <= 29_000
+    assert pp.truncation_point(1.0) == 40
+    assert pp.truncation_point(1e3) == 27_645
     for bad in (0.0, 1.0, -1.0):
         with pytest.raises(DomainError):
             pp.truncation_point(1.0, tail=bad)
@@ -99,6 +102,17 @@ def test_mean_variance_closed_form(pp):
     # Var(xi) = 1/lam^2 + ... passes the double range at lam = 1e-300.
     with pytest.raises(NumericError):
         MixedPoissonMaxUExp(MaxUExp(1.0, 1e-300)).mean_variance(1.0)
+    # m^2 Var(xi) passes the double range at m = 1e200.
+    with pytest.raises(NumericError):
+        pp.mean_variance(1e200)
+
+
+@pytest.mark.parametrize("a,lam,m", [(1e-300, 1e-300, 1e-12), (1e-300, 1e-300, 1.0), (1.0, 1e-300, 1.0)])
+def test_truncation_point_past_two_to_the_53_raises_typed_error(a, lam, m):
+    # The tail stays above 1e-12 at every count up to 2^53; a range over a
+    # cutoff past 2^63 raised a raw OverflowError.
+    with pytest.raises(NumericError):
+        MixedPoissonMaxUExp(MaxUExp(a, lam)).truncation_point(m)
 
 
 def test_pgf_domain_and_derivative(pp):
@@ -410,16 +424,21 @@ def _finite_or_typed(f, *args, probability=False):
 
 @pytest.mark.parametrize("a", STRESS_SCALES)
 def test_count_laws_return_finite_or_raise_typed_errors(a):
-    """The count kernel calls the incomplete gammas without their argument
+    """The count kernels call the incomplete gammas without their argument
     checks; at extreme scales, clocks and counts only typed errors escape."""
     finite = 0
     for lam in STRESS_SCALES:
         xi = MaxUExp(a, lam)
         proc = MixedPoissonMaxUExp(xi)
         for m in STRESS_CLOCKS:
+            finite += _finite_or_typed(lambda m: proc.mean_variance(m)[0], m)
+            finite += _finite_or_typed(lambda m: proc.mean_variance(m)[1], m)
             for n in STRESS_COUNTS:
                 finite += _finite_or_typed(proc.pmf, m, n, probability=True)
                 finite += _finite_or_typed(proc.posterior_mean, m, n)
                 finite += _finite_or_typed(xi.lst, m, probability=True)
                 finite += _finite_or_typed(proc.pmf_upper_tail_bound, m, n, probability=True)
+                if n >= 1:
+                    erlang = ErlangMaxUExp(n, a, lam)
+                    finite += _finite_or_typed(erlang.cdf, m, probability=True)
     assert finite > 0

@@ -8,10 +8,10 @@ from mpmue import (
     DomainError,
     ErlangMaxUExp,
     ExpMaxUExp,
-    MixedPoissonMaxUExp,
+    MaxUExp,
     RandomStream,
 )
-from mpmue.numerics import find_root, integrate
+from mpmue.numerics import integrate
 from mpmue.rng import _BLOCK
 
 
@@ -120,6 +120,24 @@ def test_extreme_parameters_keep_closed_forms_finite():
     assert u.conditional_mixing_pdf(1.0, -0.5) == 0.0
 
 
+@pytest.mark.parametrize(
+    "f,x,limit",
+    [
+        (MaxUExp(1e300, 1e300).pdf, 1e12, 1e-300),
+        (MaxUExp(1e300, 1e300).hazard, 1e12, 1e-300),
+        (ExpMaxUExp(1e300, 1.0).pdf, 1e300, 0.0),
+        (ExpMaxUExp(1e300, 1e300).pdf, 1e300, 0.0),
+    ],
+    ids=["pdf", "hazard", "interarrival-pdf-lam-1", "interarrival-pdf-lam-1e300"],
+)
+def test_density_where_the_exponent_overflows_is_its_limit(f, x, limit):
+    # lam*x or a*t overflows to inf, where z e^-z is 0, not inf * 0.
+    assert f(x) == pytest.approx(limit, rel=1e-12, abs=0.0)
+    with np.errstate(over="ignore"):
+        got = f(np.array([x, 1.0]))
+    assert got[0] == f(x)
+
+
 def test_conditional_mixing_pdf_normalizes():
     w = ExpMaxUExp(2.0, 0.5)
     mass = integrate(lambda x: w.conditional_mixing_pdf(1.0, x), 0.0, math.inf,
@@ -199,23 +217,10 @@ def test_erlang_validation_and_reduction():
 
 def test_erlang_cdf_monotone_and_tail_route():
     e2 = ErlangMaxUExp(2, 1.0, 1.0)
-    ts = (0.5, 1.0, 2.0, 5.0, 50.0)
+    ts = (1e-3, 0.5, 1.0, 2.0, 5.0, 50.0)
     vals = [e2.cdf(t) for t in ts]
     assert all(b > a for a, b in zip(vals[:-1], vals[1:]))
     assert vals[-1] < 1.0
-    # Below 1/16 the cdf switches from 1 - P(N < n) to the upward pmf sum;
-    # the two routes must agree where they hand over.
-    law = MixedPoissonMaxUExp(e2.xi)
-
-    def one_minus_sf(t):
-        return 1.0 - sum(law.pmf(t, k) for k in range(e2.n))
-
-    switch = find_root(lambda t: one_minus_sf(t) - 1.0 / 16.0, 0.1, 1.0, tol=1e-15)
-    below, above = switch * (1.0 - 1e-9), switch * (1.0 + 1e-9)
-    assert e2.cdf(below) < 1.0 / 16.0 <= e2.cdf(above)
-    assert e2.cdf(below) == pytest.approx(one_minus_sf(below), rel=1e-14)
-    assert e2.cdf(above) == one_minus_sf(above)
-    assert e2.cdf(below) < e2.cdf(switch) <= e2.cdf(above)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             e2.cdf(bad)
@@ -239,14 +244,23 @@ def _erlang_cdf_reference(a, lam, n, t):
         return 1 - sf
 
 
-@pytest.mark.parametrize("a,lam", [(1.0, 1.0), (2.0, 0.5), (0.01, 100.0)])
-@pytest.mark.parametrize("n", [1, 2, 10])
-def test_erlang_cdf_matches_mpmath(a, lam, n):
+@pytest.mark.parametrize(
+    "n,a,lam",
+    [(n, a, lam) for n in (1, 2, 10) for a, lam in ((1.0, 1.0), (2.0, 0.5), (0.01, 100.0))]
+    + [(10, 1.0, 1000.0), (120, 1.0, 1.0)],
+)
+def test_erlang_cdf_matches_mpmath(n, a, lam):
     # Relative accuracy holds in the lower tail too: at (1, 1), n = 10 and
     # t = 1e-3 the cdf is 9.90054794805e-31, where 1 - P(N < n) is noise.
+    # At (1, 1000) xi is nearly uniform, and the uniform part of the tail
+    # cancels to about P(n, a t)/(n + 1).
+    # At n = 120 the 80-digit reference sums 120 count probabilities, so it
+    # takes 10 clock values, from t = 1 where the cdf is 7.5e-37: the
+    # reference resolves it there, as it does not below 1e-60.
     e = ErlangMaxUExp(n, a, lam)
+    ts = np.logspace(0.0, 4.0, 10) if n == 120 else np.logspace(-3.0, 4.0, 29)
     previous = 0.0
-    for t in np.logspace(-3.0, 4.0, 29):
+    for t in ts:
         t = float(t)
         got, want = e.cdf(t), _erlang_cdf_reference(a, lam, n, t)
         assert abs(got - want) <= 1e-13 * want, (t, got, float(want))
