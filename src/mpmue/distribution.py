@@ -77,8 +77,9 @@ class MaxUExp:
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         if isinstance(x, np.ndarray):
             xp = np.maximum(x, 0.0)
-            tail = -np.expm1(-self.lam * xp)
-            return np.where(x <= 0.0, 0.0, np.where(x <= self.a, (xp / self.a) * tail, tail))
+            with np.errstate(over="ignore"):
+                tail = -np.expm1(-self.lam * xp)
+                return np.where(x <= 0.0, 0.0, np.where(x <= self.a, (xp / self.a) * tail, tail))
         if x <= 0.0:
             return 0.0
         tail = -math.expm1(-self.lam * x)
@@ -89,7 +90,8 @@ class MaxUExp:
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Density; at the jump point x = a returns the left (uniform-branch) value."""
         if isinstance(x, np.ndarray):
-            z = self.lam * np.maximum(x, 0.0)
+            with np.errstate(over="ignore"):
+                z = self.lam * np.maximum(x, 0.0)
             ez = np.exp(-z)
             left = (-np.expm1(-z) + _z_exp_array(z, ez)) / self.a
             return np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam * ez))
@@ -114,9 +116,9 @@ class MaxUExp:
             # Evaluate the uniform branch on [0, a] only: past a its
             # denominator can vanish.
             xl = np.clip(x, 0.0, self.a)
-            z = self.lam * xl
-            ez = np.exp(-z)
             with np.errstate(divide="ignore", over="ignore"):
+                z = self.lam * xl
+                ez = np.exp(-z)
                 left = (-np.expm1(-z) + _z_exp_array(z, ez)) / (self.a - xl + xl * ez)
             out = np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam))
             if np.any(out == math.inf):

@@ -30,7 +30,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
 )
-from .numerics import find_root, least_squares, minimize
+from .numerics import find_root, least_squares
 
 FOUR_THIRDS = 4.0 / 3.0
 _CLAMP_EPS = 1e-6
@@ -62,7 +62,7 @@ def _empirical_moments(x: np.ndarray) -> tuple[float, float, float]:
     if n < 2:
         raise InsufficientDataError("need at least two observations")
     m1 = float(np.mean(x))
-    m2 = float(np.mean(x * x))
+    m2 = float(np.dot(x, x)) / n  # no n-sized temporary, unlike mean(x * x)
     return m1, m2, (n * m1 * m1 - m2) / (n - 1)
 
 
@@ -103,9 +103,17 @@ def mom_curve(x: float) -> float:
 
 @lru_cache(maxsize=1)
 def mom_curve_extrema() -> tuple[float, float, float]:
-    """(crossing of 4/3, argmin, min value) of the moment-ratio curve,
-    located by the package's own optimizer and root-finder."""
-    argmin = float(minimize(lambda v: mom_curve(v[0]), [3.5], bounds=[(0.5, 50.0)], tol=1e-13)[0])
+    """(crossing of 4/3, argmin, min value) of the moment-ratio curve.  With
+    g = x N / D^2 as in the module docstring, the argmin is the root on [3, 5]
+    of (N + x N') D - 2 x N D', where N' = x^2 + 2 e^-x (x + 1), D' = x + e^-x."""
+
+    def slope(x: float) -> float:
+        ex = math.exp(-x)
+        n = x**3 / 3.0 + 4.0 - 2.0 * ex * (x + 2.0)
+        d = x * x / 2.0 - math.expm1(-x)
+        return (n + x * (x * x + 2.0 * ex * (x + 1.0))) * d - 2.0 * x * n * (x + ex)
+
+    argmin = find_root(slope, 3.0, 5.0, tol=1e-15)
     gmin = mom_curve(argmin)
     x43 = find_root(lambda v: mom_curve(v) - FOUR_THIRDS, 0.5, argmin, tol=1e-12)
     return x43, argmin, gmin

@@ -34,7 +34,7 @@ import numpy as np
 
 from .distribution import MaxUExp
 from .errors import DomainError
-from .numerics import gamma_lower, gamma_upper, gamma_upper_reg, integrate, log_gamma
+from .numerics import gamma_lower, gamma_upper, integrate, log_gamma
 from .process import (
     MixedPoissonMaxUExp,
     PowerTransform,
@@ -82,21 +82,10 @@ def ks_statistic(values, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
 
 
-def ks_critical(n: int, level: float = 0.01) -> float:
-    if level != 0.01:
-        raise DomainError("only the 1% level is tabulated")
+def ks_critical(n: int) -> float:
     if n < 1:
         raise DomainError("need at least one observation")
     return KS_COEFF_1PCT / math.sqrt(n)
-
-
-def chi2_sf(stat: float, dof: int) -> float:
-    """Upper tail of the chi-square law, via the incomplete gamma."""
-    if dof < 1:
-        raise DomainError(f"dof must be >= 1, got {dof!r}")
-    if stat <= 0.0:
-        return 1.0
-    return gamma_upper_reg(dof / 2.0, stat / 2.0)
 
 
 # -- check plumbing --------------------------------------------------------------

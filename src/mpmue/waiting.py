@@ -149,9 +149,10 @@ class ExpMaxUExp(ErlangMaxUExp):
         if isinstance(t, np.ndarray):
             tp = np.where(t <= 0.0, 1.0, t)
             s = lam + tp
-            y = a * s
-            ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
-            value = a * _em2_array(a * tp) + (lam - tp) / s * ratio / s + tp / s * np.exp(-y) / s
+            with np.errstate(over="ignore"):
+                y = a * s
+                ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
+                value = a * _em2_array(a * tp) + (lam - tp) / s * ratio / s + tp / s * np.exp(-y) / s
             return np.where(t <= 0.0, 0.0, value)
         if t <= 0.0:
             return 0.0
@@ -165,9 +166,10 @@ class ExpMaxUExp(ErlangMaxUExp):
         if isinstance(t, np.ndarray):
             tp = np.where(t <= 0.0, 1.0, t)
             s = lam + tp
-            y = a * s
-            ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
-            return np.where(t <= 0.0, 0.0, _em1_array(a * tp) + tp / s * ratio)
+            with np.errstate(over="ignore"):
+                y = a * s
+                ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
+                return np.where(t <= 0.0, 0.0, _em1_array(a * tp) + tp / s * ratio)
         if t <= 0.0:
             return 0.0
         s = lam + t

@@ -170,6 +170,11 @@ def test_moments_closed_form():
     assert MaxUExp(1.0, 100.0).moment(200.0) == pytest.approx(1.0 / 201.0, rel=1e-12)
     with pytest.raises(NumericError):
         MaxUExp(10.0, 1.0).moment(400.0)
+    # Where Q(k, a lam) underflows, X is U(0, a) up to e^-(a lam), so
+    # E(X^k) = a^k/(k + 1).
+    assert MaxUExp(1.0, 1e210).moment(0.5) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    want = math.exp(1e-12 * math.log(1e-12)) / (1.0 + 1e-12)
+    assert MaxUExp(1e-12, 1e300).moment(1e-12) == pytest.approx(want, rel=1e-15)
 
 
 def test_neg_moment_values_and_domain():

@@ -87,12 +87,18 @@ def _ufunc_log_p(alpha, x):
     return log_lead + math.log(sc.hyp1f1(1.0, alpha + 1.0, x))
 
 
-def _ufunc_log_q(alpha, x):
-    q = float(sc.gammaincc(alpha, x))
-    if q > 0.0 or math.isinf(x):
-        return math.log(q) if q > 0.0 else -math.inf
-    log_lead = alpha * math.log(x) - x - math.lgamma(alpha)
-    return log_lead + math.log(sc.hyperu(1.0, alpha + 1.0, x))
+def _mpmath_log_q(alpha, x):
+    """log Q(alpha, x) from 40-digit mpmath.  Past order 2^34 its series does
+    not converge, so there Gamma(alpha, x) is x^alpha e^-x times the integral
+    of (1 + v/x)^(alpha-1) e^-v over (0, inf), divided by x."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        try:
+            return float(mpmath.log(mpmath.gammainc(s, x, mpmath.inf, regularized=True)))
+        except mpmath.libmp.NoConvergence:
+            h = mpmath.quad(lambda v: mpmath.exp((s - 1) * mpmath.log1p(v / x) - v), [0, mpmath.inf])
+            return float(s * mpmath.log(x) - x + mpmath.log(h / x) - mpmath.loggamma(s))
 
 
 def _bits(v):
@@ -110,30 +116,36 @@ def _gamma_grid():
 
 
 def test_scalar_gammas_match_the_ufuncs_bit_for_bit():
-    """The cython_special route gives the ufuncs' bits on both branches:
-    plain P and Q, and Kummer's M / Tricomi's U where P or Q underflows."""
-    kummer = tricomi = 0
-    for alpha, x in _gamma_grid():
-        want_p, want_q = _ufunc_log_p(alpha, x), _ufunc_log_q(alpha, x)
+    """The cython_special route gives the ufuncs' bits for plain P and Q and
+    for Kummer's M where P underflows.  Where Q underflows, log Q comes from
+    the continued fraction and is held to mpmath: 1e-15 relative, plus the
+    rounding of alpha log x in its lead (about alpha eps, so only orders past
+    about 1e10 use it)."""
+    kummer = continued = 0
+    extra = [(0.5, 1e288), (1e-12, 1e300), (2.0**35, 2.0**36), (2.0**40, 1.1 * 2.0**40)]
+    for alpha, x in _gamma_grid() + extra:
         kummer += sc.gammainc(alpha, x) == 0.0 and x > 0.0
-        tricomi += sc.gammaincc(alpha, x) == 0.0 and x < math.inf
+        q = float(sc.gammaincc(alpha, x))
         pairs = [
-            (numerics._log_p(alpha, x), want_p),
-            (numerics._log_q(alpha, x), want_q),
-            (numerics.log_gamma_lower_reg(alpha, x), want_p),
-            (numerics.log_gamma_upper_reg(alpha, x), want_q),
+            (numerics._log_p(alpha, x), _ufunc_log_p(alpha, x)),
             (numerics.gamma_lower_reg(alpha, x), float(sc.gammainc(alpha, x))),
-            (numerics.gamma_upper_reg(alpha, x), float(sc.gammaincc(alpha, x))),
+            (numerics.gamma_upper_reg(alpha, x), q),
         ]
+        got_q = numerics._log_q(alpha, x)
+        if q > 0.0 or x == math.inf:
+            pairs.append((got_q, math.log(q) if q > 0.0 else -math.inf))
+        else:
+            continued += 1
+            want_q = _mpmath_log_q(alpha, x)
+            tol = 1e-15 * abs(want_q) + 2.0**-53 * alpha * abs(math.log(x))
+            assert abs(got_q - want_q) <= tol, (alpha, x, got_q, want_q)
         for got, want in pairs:
             assert _bits(got) == _bits(want), (alpha, x, got, want)
     assert sc.gammainc(400.0, 1e-3) == 0.0 and sc.gammaincc(3.0, 2000.0) == 0.0
-    assert kummer > 0 and tricomi > 0
+    assert kummer > 0 and continued == 113 + len(extra)
 
 
-@pytest.mark.parametrize(
-    "name", ["gamma_lower_reg", "gamma_upper_reg", "log_gamma_lower_reg", "log_gamma_upper_reg"]
-)
+@pytest.mark.parametrize("name", ["gamma_lower_reg", "gamma_upper_reg", "gamma_lower", "gamma_upper"])
 @pytest.mark.parametrize(
     "alpha,x", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (2.0, -1e-300), (2.0, math.nan)]
 )
@@ -202,6 +214,7 @@ xi.moment(2.0)
 xi.moment(-0.5)
 xi.moment(-1.5)
 xi.neg_moment(1.5)
+mpmue.mom_curve_extrema()
 ErlangMaxUExp(10, 1.0, 1.0).cdf(1.0)   # lower tail: the closed-form count tail
 ErlangMaxUExp(10, 1.0, 1.0).cdf(20.0)  # the same closed form near the median
 ErlangMaxUExp(2, 1.0, 1.0).moment(1.5)

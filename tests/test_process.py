@@ -82,6 +82,29 @@ def test_tail_bound_dominates_actual_tail(pp):
             assert all(b <= a2 for a2, b in zip(bounds[:-1], bounds[1:]))
 
 
+def _mpmath_q(mpmath, s, x):
+    """Q(s, x) for x > s, from the integral of (1 + v/x)^(s-1) e^-v over
+    (0, inf); mpmath's own Q does not converge at these orders."""
+    tail = mpmath.quad(lambda v: mpmath.exp((s - 1) * mpmath.log1p(v / x) - v), [0, mpmath.inf])
+    return mpmath.exp(s * mpmath.log(x) - x - mpmath.loggamma(s)) * tail / x
+
+
+def test_count_law_where_q_underflows_at_large_orders(pp):
+    # n = 2^35 at m = 2^36: Q(n, m + 1) underflows, and the continued
+    # fraction gives its log.  The references are the closed forms of pmf
+    # and of the tail at a = lam = 1, in 40-digit mpmath.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        n, m = mpmath.mpf(2) ** 35, mpmath.mpf(2) ** 36
+        z, r = m + 1, m / (m + 1)
+        q = lambda s, x: _mpmath_q(mpmath, s, x)
+        p = lambda s, x: 1 - q(s, x)
+        pmf = (p(n + 1, m) + (n - m) / z * r ** (n + 1) * p(n + 1, z) + r ** (n + 1) * q(n, z)) / m
+        tail = p(n, m) - n / m * p(n + 1, m) + r**n * (q(n, z) + n / z * p(n + 1, z))
+    assert pp.pmf(2.0**36, 2**35) == pytest.approx(float(pmf), rel=1e-14)
+    assert pp.pmf_upper_tail_bound(2.0**36, 2**35) == pytest.approx(float(tail), rel=1e-14)
+
+
 def test_tail_bound_takes_counts_as_pmf_does(pp):
     assert pp.pmf_upper_tail_bound(2.0, 0) == 1.0
     for bad in (2.5, 2.0, -1, math.nan, math.inf):
@@ -425,12 +448,17 @@ def _finite_or_typed(f, *args, probability=False):
 @pytest.mark.parametrize("a", STRESS_SCALES)
 def test_count_laws_return_finite_or_raise_typed_errors(a):
     """The count kernels call the incomplete gammas without their argument
-    checks; at extreme scales, clocks and counts only typed errors escape."""
+    checks; at extreme scales, clocks and counts only typed errors escape.
+    ``truncation_point`` evaluates the count tail at orders up to 2^53, where
+    Q underflows and the continued fraction takes over."""
     finite = 0
     for lam in STRESS_SCALES:
         xi = MaxUExp(a, lam)
         proc = MixedPoissonMaxUExp(xi)
+        for k in (1e-12, 0.5, 1.5):
+            finite += _finite_or_typed(xi.moment, k)
         for m in STRESS_CLOCKS:
+            finite += _finite_or_typed(lambda m: float(proc.truncation_point(m)), m)
             finite += _finite_or_typed(lambda m: proc.mean_variance(m)[0], m)
             finite += _finite_or_typed(lambda m: proc.mean_variance(m)[1], m)
             for n in STRESS_COUNTS:

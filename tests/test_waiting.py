@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,13 +128,18 @@ def test_extreme_parameters_keep_closed_forms_finite():
         (MaxUExp(1e300, 1e300).hazard, 1e12, 1e-300),
         (ExpMaxUExp(1e300, 1.0).pdf, 1e300, 0.0),
         (ExpMaxUExp(1e300, 1e300).pdf, 1e300, 0.0),
+        (MaxUExp(1e300, 1e300).cdf, 1e12, 1e-288),
+        (ExpMaxUExp(1e300, 1.0).cdf, 1e300, 1.0),
     ],
-    ids=["pdf", "hazard", "interarrival-pdf-lam-1", "interarrival-pdf-lam-1e300"],
+    ids=["pdf", "hazard", "interarrival-pdf-lam-1", "interarrival-pdf-lam-1e300", "cdf",
+         "interarrival-cdf-lam-1"],
 )
 def test_density_where_the_exponent_overflows_is_its_limit(f, x, limit):
-    # lam*x or a*t overflows to inf, where z e^-z is 0, not inf * 0.
+    # lam*x or a*t overflows to inf, where z e^-z is 0, not inf * 0; the
+    # array branch reaches the same limit without a numpy warning.
     assert f(x) == pytest.approx(limit, rel=1e-12, abs=0.0)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = f(np.array([x, 1.0]))
     assert got[0] == f(x)
 
