@@ -18,6 +18,7 @@ exponential limit 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -29,6 +30,7 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     InsufficientDataError,
+    NumericError,
 )
 from .numerics import find_root, least_squares
 
@@ -62,8 +64,14 @@ def _empirical_moments(x: np.ndarray) -> tuple[float, float, float]:
     if n < 2:
         raise InsufficientDataError("need at least two observations")
     m1 = float(np.mean(x))
-    m2 = float(np.dot(x, x)) / n  # no n-sized temporary, unlike mean(x * x)
-    return m1, m2, (n * m1 * m1 - m2) / (n - 1)
+    with np.errstate(over="ignore"):
+        m2 = float(np.dot(x, x)) / n  # no n-sized temporary, unlike mean(x * x)
+    ms_unbiased = (n * m1 * m1 - m2) / (n - 1)
+    # Squares of a sample past about 1e154 overflow, and below 1e-154 they
+    # underflow.
+    if not (sys.float_info.min <= m2 and math.isfinite(ms_unbiased)):
+        raise NumericError(f"the sample's second moment {m2!r} passes the double range")
+    return m1, m2, ms_unbiased
 
 
 def ratio_stat(values, variant: str = "unbiased") -> float:
@@ -95,10 +103,16 @@ def mom_curve(x: float) -> float:
         raise DomainError(f"mom_curve requires finite x > 0, got {x!r}")
     if x < 1e-3:
         return 2.0 - 2.0 * x * x / 3.0 + x**3 / 3.0 + x**4 / 12.0
-    ex = math.exp(-x)
-    num = x * (x**3 / 3.0 + 4.0 - 2.0 * ex * (x + 2.0))
-    root = x * x / 2.0 - math.expm1(-x)
-    return num / (root * root)
+    if x < 1e100:  # where x**3 is a double
+        ex = math.exp(-x)
+        num = x * (x**3 / 3.0 + 4.0 - 2.0 * ex * (x + 2.0))
+        root = x * x / 2.0 - math.expm1(-x)
+        g = num / (root * root)
+        if math.isfinite(g):
+            return g
+    # Past x = 1.5e77, x^4 leaves the double range, while
+    # g = (1/3 + 4/x^3) / (1/4 + 1/x^2 + 1/x^4) rounds to 4/3.
+    return FOUR_THIRDS
 
 
 @lru_cache(maxsize=1)
@@ -227,9 +241,13 @@ def _lsq_objective(x: np.ndarray, a: float, lam: float, trim: float) -> float:
     kept, n = _trimmed(x, trim)
     i = np.arange(1, kept.size + 1, dtype=float)
     positions = i / (n + 1.0)
-    model = (kept / a) * (-np.expm1(-lam * kept))
-    gaps = positions - model
-    return float(np.dot(gaps, gaps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = (kept / a) * (-np.expm1(-lam * kept))
+        gaps = positions - model
+        value = float(np.dot(gaps, gaps))
+    if not math.isfinite(value):
+        raise NumericError(f"the objective at a={a!r}, lam={lam!r} passes the double range")
+    return value
 
 
 def lsq_fit(values, init: tuple[float, float], trim: float = 0.25) -> FitReport:
@@ -239,6 +257,7 @@ def lsq_fit(values, init: tuple[float, float], trim: float = 0.25) -> FitReport:
 
 
 def _lsq_fit(x: np.ndarray, init: tuple[float, float], trim: float) -> FitReport:
+    r_hat = _ratio_stat(x, "plain")
     kept, n = _trimmed(x, trim)
     a_floor = float(kept[-1])
     i = np.arange(1, kept.size + 1, dtype=float)
@@ -251,45 +270,41 @@ def _lsq_fit(x: np.ndarray, init: tuple[float, float], trim: float) -> FitReport
     a0 = max(float(init[0]), a_floor)
     lam0 = max(float(init[1]), 1e-12)
     big = max(1e6, 1e4 * a_floor)
-    best = least_squares(residuals, [a0, lam0], bounds=[(a_floor, big), (1e-12, big)], tol=1e-14)
+    best = least_squares(residuals, [a0, lam0], [(a_floor, big), (1e-12, big)])
     a, lam = float(best[0]), float(best[1])
-    m1 = float(np.mean(x))
-    m2 = float(np.mean(x * x))
     return FitReport(
         a=a,
         lam=lam,
         x_product=a * lam,
-        r_hat=m2 / (m1 * m1),
+        r_hat=r_hat,
         r_hat_variant="plain",
         branch="lsq_refined",
         objective=_lsq_objective(x, a, lam, trim),
     )
 
 
-def histogram_init(values, drop_factor: float = 0.5) -> tuple[float, float]:
+def histogram_init(values) -> tuple[float, float]:
     """Crude (a, lam) start values from the shape of a square-root-rule histogram.
 
     The density drops sharply past a, so a is read off as the left edge of
-    the first post-peak bin whose height falls below ``drop_factor`` times
-    its predecessor (else the sample maximum).  The tail beyond a is
+    the first post-peak bin whose height falls below half its predecessor's
+    (else the sample maximum).  The tail beyond a is
     memoryless, so lam is the inverted mean exceedance when at least five
     observations land there, else 1/mean.
     """
-    return _histogram_init(validate_sample(values), drop_factor)
+    return _histogram_init(validate_sample(values))
 
 
-def _histogram_init(x: np.ndarray, drop_factor: float = 0.5) -> tuple[float, float]:
+def _histogram_init(x: np.ndarray) -> tuple[float, float]:
     n = x.size
     if n < 20:
         raise InsufficientDataError("histogram heuristic needs at least 20 observations")
-    if not (0.0 < drop_factor < 1.0):
-        raise DomainError(f"drop_factor must lie in (0, 1), got {drop_factor!r}")
     top = float(x[-1])
     counts, edges = np.histogram(x, bins=math.ceil(math.sqrt(n)), range=(0.0, top))
     peak = int(np.argmax(counts))
     a0 = top
     for i in range(peak + 1, counts.size):
-        if counts[i - 1] > 0 and counts[i] < drop_factor * counts[i - 1]:
+        if counts[i - 1] > 0 and counts[i] < 0.5 * counts[i - 1]:
             a0 = float(edges[i])
             break
     tail = x[x > a0]

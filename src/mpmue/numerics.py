@@ -127,18 +127,13 @@ def _gamma_upper_cf(s: float, x: float) -> float:
     raise NumericError(f"continued fraction for Gamma({s!r}, {x!r}) did not converge")
 
 
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
+def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
     """Root of f on [lo, hi] by bisection with secant acceleration.
 
     Requires a sign change over the bracket (an endpoint with f == 0 counts).
-    Stops once the bracket width drops below ``tol``; the bracket is halved at
-    least every other step, so convergence is guaranteed.
+    Stops once the bracket width drops below ``tol``, or after 200 steps; the
+    bracket is halved at least every other step, so that covers any bracket
+    up to 2^100 times ``tol``.
     """
     if not (lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
@@ -153,7 +148,7 @@ def find_root(
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
     use_secant = True
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -221,10 +216,10 @@ def minimize(
 def least_squares(
     residuals: Callable[[Sequence[float]], np.ndarray],
     start: Sequence[float],
-    bounds: Sequence[tuple[float, float]] | None = None,
-    tol: float = 1e-12,
+    bounds: Sequence[tuple[float, float]],
 ) -> np.ndarray:
-    """Bounded nonlinear least squares via a trust-region solver.
+    """Bounded nonlinear least squares via a trust-region solver, to 1e-14
+    in the step, the cost and the gradient.
 
     ``residuals`` maps a parameter vector to a residual vector; the result
     minimizes the residual sum of squares and always lies inside ``bounds``.
@@ -233,22 +228,13 @@ def least_squares(
     """
     from scipy.optimize import least_squares as scipy_least_squares
 
-    x0 = np.asarray(start, dtype=float)
-    if bounds is not None:
-        lob = np.array([b[0] for b in bounds])
-        hib = np.array([b[1] for b in bounds])
-        x0 = np.clip(x0, lob, hib)
-        box = (lob, hib)
-    else:
-        box = (-np.inf, np.inf)
-    tol = max(tol, 1e-14)
+    lob = np.array([b[0] for b in bounds])
+    hib = np.array([b[1] for b in bounds])
+    x0 = np.clip(np.asarray(start, dtype=float), lob, hib)
     res = scipy_least_squares(
-        residuals, x0, bounds=box, xtol=tol, ftol=tol, gtol=tol, max_nfev=10_000
+        residuals, x0, bounds=(lob, hib), xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=10_000
     )
-    out = np.asarray(res.x, dtype=float)
-    if bounds is not None:
-        out = np.clip(out, lob, hib)
-    return out
+    return np.clip(np.asarray(res.x, dtype=float), lob, hib)
 
 
 class QuadResult(NamedTuple):

@@ -47,21 +47,26 @@ class PowerTransform:
         self.c = c
 
     def value(self, t: float) -> float:
-        if t < 0.0:
-            raise DomainError(f"time must be >= 0, got {t!r}")
         return self._power(t, self.c)
 
     def inverse(self, y: float | np.ndarray) -> float | np.ndarray:
-        """mu^-1(y).  A float past the double range raises NumericError; an
-        array gives inf there, with numpy's overflow warning, since
-        ``simulate_paths`` passes it only clock values up to mu(horizon)."""
-        if (np.any(y < 0.0) if isinstance(y, np.ndarray) else y < 0.0):
-            raise DomainError("clock values must be >= 0")
+        """mu^-1(y), for a float or an array."""
         return self._power(y, 1.0 / self.c)
 
     @staticmethod
     def _power(x: float | np.ndarray, p: float) -> float | np.ndarray:
-        # Only a Python float raises here; numpy overflows to inf.
+        """x^p for finite x >= 0 (DomainError otherwise), NumericError where
+        it passes the double range."""
+        if isinstance(x, np.ndarray):
+            if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
+                raise DomainError("times and clock values must be finite and >= 0")
+            with np.errstate(over="raise"):
+                try:
+                    return x**p
+                except FloatingPointError:
+                    raise NumericError(f"a clock value ** {p!r} overflows a double") from None
+        if not (0.0 <= x < math.inf):
+            raise DomainError(f"times and clock values must be finite and >= 0, got {x!r}")
         try:
             return x**p
         except OverflowError:
@@ -241,7 +246,7 @@ class MixedPoissonMaxUExp:
         """Density of xi given N = n at clock value m (Bayes weighting of the prior)."""
         m = self._check_m(m)
         self._check_count(n)
-        if x <= 0.0:
+        if x <= 0.0 or x == math.inf:
             return 0.0
         xi = self.xi
         return checked_exp(n * math.log(x) - m * x + xi._log_pdf(x) - xi.log_tilted_moment(m, n))

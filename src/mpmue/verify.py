@@ -16,17 +16,22 @@ then emits one verdict per formula.  Ledger JSON field names (formula_id,
 params, paper_literal, corrected, oracle, abs_dev_literal,
 abs_dev_corrected, verdict) are a fixed contract for downstream tooling.
 
-Tolerance tiers: 1e-8 for quadrature vs closed form (override with the
-MPMUE_TOL environment variable), four standard errors for Monte Carlo
-means, three binomial sigma for single-probability gates, and 1%
-significance for KS comparisons.
+Tolerances are constants, pinned check by check in the test suite:
+``QUAD_TOL`` = 1e-8 for quadrature against a closed form; 1e-7 to 1e-5
+where the oracle integrates a heavy tail, a transform or a small-t limit
+(density masses of the waiting laws, Mellin and moment integrals, the
+transform, pgf, posterior and factorial-moment checks); 1e-12 to 1e-9 where
+both routes are exact or nearly so (identities, round trips, elementary
+integrals); 0 for exact remaps and yes/no properties; 5% for the t^2 tail
+index; four standard errors for Monte Carlo means and quantile z-scores,
+three binomial sigma for single-probability gates, and 1% significance for
+KS comparisons.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -46,20 +51,11 @@ from .process import (
 from .rng import RandomStream
 from .waiting import ErlangMaxUExp, ExpMaxUExp
 
-DEFAULT_TOL = 1e-8
+# Quadrature against closed form: the tier of every check that compares two
+# smooth routes without a weaker oracle in between.
+QUAD_TOL = 1e-8
 # Asymptotic two-sided Kolmogorov coefficient at the 1% level.
 KS_COEFF_1PCT = 1.6276
-
-
-def default_tolerance() -> float:
-    """Quadrature-tier tolerance; the MPMUE_TOL environment variable wins."""
-    raw = os.environ.get("MPMUE_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise DomainError(f"MPMUE_TOL must parse as a float, got {raw!r}") from exc
 
 
 # -- goodness-of-fit helpers ---------------------------------------------------
@@ -194,32 +190,28 @@ def check_quantiles(
 
 def check_mc(
     name: str,
-    sampler: Callable[[int, RandomStream], np.ndarray],
-    statistic: Callable[[np.ndarray], np.ndarray],
+    draws: np.ndarray,
     closed_form: float,
-    n_draws: int,
-    seed: int,
     ops: tuple[str, ...] = (),
     cdf: Callable[[float], float] | None = None,
     cdf_points: Sequence[float] = (),
 ) -> CheckResult:
-    """Seeded Monte Carlo comparison at four standard errors.
+    """Mean of the draws against ``closed_form`` at four standard errors.
 
-    Mean mode needs the statistic to have finite variance.  When the
-    reference value is not finite, or a single draw dominates the variance
-    estimate, the comparison switches to ``check_quantiles`` on the raw
-    draws, against ``cdf`` at ``cdf_points``.
+    Mean mode needs the draws to have finite variance.  When the reference
+    value is not finite, or a single draw dominates the variance estimate,
+    the comparison switches to ``check_quantiles`` on the draws, against
+    ``cdf`` at ``cdf_points``.
     """
-    draws = np.asarray(sampler(n_draws, RandomStream(seed)), dtype=float)
-    vals = np.asarray(statistic(draws), dtype=float)
+    draws = np.asarray(draws, dtype=float)
     why = None
     if not math.isfinite(closed_form):
         why = "reference value is not finite"
     else:
-        centered = vals - vals.mean()
+        centered = draws - draws.mean()
         ss = centered * centered
         total = float(ss.sum())
-        if vals.size >= 100 and total > 0.0 and float(ss.max()) > 0.05 * total:
+        if draws.size >= 100 and total > 0.0 and float(ss.max()) > 0.05 * total:
             why = "one draw dominates the variance estimate"
 
     if why is not None:
@@ -235,8 +227,8 @@ def check_mc(
             )
         return check_quantiles(name, draws, cdf, cdf_points, why, ops)
 
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1)) / math.sqrt(vals.size)
+    mean = float(draws.mean())
+    se = float(draws.std(ddof=1)) / math.sqrt(draws.size)
     if se == 0.0:
         z = 0.0 if mean == closed_form else math.inf
     else:
@@ -324,7 +316,7 @@ def _variance_quad(d: MaxUExp) -> float:
     return m2 - m1 * m1
 
 
-def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
+def _distribution_checks(a: float, lam: float, seed: int, mc_draws: int):
     d = MaxUExp(a, lam)
     tag = f"a={a:g},lam={lam:g}"
     inner = 1e-12
@@ -333,7 +325,7 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
     xs = [0.35 * a, 0.8 * a, a, a + 0.5 / lam, a + 2.0 / lam]
     checks.append(
         check_density(
-            f"maxuexp-pdf-mass[{tag}]", d.pdf, (0.0, math.inf), tol, [a], ops=("maxuexp.pdf",)
+            f"maxuexp-pdf-mass[{tag}]", d.pdf, (0.0, math.inf), QUAD_TOL, [a], ops=("maxuexp.pdf",)
         )
     )
     checks.append(
@@ -343,7 +335,7 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
                 (d.cdf(x), integrate(d.pdf, 0.0, x, tol=inner, breakpoints=[a]).value)
                 for x in xs
             ],
-            tol,
+            QUAD_TOL,
             ops=("maxuexp.cdf",),
         )
     )
@@ -369,7 +361,7 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
             f"maxuexp-moment-vs-quadrature[{tag}]",
             [(d.moment(k), _expect(d, lambda x, k=k: x**k, inner)) for k in (0.5, 1.0, 2.0, 3.0)]
             + [(d.mean(), d.moment(1.0))],
-            tol,
+            QUAD_TOL,
             ops=("maxuexp.moment", "maxuexp.mean"),
             relative=True,
         )
@@ -378,7 +370,7 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
         check_value(
             f"maxuexp-variance-vs-quadrature[{tag}]",
             [(d.variance(), _variance_quad(d))],
-            tol,
+            QUAD_TOL,
             ops=("maxuexp.variance",),
             relative=True,
         )
@@ -387,7 +379,7 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
         check_value(
             f"maxuexp-neg-moment-vs-quadrature[{tag}]",
             [(d.neg_moment(q), _expect(d, lambda x, q=q: x**-q, 1e-11)) for q in (0.25, 0.5, 0.75)],
-            tol,
+            QUAD_TOL,
             ops=("maxuexp.neg_moment",),
             relative=True,
         )
@@ -408,7 +400,7 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
                 )
                 for q in (0.5, 1.0, 1.5)
             ],
-            max(tol, 1e-7),
+            1e-7,
             ops=("maxuexp.neg_moment", "maxuexp.lst"),
             relative=True,
             detail="transform-identity route",
@@ -422,7 +414,7 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
                 for t in (0.5, 1.0, 2.0)
             ]
             + [(d.lst(1e-9), 1.0)],
-            max(tol, 1e-6),
+            1e-6,
             ops=("maxuexp.lst",),
         )
     )
@@ -433,7 +425,7 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
                 (d.tilted_moment(m, n), _tilted_quad(d, m, float(n)))
                 for (m, n) in ((1.0, 0), (1.0, 1), (0.7, 2), (2.0, 5), (1e-4, 1))
             ],
-            tol,
+            QUAD_TOL,
             ops=("maxuexp.tilted_moment",),
             relative=True,
         )
@@ -452,11 +444,8 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
     checks.append(
         check_mc(
             f"maxuexp-sample-mean[{tag}]",
-            lambda n, s: d.sample_many(s, n),
-            lambda v: v,
+            d.sample_many(RandomStream(seed + 1), mc_draws),
             d.mean(),
-            mc_draws,
-            seed + 1,
             ops=("maxuexp.sample",),
             cdf=d.cdf,
             cdf_points=(0.5 * d.mean(), d.mean(), a + 1.0 / lam),
@@ -467,7 +456,7 @@ def _distribution_checks(a: float, lam: float, tol: float, seed: int, mc_draws: 
     return checks
 
 
-def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
+def _waiting_checks(a: float, lam: float, seed: int, mc_draws: int):
     w = ExpMaxUExp(a, lam)
     d = w.xi
     tag = f"a={a:g},lam={lam:g}"
@@ -485,7 +474,7 @@ def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
                 (w.cdf(t), integrate(w.pdf, 0.0, t, tol=1e-12).value)
                 for t in (0.1, 0.5, 1.0, 2.0, 5.0)
             ],
-            tol,
+            QUAD_TOL,
             ops=("waiting.emue_cdf",),
         )
     )
@@ -509,7 +498,7 @@ def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
                 )
                 for q in (0.5, 1.0, 1.5)
             ],
-            max(tol, 1e-7),
+            1e-7,
             ops=("waiting.emue_moment",),
             relative=True,
         )
@@ -525,7 +514,7 @@ def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
                 )
                 for x in (0.4 * a, 0.9 * a)
             ],
-            tol,
+            QUAD_TOL,
             ops=("waiting.joint_pdf",),
             relative=True,
         )
@@ -537,7 +526,7 @@ def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
                 (_quad(lambda x, t=t: w.conditional_mixing_pdf(t, x), a, 1e-10), 1.0)
                 for t in (0.5, 2.0)
             ],
-            tol,
+            QUAD_TOL,
             ops=("waiting.conditional_mixing_pdf",),
         )
     )
@@ -553,7 +542,7 @@ def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
         check_value(
             f"emue-regress-mixing[{tag}]",
             regress_pairs,
-            max(tol, 1e-5),
+            1e-5,
             ops=("waiting.mean_mixing_given_arrival",),
             relative=True,
             detail="tilted-ratio vs quadrature, small-t limit E(X^2)/E(X)",
@@ -590,7 +579,7 @@ def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
         check_value(
             f"emue-joint-interarrival[{tag}]",
             joint_pairs,
-            max(tol, 1e-7),
+            1e-7,
             ops=("waiting.joint_interarrival_pdf",),
             relative=True,
             detail="reduction, symmetry, marginalization, mixture integral",
@@ -627,7 +616,7 @@ def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
                     0.8**2 / 2.0 * _tilted_quad(d, 0.8, 3.0),
                 ),
             ],
-            tol,
+            QUAD_TOL,
             ops=("waiting.erlang_pdf",),
             relative=True,
         )
@@ -639,7 +628,7 @@ def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
                 (e2.cdf(5.0) + integrate(e2.pdf, 5.0, math.inf, tol=1e-12).value, 1.0),
                 (e2.cdf(1e4), 1.0 - integrate(e2.pdf, 1e4, math.inf, tol=1e-12).value),
             ],
-            1e-8,
+            QUAD_TOL,
             ops=("waiting.erlang_cdf",),
             detail="finite piece plus complementary tail",
         )
@@ -654,7 +643,7 @@ def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
                 )
                 for q in (0.5, 1.0)
             ],
-            max(tol, 1e-6),
+            1e-6,
             ops=("waiting.erlang_moment",),
             relative=True,
         )
@@ -675,7 +664,7 @@ def _waiting_checks(a: float, lam: float, tol: float, seed: int, mc_draws: int):
     return checks
 
 
-def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
+def _process_checks(a: float, lam: float, seed: int, paths: int):
     d = MaxUExp(a, lam)
     pp = MixedPoissonMaxUExp(d)
     tag = f"a={a:g},lam={lam:g}"
@@ -689,7 +678,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
         check_value(
             f"pmf-total-mass[{tag}]",
             mass_pairs,
-            tol,
+            QUAD_TOL,
             ops=("process.pmf", "process.truncation_point"),
         )
     )
@@ -705,7 +694,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
         check_value(
             f"pmf-vs-quadrature[{tag}]",
             [(pp.pmf(1.0, n), pmf_oracle(1.0, n)) for n in range(11)],
-            tol,
+            QUAD_TOL,
             ops=("process.pmf",),
             relative=True,
         )
@@ -744,7 +733,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
         check_value(
             f"meanvar-vs-series[{tag}]",
             mv_pairs,
-            max(tol, 1e-8),
+            QUAD_TOL,
             ops=("process.mean_variance",),
             relative=True,
         )
@@ -773,7 +762,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
         check_value(
             f"pgf-vs-quadrature[{tag}]",
             pgf_pairs,
-            max(tol, 1e-6),
+            1e-6,
             ops=("process.pgf",),
             detail="transform identity, z->1 limit, derivative extracts pmf(1)",
         )
@@ -786,7 +775,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
                 (_quad(lambda x, m=m, n=n: pp.posterior_pdf(m, n, x), a, 1e-11), 1.0)
                 for (m, n) in post_cases
             ],
-            tol,
+            QUAD_TOL,
             ops=("process.posterior_pdf",),
         )
     )
@@ -803,7 +792,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
         check_value(
             f"posterior-mean-vs-quadrature[{tag}]",
             post_pairs,
-            max(tol, 1e-6),
+            1e-6,
             ops=("process.posterior_mean",),
             relative=True,
             detail="quadrature ratio plus tower property",
@@ -831,7 +820,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
         check_value(
             f"factorial-moment-vs-series[{tag}]",
             fact_pairs,
-            max(tol, 1e-6),
+            1e-6,
             ops=("process.factorial_moment",),
             relative=True,
         )
@@ -849,7 +838,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
         check_value(
             f"ordered-pmf-identities[{tag}]",
             ordered_pairs,
-            max(tol, 1e-9),
+            QUAD_TOL,
             ops=("process.ordered_pmf",),
             detail="single-time reduction, non-monotone zero, marginalization",
         )
@@ -888,7 +877,7 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
         check_value(
             f"conditional-binomial-vs-ordered[{tag}]",
             cond_pairs,
-            max(tol, 1e-10),
+            QUAD_TOL,
             ops=("process.conditional_binomial_pmf",),
         )
     )
@@ -942,20 +931,15 @@ def _process_checks(a: float, lam: float, tol: float, seed: int, paths: int):
 
 
 def run_checks(
-    tol: float | None = None,
-    seed: int = 20260814,
-    mc_draws: int = 200_000,
-    paths: int = 10_000,
+    seed: int = 20260814, mc_draws: int = 200_000, paths: int = 10_000
 ) -> list[CheckResult]:
     """The full oracle battery plus the coverage audit."""
-    if tol is None:
-        tol = default_tolerance()
     checks: list[CheckResult] = []
     for i, (a, lam) in enumerate(_PARAM_POINTS):
-        checks.extend(_distribution_checks(a, lam, tol, seed + 100 * i, mc_draws))
-        checks.extend(_waiting_checks(a, lam, tol, seed + 100 * i + 10, mc_draws))
+        checks.extend(_distribution_checks(a, lam, seed + 100 * i, mc_draws))
+        checks.extend(_waiting_checks(a, lam, seed + 100 * i + 10, mc_draws))
     a, lam = _PARAM_POINTS[0]
-    checks.extend(_process_checks(a, lam, tol, seed + 50, paths))
+    checks.extend(_process_checks(a, lam, seed + 50, paths))
     covered = set()
     for c in checks:
         covered.update(c.ops)
@@ -1125,7 +1109,7 @@ def _literal_posterior_pdf(pp: MixedPoissonMaxUExp, m: float, n: int, x: float) 
 
 def run_ledger(mc_draws: int = 200_000, seed: int = 7_654_321) -> list[DiscrepancyRecord]:
     """Evaluate every recorded formula discrepancy at two parameter points."""
-    tol = 1e-8
+    tol = QUAD_TOL
     records: list[DiscrepancyRecord] = []
 
     # Transform of the mixing law: literal vs corrected first term.

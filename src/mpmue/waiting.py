@@ -15,58 +15,56 @@ import math
 import numpy as np
 
 from .distribution import MaxUExp, _require_positive, _z_exp, _z_exp_array
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .numerics import checked_exp, log_gamma
 from .rng import RandomStream, _draw_rows
 
 
-# 1 - (1 - e^-z)/z = sum over k >= 1 of (-1)^(k+1) z^k / (k+1)!.  Below
-# _EM1_CUT fourteen terms reach double precision; above it the direct form
-# loses at most two bits to cancellation.
+# 1 - (1 - e^-z)/z = sum over k >= 1 of (-1)^(k+1) z^k / (k+1)!, and its
+# derivative (1 - e^-z - z e^-z)/z^2 is the term-wise derivative.  Below
+# _EM1_CUT sixteen terms reach double precision for both; above it the
+# direct forms lose at most two bits to cancellation.
 _EM1_CUT = 0.5
-_EM1_SERIES = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 15))
+_EM1_SERIES = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 17))
+_EM2_SERIES = tuple(k * c for k, c in enumerate(_EM1_SERIES, 1))
 
 
-def _em1_series(z: float | np.ndarray) -> float | np.ndarray:
-    """The series of ``_em1`` by Horner's rule, for a float or an array."""
-    acc = _EM1_SERIES[-1]
-    for c in reversed(_EM1_SERIES[:-1]):
+def _horner(coeffs: tuple[float, ...], z: float | np.ndarray) -> float | np.ndarray:
+    """sum of coeffs[i] z^i, for a float or an array."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * z + c
-    return acc * z
+    return acc
 
 
 def _em1(z: float) -> float:
     """1 - (1 - e^-z) / z for z > 0, by its series below z = _EM1_CUT."""
     if z < _EM1_CUT:
-        return _em1_series(z)
+        return _horner(_EM1_SERIES, z) * z
     return 1.0 - (-math.expm1(-z)) / z
 
 
 def _em1_array(z: np.ndarray) -> np.ndarray:
     """``_em1`` over an array of z > 0, with the same series cutover."""
-    zd = np.maximum(z, _EM1_CUT)
-    return np.where(z < _EM1_CUT, _em1_series(np.minimum(z, _EM1_CUT)), 1.0 - (-np.expm1(-zd)) / zd)
-
-
-def _em2_series(z: float | np.ndarray) -> float | np.ndarray:
-    """The series of ``_em2`` below z = 1e-3, for a float or an array."""
-    return 0.5 - z / 3.0 + z * z / 8.0 - z**3 / 30.0 + z**4 / 144.0
+    zs, zd = np.minimum(z, _EM1_CUT), np.maximum(z, _EM1_CUT)
+    return np.where(z < _EM1_CUT, _horner(_EM1_SERIES, zs) * zs, 1.0 - (-np.expm1(-zd)) / zd)
 
 
 def _em2(z: float) -> float:
-    """(1 - e^-z - z e^-z) / z^2, series-stabilized below z = 1e-3."""
+    """(1 - e^-z - z e^-z) / z^2, the derivative of ``_em1``, by its series
+    below z = _EM1_CUT."""
     if z < 0.0:
         raise DomainError(f"_em2 requires z >= 0, got {z!r}")
-    if z < 1e-3:
-        return _em2_series(z)
+    if z < _EM1_CUT:
+        return _horner(_EM2_SERIES, z)
     return (-math.expm1(-z) - _z_exp(z)) / (z * z)
 
 
 def _em2_array(z: np.ndarray) -> np.ndarray:
     """``_em2`` over an array of z >= 0, with the same series cutover."""
-    zd = np.maximum(z, 1e-3)
+    zd = np.maximum(z, _EM1_CUT)
     direct = (-np.expm1(-zd) - _z_exp_array(zd, np.exp(-zd))) / (zd * zd)
-    return np.where(z < 1e-3, _em2_series(np.minimum(z, 1e-3)), direct)
+    return np.where(z < _EM1_CUT, _horner(_EM2_SERIES, np.minimum(z, _EM1_CUT)), direct)
 
 
 class ErlangMaxUExp:
@@ -122,9 +120,13 @@ class ErlangMaxUExp:
         return top / self.xi._from_uniforms(u[:, n:])
 
     def moment(self, q: float) -> float:
-        """E(T_n^q) = (Gamma(q+n)/Gamma(n)) E(xi^-q); finite exactly for 0 < q < 2."""
-        scale = math.exp(log_gamma(q + self.n) - log_gamma(float(self.n)))
-        return scale * self.xi.neg_moment(q)
+        """E(T_n^q) = (Gamma(q+n)/Gamma(n)) E(xi^-q); finite exactly for 0 < q < 2,
+        NumericError past the double range."""
+        neg = self.xi.neg_moment(q)  # raises outside 0 < q < 2
+        value = math.exp(log_gamma(q + self.n) - log_gamma(float(self.n))) * neg
+        if value == math.inf:
+            raise NumericError(f"E(T^{q!r}) of {self!r} exceeds the double range")
+        return value
 
 
 class ExpMaxUExp(ErlangMaxUExp):
@@ -142,36 +144,42 @@ class ExpMaxUExp(ErlangMaxUExp):
     # pdf and cdf take a float or a numpy array, as MaxUExp's evaluators do.
     # With s = lam + t and y = a s, both carry (1 - e^-y)/y over powers of s.
     # Each division by s comes alone, and the quotient is 1 where y
-    # underflows, so no product such as a s^3 can underflow to 0.
+    # underflows, so no product such as a s^3 can underflow to 0.  At t = inf
+    # they return their limits, 0 and 1.  The pdf's signed (lam - t)/s term
+    # can cancel the rest to below its rounding; the pdf is clamped at 0.
 
     def pdf(self, t: float | np.ndarray) -> float | np.ndarray:
         a, lam = self.a, self.lam
         if isinstance(t, np.ndarray):
-            tp = np.where(t <= 0.0, 1.0, t)
+            edge = (t <= 0.0) | (t == math.inf)
+            tp = np.where(edge, 1.0, t)
             s = lam + tp
             with np.errstate(over="ignore"):
                 y = a * s
                 ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
                 value = a * _em2_array(a * tp) + (lam - tp) / s * ratio / s + tp / s * np.exp(-y) / s
-            return np.where(t <= 0.0, 0.0, value)
-        if t <= 0.0:
+            return np.where(edge, 0.0, np.maximum(value, 0.0))
+        if t <= 0.0 or t == math.inf:
             return 0.0
         s = lam + t
         y = a * s
         ratio = -math.expm1(-y) / y if y > 0.0 else 1.0
-        return a * _em2(a * t) + (lam - t) / s * ratio / s + t / s * math.exp(-y) / s
+        return max(0.0, a * _em2(a * t) + (lam - t) / s * ratio / s + t / s * math.exp(-y) / s)
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         a, lam = self.a, self.lam
         if isinstance(t, np.ndarray):
-            tp = np.where(t <= 0.0, 1.0, t)
+            tp = np.where((t <= 0.0) | (t == math.inf), 1.0, t)
             s = lam + tp
             with np.errstate(over="ignore"):
                 y = a * s
                 ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
-                return np.where(t <= 0.0, 0.0, _em1_array(a * tp) + tp / s * ratio)
+                value = _em1_array(a * tp) + tp / s * ratio
+            return np.where(t <= 0.0, 0.0, np.where(t == math.inf, 1.0, value))
         if t <= 0.0:
             return 0.0
+        if t == math.inf:
+            return 1.0
         s = lam + t
         y = a * s
         ratio = -math.expm1(-y) / y if y > 0.0 else 1.0
@@ -179,7 +187,7 @@ class ExpMaxUExp(ErlangMaxUExp):
 
     def joint_pdf(self, t: float, x: float) -> float:
         """Joint density of (T, xi) at (t, x): x e^(-tx) times the mixing density."""
-        if t <= 0.0 or x <= 0.0:
+        if t <= 0.0 or x <= 0.0 or x == math.inf:
             return 0.0
         return x * math.exp(-t * x) * self.xi.pdf(x)
 
@@ -189,7 +197,7 @@ class ExpMaxUExp(ErlangMaxUExp):
         that neither underflows alone."""
         if not (t > 0.0):
             raise DomainError(f"conditioning requires t > 0, got {t!r}")
-        if x <= 0.0:
+        if x <= 0.0 or x == math.inf:
             return 0.0
         xi = self.xi
         return checked_exp(math.log(x) - t * x + xi._log_pdf(x) - xi.log_tilted_moment(t, 1))

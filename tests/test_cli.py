@@ -1,27 +1,44 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import mpmue
 from mpmue import ErlangMaxUExp, MaxUExp, MaxUExpEstimator, MixedPoissonMaxUExp, RandomStream
 from mpmue.cli import main
+from mpmue.verify import CheckResult
 
 
-def run_cli(*args, env=None, cwd=None):
-    import os
+def run_cli(*args):
+    """``main`` in process, with the exit code and output a ``python -m
+    mpmue.cli`` run would give; argparse's SystemExit becomes the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code or 0
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "mpmue.cli", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-        cwd=cwd,
+
+def test_module_entry_point_matches_main():
+    args = ("eval", "maxuexp", "--a", "1", "--lambda", "1", "--x", "0.5")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mpmue.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-m", "mpmue.cli", *args], capture_output=True, text=True, env=env
     )
+    assert (res.returncode, res.stdout, res.stderr) == (0, run_cli(*args).stdout, "")
+    bad = subprocess.run(
+        [sys.executable, "-m", "mpmue.cli", "frobnicate"], capture_output=True, text=True, env=env
+    )
+    assert bad.returncode == 2
 
 
 def test_eval_maxuexp_matches_library():
@@ -172,11 +189,14 @@ def test_verify_writes_ledger(tmp_path):
     assert by_id["interarrival-mean-finite"]["paper_literal"] == math.inf
 
 
-def test_verify_zero_tolerance_fails(tmp_path):
+def test_verify_zero_tolerance_fails(tmp_path, monkeypatch):
+    # One failing check must fail the run: exit 1 and a FAIL line.
+    failing = CheckResult("broken", False, 1.0, 0.0, 0.0, "forced", ())
+    monkeypatch.setattr("mpmue.cli.run_checks", lambda **kwargs: [failing])
     res = run_cli(
         "verify", "--draws", "2000", "--paths", "500",
         "--ledger", str(tmp_path / "l.json"),
-        env={"MPMUE_TOL": "0"},
     )
     assert res.returncode == 1
-    assert "FAIL" in res.stdout
+    assert "FAIL broken" in res.stdout
+    assert "0/1 checks passed" in res.stdout

@@ -1,0 +1,288 @@
+"""Every public callable returns a finite, in-range value or raises one of
+the package's typed errors, on an extreme grid.
+
+The grid: a, lam and every float argument in {1e-300, 1e-12, 1, 1e12,
+1e300}, and the arguments at inf as well.  Counts, orders and draw counts
+are integers and take small fixed sets.  An evaluator that takes arrays is
+called with a float and with a one-element array.  Warnings count as errors.
+
+Left out, on purpose:
+- the verify battery (``run_checks``, ``run_ledger``, ``write_ledger`` and
+  their records): it runs at fixed parameter points, see test_verify.py;
+- ``simulate_path`` and ``simulate_paths`` where E(xi) mu(horizon) passes
+  1e6: the simulators put no bound on the events they draw, so at, say,
+  MaxUExp(1e-300, 1e-300) they fill memory rather than fail;
+- ``FitReport.params``: the fitters' reports are checked field by field.
+"""
+
+import inspect
+import math
+import numbers
+import warnings
+
+import numpy as np
+import pytest
+
+import mpmue
+from mpmue import (
+    BracketError,
+    DegenerateSampleError,
+    DomainError,
+    ErlangMaxUExp,
+    ExpMaxUExp,
+    FitReport,
+    InsufficientDataError,
+    MaxUExp,
+    MaxUExpEstimator,
+    MixedPoissonMaxUExp,
+    NumericError,
+    PowerTransform,
+    ProcessPath,
+    RandomStream,
+    RangeError,
+    TableTransform,
+)
+
+GRID = (1e-300, 1e-12, 1.0, 1e12, 1e300)
+ARGS = GRID + (math.inf,)
+COUNTS = (0, 1, 5, 1000)
+TYPED = (
+    BracketError,
+    DegenerateSampleError,
+    DomainError,
+    InsufficientDataError,
+    NumericError,
+    RangeError,
+)
+PARAMS = [(a, lam) for a in GRID for lam in GRID]
+
+ONE = [(x,) for x in ARGS]
+PAIRS = [(x, y) for x in ARGS for y in ARGS]
+RISING = [(x, y) for x, y in PAIRS if x < y]
+CLOCK_COUNTS = [(m, n) for m in ARGS for n in COUNTS]
+SAMPLES = [v * MaxUExp(1.0, 1.0).sample_many(RandomStream(5), 30) for v in GRID]
+
+
+def _numbers(value):
+    """The numbers in a return value, objects unpacked into their fields."""
+    if isinstance(value, FitReport):
+        fields = [value.a, value.lam, value.x_product, value.r_hat, *np.ravel(value.candidates)]
+        return fields + ([value.objective] if value.objective is not None else [])
+    if isinstance(value, MaxUExpEstimator):
+        return _numbers(value.report_) if hasattr(value, "report_") else []
+    if isinstance(value, MaxUExp):
+        return [value.a, value.lam]
+    if isinstance(value, ProcessPath):
+        return [value.xi, *value.events]
+    if isinstance(value, RandomStream):
+        return [value.seed, value.position]
+    if isinstance(value, dict):
+        return [v for v in value.values() if isinstance(v, numbers.Real)]
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [x for item in value for x in _numbers(item)]
+    return [value]
+
+
+def _in_range(x, kind: str) -> bool:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        return False
+    if kind == "prob":
+        return 0.0 <= x <= 1.0
+    if kind == "count":
+        return isinstance(x, numbers.Integral) and x >= 0
+    return kind == "real" or x >= 0.0
+
+
+def _leaks(where: str, f, calls, kind: str, arrays: bool = False) -> list[str]:
+    """The calls of f that neither return an in-range value nor raise a
+    typed error.  With ``arrays``, each float argument list is run a second
+    time with its first argument as a one-element array."""
+    if arrays:
+        calls = [*calls, *((np.array([c[0]]), *c[1:]) for c in calls)]
+    leaks = []
+    for args in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = f(*args)
+            except TYPED:
+                continue
+            except Exception as exc:  # a raw error is the leak under test
+                leaks.append(f"{where}{args!r}: {type(exc).__name__}: {exc}")
+                continue
+        out = _numbers(value)
+        if not all(_in_range(x, kind) for x in out):
+            leaks.append(f"{where}{args!r} -> {value!r}")
+    return leaks
+
+
+def _public_methods(cls) -> set[str]:
+    return {n for n, _ in inspect.getmembers(cls, inspect.isfunction) if not n.startswith("_")}
+
+
+# method -> (argument lists, kind, takes arrays).  A function in place of
+# the lists builds them for each instance: a fresh stream for each draw, and
+# the simulators' cut on E(xi) mu(horizon).
+MAXUEXP = {
+    "cdf": (ONE, "prob", True),
+    "pdf": (ONE, "nonneg", True),
+    "hazard": (ONE, "nonneg", True),
+    "quantile": (ONE, "nonneg", False),
+    "sample": (lambda d: [(RandomStream(11),)], "nonneg", False),
+    "sample_many": (lambda d: [(RandomStream(11), 3)], "nonneg", False),
+    "moment": (ONE, "nonneg", False),
+    "mean": ([()], "nonneg", False),
+    "variance": ([()], "nonneg", False),
+    "neg_moment": (ONE, "nonneg", False),
+    "lst": (ONE, "prob", False),
+    "log_tilted_moment": (CLOCK_COUNTS, "real", False),
+    "tilted_moment": (CLOCK_COUNTS, "nonneg", False),
+    "scaled": (ONE, "nonneg", False),
+}
+
+ERLANG = {
+    "pdf": (ONE, "nonneg", False),
+    "cdf": (ONE, "prob", False),
+    "sample": (lambda d: [(RandomStream(11),)], "nonneg", False),
+    "sample_many": (lambda d: [(RandomStream(11), 3)], "nonneg", False),
+    "moment": (ONE, "nonneg", False),
+}
+
+EXP = {
+    **ERLANG,
+    "pdf": (ONE, "nonneg", True),
+    "cdf": (ONE, "prob", True),
+    "joint_pdf": (PAIRS, "nonneg", False),
+    "conditional_mixing_pdf": (PAIRS, "nonneg", False),
+    "mean_mixing_given_arrival": (ONE, "nonneg", False),
+    "mean_arrival_given_mixing": (ONE, "nonneg", False),
+    "joint_interarrival_pdf": (
+        [([t],) for t in ARGS] + [([s, t],) for s, t in PAIRS],
+        "nonneg",
+        False,
+    ),
+}
+
+
+def _horizons(proc):
+    """The horizons where E(xi) mu(horizon) stays within 1e6, and inf, which
+    is rejected up front; see the module docstring."""
+    mean = proc.xi.mean()
+    return [h for h in ARGS if h == math.inf or mean * h <= 1e6]
+
+
+PROCESS = {
+    "pmf": (CLOCK_COUNTS, "prob", False),
+    "pmf_upper_tail_bound": (CLOCK_COUNTS, "prob", False),
+    "truncation_point": (PAIRS, "count", False),
+    "mean_variance": (ONE, "nonneg", False),
+    "pgf": (PAIRS, "prob", False),
+    "posterior_pdf": ([(m, n, x) for m, n in CLOCK_COUNTS for x in ARGS], "nonneg", False),
+    "posterior_mean": (CLOCK_COUNTS, "nonneg", False),
+    "factorial_moment": ([(m, k) for m in ARGS for k in (1, 2, 5)], "nonneg", False),
+    "ordered_pmf": ([(mus, ks) for mus in RISING for ks in ((0, 0), (1, 3))], "prob", False),
+    "increments_pmf": ([(mus, ms) for mus in RISING for ms in ((0, 0), (1, 2))], "prob", False),
+    "simulate_path": (
+        lambda p: [(PowerTransform(1.0), h, RandomStream(11)) for h in _horizons(p)],
+        "nonneg",
+        False,
+    ),
+    "simulate_paths": (
+        lambda p: [(PowerTransform(1.0), h, 3, 11) for h in _horizons(p)],
+        "nonneg",
+        False,
+    ),
+}
+
+TRANSFORM = {
+    "value": (ONE, "nonneg", False),
+    "inverse": (ONE, "nonneg", True),
+}
+
+STREAM = {
+    "uniform": ([()], "prob", False),
+    "uniforms": ([(0,), (3,)], "prob", False),
+    "exponential": (ONE, "nonneg", False),
+    "exponentials": ([(3, r) for r in ARGS], "nonneg", False),
+    "gamma_int": ([(k, r) for k in (1, 5) for r in ARGS], "nonneg", False),
+    "substream": ([(0,), (1,)], "count", False),
+}
+
+PATH = {"count_at": (ONE, "count", False)}
+
+ESTIMATOR = {
+    "fit": ([(x,) for x in SAMPLES], "nonneg", False),
+    "get_params": ([()], "nonneg", False),
+    "set_params": ([()], "nonneg", False),
+}
+
+# class -> (its method table, the instances to call it on)
+CLASSES = {
+    MaxUExp: (MAXUEXP, [MaxUExp(a, lam) for a, lam in PARAMS]),
+    ErlangMaxUExp: (ERLANG, [ErlangMaxUExp(n, a, lam) for n in (2, 10) for a, lam in PARAMS]),
+    ExpMaxUExp: (EXP, [ExpMaxUExp(a, lam) for a, lam in PARAMS]),
+    MixedPoissonMaxUExp: (PROCESS, [MixedPoissonMaxUExp(MaxUExp(a, lam)) for a, lam in PARAMS]),
+    PowerTransform: (TRANSFORM, [PowerTransform(c) for c in GRID]),
+    TableTransform: (TRANSFORM, [TableTransform([(0.0, 0.0), (1.0, v), (2.0, 2.0 * v)]) for v in GRID]),
+    RandomStream: (STREAM, [RandomStream(11)]),
+    ProcessPath: (PATH, [ProcessPath(1.0, [0.5], 1.0)]),
+    MaxUExpEstimator: (ESTIMATOR, [MaxUExpEstimator(m) for m in ("auto", "mom", "lsq")]),
+}
+
+# function -> (argument lists, kind)
+FUNCTIONS = {
+    "conditional_binomial_pmf": (
+        [(n, s, t, j) for n in COUNTS for s, t in PAIRS for j in (0, 1)],
+        "prob",
+    ),
+    "empirical_moments": ([(x,) for x in SAMPLES], "nonneg"),
+    "exceedance_confidence": (
+        [(n, p, k) for n in (1, 1000, 10**6) for p in ARGS for k in (0, 1)],
+        "prob",
+    ),
+    "fit_auto": ([(x,) for x in SAMPLES], "nonneg"),
+    "histogram_init": ([(x,) for x in SAMPLES], "nonneg"),
+    "lsq_fit": ([(x, p) for x in SAMPLES for p in PARAMS], "nonneg"),
+    "lsq_objective": ([(x, a, lam) for x in SAMPLES for a, lam in PARAMS], "nonneg"),
+    "mom_curve": (ONE, "nonneg"),
+    "mom_curve_extrema": ([()], "nonneg"),
+    "ratio_stat": ([(x, v) for x in SAMPLES for v in ("unbiased", "plain")], "nonneg"),
+    "solve_mom": ([(x, v) for x in SAMPLES for v in ("unbiased", "plain")], "nonneg"),
+    "to_cumulative": ([(list(COUNTS),), ([1000, 0, 5],)], "count"),
+    "to_increments": ([(list(COUNTS),), ([0, 0, 1000],)], "count"),
+}
+
+LEFT_OUT = {
+    "CheckResult",
+    "DiscrepancyRecord",
+    "FitReport",
+    "run_checks",
+    "run_ledger",
+    "write_ledger",
+    "__version__",
+}
+
+
+def test_every_public_name_is_covered():
+    errors = {n for n in mpmue.__all__ if n.endswith("Error")}
+    classes = {cls.__name__ for cls in CLASSES}
+    assert set(mpmue.__all__) == errors | classes | set(FUNCTIONS) | LEFT_OUT
+    for cls, (table, _) in CLASSES.items():
+        assert _public_methods(cls) == set(table), cls.__name__
+
+
+@pytest.mark.parametrize("cls", list(CLASSES), ids=lambda c: c.__name__)
+def test_methods_return_finite_in_range_or_raise_typed_errors(cls):
+    table, instances = CLASSES[cls]
+    leaks = []
+    for obj in instances:
+        for name, (calls, kind, arrays) in table.items():
+            args = calls(obj) if callable(calls) else calls
+            leaks += _leaks(f"{obj!r}.{name}", getattr(obj, name), args, kind, arrays)
+    assert leaks == []
+
+
+@pytest.mark.parametrize("name", list(FUNCTIONS))
+def test_functions_return_finite_in_range_or_raise_typed_errors(name):
+    calls, kind = FUNCTIONS[name]
+    assert _leaks(name, getattr(mpmue, name), calls, kind) == []

@@ -11,6 +11,7 @@ from mpmue import (
     InsufficientDataError,
     MaxUExp,
     MaxUExpEstimator,
+    NumericError,
     RandomStream,
     exceedance_confidence,
     fit_auto,
@@ -82,6 +83,25 @@ def test_mom_curve_limits_and_extrema():
         mom_curve(0.0)
     with pytest.raises(DomainError):
         mom_curve(-1.0)
+
+
+def test_mom_curve_stays_finite_where_x4_overflows():
+    # x^4 leaves the double range past 1.5e77 and x**3 past 5.6e102; g(x)
+    # rounds to 4/3 long before.  Below that the closed form is untouched.
+    for x in (1.53e77, 1e80, 1e102, 1e200, 1.7e308):
+        assert mom_curve(x) == 4.0 / 3.0
+    x = 1.5e77
+    root = x * x / 2.0 - math.expm1(-x)
+    assert mom_curve(x) == x * (x**3 / 3.0 + 4.0 - 2.0 * math.exp(-x) * (x + 2.0)) / (root * root)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_sample_moments_past_the_double_range_raise(scale):
+    # The squares of the sample overflow (or underflow), so m2 is no double.
+    sample = [scale, 2.0 * scale, 1.5 * scale]
+    for f in (empirical_moments, ratio_stat, solve_mom, fit_auto):
+        with pytest.raises(NumericError):
+            f(sample)
 
 
 def test_mom_curve_series_handover():

@@ -15,22 +15,9 @@ from mpmue.verify import (
     check_mc,
     check_quantiles,
     check_value,
-    default_tolerance,
     ks_critical,
     ks_statistic,
 )
-
-
-def test_default_tolerance_env(monkeypatch):
-    monkeypatch.delenv("MPMUE_TOL", raising=False)
-    assert default_tolerance() == 1e-8
-    monkeypatch.setenv("MPMUE_TOL", "1e-6")
-    assert default_tolerance() == 1e-6
-    monkeypatch.setenv("MPMUE_TOL", "0")
-    assert default_tolerance() == 0.0
-    monkeypatch.setenv("MPMUE_TOL", "not-a-number")
-    with pytest.raises(DomainError):
-        default_tolerance()
 
 
 def test_check_result_line_format():
@@ -79,39 +66,18 @@ def test_ks_statistic_and_critical():
     assert ks_critical(n) == pytest.approx(1.6276 / math.sqrt(n))
 
 
-def _const_sampler(value):
-    def sampler(n, stream):
-        stream.uniforms(n)  # consume the stream like a real sampler
-        return np.full(n, value)
-
-    return sampler
-
-
 def test_check_mc_mean_mode():
-    res = check_mc(
-        "const-mean",
-        _const_sampler(2.0),
-        statistic=lambda x: x,
-        closed_form=2.0,
-        n_draws=500,
-        seed=1,
-    )
+    res = check_mc("const-mean", np.full(500, 2.0), closed_form=2.0)
     assert res.passed
 
 
 def test_check_mc_nonfinite_target_switches_to_quantile():
     # An infinite closed form cannot be checked as a mean; with a cdf
     # supplied the check degrades to quantile agreement.
-    def sampler(n, stream):
-        return -np.log(stream.uniforms(n))
-
     res = check_mc(
         "inf-target",
-        sampler,
-        statistic=lambda x: x,
+        -np.log(RandomStream(3).uniforms(5_000)),
         closed_form=math.inf,
-        n_draws=5_000,
-        seed=3,
         cdf=lambda t: -math.expm1(-t),
         cdf_points=(0.5, 1.0, 2.0),
     )
@@ -120,14 +86,7 @@ def test_check_mc_nonfinite_target_switches_to_quantile():
 
 
 def test_check_mc_nonfinite_without_cdf_fails():
-    res = check_mc(
-        "inf-no-cdf",
-        _const_sampler(1.0),
-        statistic=lambda x: x,
-        closed_form=math.inf,
-        n_draws=100,
-        seed=4,
-    )
+    res = check_mc("inf-no-cdf", np.ones(100), closed_form=math.inf)
     assert not res.passed
     assert "no cdf supplied" in res.detail
 
@@ -135,19 +94,12 @@ def test_check_mc_nonfinite_without_cdf_fails():
 def test_check_mc_heavy_tail_guard():
     # One draw carrying most of the second moment must not be trusted as a
     # mean estimate; the guard reroutes to the quantile comparison.
-    def sampler(n, stream):
-        stream.uniforms(n)
-        out = np.ones(n)
-        out[0] = 1e6
-        return out
-
+    draws = np.ones(1_000)
+    draws[0] = 1e6
     res = check_mc(
         "heavy",
-        sampler,
-        statistic=lambda x: x,
+        draws,
         closed_form=1.0 + 1e6 / 1000,
-        n_draws=1_000,
-        seed=5,
         cdf=lambda t: 0.0 if t < 1.0 else (0.999 if t < 1e6 else 1.0),
         cdf_points=(1.5,),
     )
@@ -258,13 +210,6 @@ def test_run_checks_small_budget_green():
     assert REQUIRED_OPS <= covered
 
 
-def test_run_checks_honors_tol_argument():
-    # A zero tolerance must fail the exact-identity checks too (they compare
-    # floating point results from two different computation routes).
-    results = run_checks(tol=0.0, mc_draws=2_000, paths=500)
-    assert any(not r.passed for r in results)
-
-
 @pytest.mark.parametrize("law", ["maxuexp", "emue"])
 def test_ks_statistic_one_array_call_matches_scalar_loop(law):
     d = MaxUExp(1.0, 1.0) if law == "maxuexp" else ExpMaxUExp(1.0, 1.0)
@@ -291,8 +236,8 @@ def test_ks_statistic_rejects_a_cdf_that_does_not_map_arrays():
         ks_statistic(np.linspace(0.1, 0.9, 5), lambda x: 0.5)
 
 
-# Each parameter point runs these checks in this order: (name, ops, tol at the
-# default tolerance); None marks a 1% KS gate, whose tol is ks_critical(n).
+# Each parameter point runs these checks in this order: (name, ops, tol);
+# None marks a 1% KS gate, whose tol is ks_critical(n).
 _POINT_CONTRACT = [
     ("maxuexp-pdf-mass", ("maxuexp.pdf",), 1e-8),
     ("maxuexp-cdf-vs-quadrature", ("maxuexp.cdf",), 1e-8),
@@ -351,8 +296,7 @@ _PROCESS_CONTRACT = [
     ("path-count-law", ("process.simulate_path",), 4.0),
 ]
 
-def test_run_checks_contract(monkeypatch):
-    monkeypatch.delenv("MPMUE_TOL", raising=False)
+def test_run_checks_contract():
     mc_draws = 20_000
     ks_n = {"maxuexp-sample-ks": mc_draws, "emue-sample-ks": mc_draws // 2}
     expected = []

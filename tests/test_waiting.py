@@ -14,6 +14,7 @@ from mpmue import (
 )
 from mpmue.numerics import integrate
 from mpmue.rng import _BLOCK
+from mpmue.waiting import _EM1_CUT, _em1, _em1_array, _em2, _em2_array
 
 
 def _ks2(x, y):
@@ -35,14 +36,53 @@ def test_pdf_cdf_anchor_values():
 
 def test_pdf_series_matches_direct_branch():
     # The small-argument series and the direct expression must agree where
-    # they hand over.
-    w = ExpMaxUExp(1.0, 1.0)
-    eps = 1e-3 / w.a
-    # Straddle the handover tightly: the genuine slope of the density
-    # contributes ~4e-8 here, so anything larger is a branch mismatch.
-    below = w.pdf(eps * 0.99999)
-    above = w.pdf(eps * 1.00001)
-    assert below == pytest.approx(above, rel=1e-6)
+    # they hand over, at a t = _EM1_CUT: one ulp of t moves the density by
+    # about 1e-16, so anything larger is a branch mismatch.
+    for a, lam in ((1.0, 1.0), (2.0, 0.5)):
+        w = ExpMaxUExp(a, lam)
+        at_cut = _EM1_CUT / a
+        below = w.pdf(math.nextafter(at_cut, 0.0))
+        assert below == pytest.approx(w.pdf(at_cut), rel=2e-15, abs=0.0)
+
+
+def _em_reference(z):
+    """1 - (1 - e^-z)/z and its derivative (1 - e^-z - z e^-z)/z^2 in 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        return float(1 - (-mpmath.expm1(-z)) / z), float((-mpmath.expm1(-z) - z * mpmath.exp(-z)) / z**2)
+
+
+def _pdf_reference(a, lam, t):
+    """The inter-arrival density's closed form in 40 digits, where it does not cancel."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, lam, t = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(t)
+        s, z = lam + t, a * t
+        em2 = (-mpmath.expm1(-z) - z * mpmath.exp(-z)) / z**2
+        ratio = -mpmath.expm1(-a * s) / (a * s)
+        return float(a * em2 + (lam - t) / s**2 * ratio + t / s**2 * mpmath.exp(-a * s))
+
+
+def test_em1_em2_and_pdf_match_mpmath():
+    # _em2 is the derivative of _em1, and both come from one series below
+    # _EM1_CUT: the direct form of _em2 cancels like 2 eps/z, to 4e-13 at
+    # z = 1e-3.
+    zs = np.logspace(-8, 2, 1001)
+    ref = np.array([_em_reference(z) for z in zs])
+    for got in (np.array([_em1(z) for z in zs]), _em1_array(zs)):
+        assert np.max(np.abs(got / ref[:, 0] - 1.0)) <= 1e-15
+    for got in (np.array([_em2(z) for z in zs]), _em2_array(zs)):
+        assert np.max(np.abs(got / ref[:, 1] - 1.0)) <= 1e-15
+    # The density adds the signed (lam - t)/s term, which cancels the rest by
+    # a factor of up to about 4.6 here (at (2, 0.5), t = 8), so its rounding
+    # reaches 1.5e-15.
+    ts = np.logspace(-5, 1, 601)
+    for a, lam in ((1.0, 1.0), (2.0, 0.5)):
+        w = ExpMaxUExp(a, lam)
+        ref = np.array([_pdf_reference(a, lam, t) for t in ts])
+        for got in (np.array([w.pdf(float(t)) for t in ts]), w.pdf(ts)):
+            assert np.max(np.abs(got / ref - 1.0)) <= 2e-15
 
 
 def _cdf_reference(a, lam, t):
