@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .distribution import MaxUExp
+from .distribution import MaxUExp, _like
 from .errors import DomainError, NumericError, RangeError
 from .numerics import checked_exp
 from .rng import RandomStream, counter_uniforms, substream_seeds
@@ -27,10 +27,12 @@ _ROUND = 8
 
 
 class TimeTransform(Protocol):
-    """A clock mu; ``inverse`` maps a float to a float and an array to an
-    array, element for element with the same arithmetic."""
+    """A clock mu; ``value`` and ``inverse`` map a float to a float and an
+    array to an array of its shape.  The library's clocks evaluate both as
+    one numpy expression, so a float and a one-element array give the same
+    value."""
 
-    def value(self, t: float) -> float: ...
+    def value(self, t: float | np.ndarray) -> float | np.ndarray: ...
 
     def inverse(self, y: float | np.ndarray) -> float | np.ndarray: ...
 
@@ -46,7 +48,7 @@ class PowerTransform:
             raise DomainError(f"power exponent must be finite and positive, got {c!r}")
         self.c = c
 
-    def value(self, t: float) -> float:
+    def value(self, t: float | np.ndarray) -> float | np.ndarray:
         return self._power(t, self.c)
 
     def inverse(self, y: float | np.ndarray) -> float | np.ndarray:
@@ -57,20 +59,13 @@ class PowerTransform:
     def _power(x: float | np.ndarray, p: float) -> float | np.ndarray:
         """x^p for finite x >= 0 (DomainError otherwise), NumericError where
         it passes the double range."""
-        if isinstance(x, np.ndarray):
-            if x.size and not (x.min() >= 0.0 and x.max() < math.inf):
-                raise DomainError("times and clock values must be finite and >= 0")
-            with np.errstate(over="raise"):
-                try:
-                    return x**p
-                except FloatingPointError:
-                    raise NumericError(f"a clock value ** {p!r} overflows a double") from None
-        if not (0.0 <= x < math.inf):
-            raise DomainError(f"times and clock values must be finite and >= 0, got {x!r}")
-        try:
-            return x**p
-        except OverflowError:
-            raise NumericError(f"{x!r} ** {p!r} overflows a double") from None
+        if np.size(x) and not (np.min(x) >= 0.0 and np.max(x) < math.inf):
+            raise DomainError("times and clock values must be finite and >= 0")
+        with np.errstate(over="raise"):
+            try:
+                return _like(x, np.power(x, p))
+            except FloatingPointError:
+                raise NumericError(f"a clock value ** {p!r} overflows a double") from None
 
 
 class TableTransform:
@@ -97,22 +92,12 @@ class TableTransform:
 
     @staticmethod
     def _interpolate(xs: list[float], ys: list[float], x: float | np.ndarray) -> float | np.ndarray:
-        """The polyline through (xs, ys) at x.  Floats find their segment with
-        bisect, arrays with searchsorted; both then do the same arithmetic."""
-        last = len(xs) - 1
-        if isinstance(x, np.ndarray):
-            if x.size and not (xs[0] <= x.min() and x.max() <= xs[-1]):
-                raise RangeError(f"values outside table range [{xs[0]}, {xs[-1]}]")
-            i = np.minimum(np.searchsorted(xs, x, side="right"), last) - 1
-            xs, ys = np.asarray(xs), np.asarray(ys)
-        else:
-            if not (xs[0] <= x <= xs[-1]):
-                raise RangeError(f"{x!r} outside table range [{xs[0]}, {xs[-1]}]")
-            i = min(bisect.bisect_right(xs, x), last) - 1
-        w = (x - xs[i]) / (xs[i + 1] - xs[i])
-        return ys[i] + w * (ys[i + 1] - ys[i])
+        """The polyline through (xs, ys) at x, exact at the anchors."""
+        if np.size(x) and not (xs[0] <= np.min(x) and np.max(x) <= xs[-1]):
+            raise RangeError(f"values outside table range [{xs[0]}, {xs[-1]}]")
+        return _like(x, np.interp(x, xs, ys))
 
-    def value(self, t: float) -> float:
+    def value(self, t: float | np.ndarray) -> float | np.ndarray:
         return self._interpolate(self.ts, self.mus, t)
 
     def inverse(self, y: float | np.ndarray) -> float | np.ndarray:
@@ -138,7 +123,7 @@ def to_increments(cumulative: Sequence[int]) -> list[int]:
         raise DomainError("counts must be >= 0")
     if any(b < a for a, b in zip(ks[:-1], ks[1:])):
         raise DomainError("cumulative counts must be non-decreasing")
-    return [ks[0]] + [b - a for a, b in zip(ks[:-1], ks[1:])]
+    return ks[:1] + [b - a for a, b in zip(ks[:-1], ks[1:])]
 
 
 def to_cumulative(increments: Sequence[int]) -> list[int]:
@@ -331,7 +316,12 @@ class MixedPoissonMaxUExp:
             raise DomainError(f"horizon must be finite and positive, got {horizon!r}")
         mu_h = transform.value(horizon)
         xi = self.xi._from_uniforms(counter_uniforms(seeds[:, None], position, 2))
-        budget = xi * mu_h
+        with np.errstate(over="ignore"):
+            budget = xi * mu_h
+        if not np.all(budget < 2.0**53):
+            # truncation_point's bound: past it counts stop being exact
+            # doubles, and the rounds would run until memory runs out.
+            raise NumericError(f"event budget xi mu({horizon!r}) of {self!r} passes 2^53")
         position += 2
         s = np.zeros(len(seeds))
         active = np.arange(len(seeds))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .distribution import MaxUExp, _require_positive, _z_exp, _z_exp_array
+from .distribution import MaxUExp, _like, _require_positive, _z_exp, _z_exp_array
 from .errors import DomainError, NumericError
 from .numerics import checked_exp, log_gamma
 from .rng import RandomStream, _draw_rows
@@ -37,15 +37,9 @@ def _horner(coeffs: tuple[float, ...], z: float | np.ndarray) -> float | np.ndar
     return acc
 
 
-def _em1(z: float) -> float:
-    """1 - (1 - e^-z) / z for z > 0, by its series below z = _EM1_CUT."""
-    if z < _EM1_CUT:
-        return _horner(_EM1_SERIES, z) * z
-    return 1.0 - (-math.expm1(-z)) / z
-
-
-def _em1_array(z: np.ndarray) -> np.ndarray:
-    """``_em1`` over an array of z > 0, with the same series cutover."""
+def _em1(z: float | np.ndarray) -> np.ndarray:
+    """1 - (1 - e^-z) / z for z > 0, a float or an array, by its series
+    below z = _EM1_CUT."""
     zs, zd = np.minimum(z, _EM1_CUT), np.maximum(z, _EM1_CUT)
     return np.where(z < _EM1_CUT, _horner(_EM1_SERIES, zs) * zs, 1.0 - (-np.expm1(-zd)) / zd)
 
@@ -90,10 +84,17 @@ class ErlangMaxUExp:
         return f"ErlangMaxUExp(n={self.n}, a={self.a}, lam={self.lam})"
 
     def pdf(self, t: float) -> float:
+        """f(t) = (n/t) P(N(t) = n), N the mixed Poisson count on the unit
+        clock: the count kernel ``MaxUExp._log_count_pmf``, as in ``cdf``."""
         if t <= 0.0:
             return 0.0
+        if not t < math.inf:
+            raise DomainError(f"pdf requires finite t, got {t!r}")
         n = self.n
-        return math.exp((n - 1) * math.log(t) - math.lgamma(n) + self.xi.log_tilted_moment(t, n))
+        log_p = self.xi._log_count_pmf(t, n)
+        if not log_p > -math.inf:
+            raise NumericError(f"density of {self!r} at t={t!r} lost to cancellation")
+        return checked_exp(math.log(n) - math.log(t) + log_p)
 
     def cdf(self, t: float) -> float:
         """P(T_n <= t) = P(N(t) >= n), N the mixed Poisson count on the unit
@@ -141,12 +142,16 @@ class ExpMaxUExp(ErlangMaxUExp):
     def __repr__(self) -> str:
         return f"ExpMaxUExp(a={self.a}, lam={self.lam})"
 
-    # pdf and cdf take a float or a numpy array, as MaxUExp's evaluators do.
-    # With s = lam + t and y = a s, both carry (1 - e^-y)/y over powers of s.
-    # Each division by s comes alone, and the quotient is 1 where y
-    # underflows, so no product such as a s^3 can underflow to 0.  At t = inf
-    # they return their limits, 0 and 1.  The pdf's signed (lam - t)/s term
-    # can cancel the rest to below its rounding; the pdf is clamped at 0.
+    # pdf and cdf take a float or a numpy array, as MaxUExp's evaluators do:
+    # cdf is one numpy expression and gives a float back for a float
+    # (``_like``); pdf keeps a math-module branch for floats, since it is a
+    # quadrature integrand, called about 3,000 times with a float per default
+    # ``verify``.  With s = lam + t and y = a s, both carry (1 - e^-y)/y over
+    # powers of s.  Each division by s comes alone, and the quotient is 1
+    # where y underflows, so no product such as a s^3 can underflow to 0.  At
+    # t = inf they return their limits, 0 and 1.  The pdf's signed
+    # (lam - t)/s term can cancel the rest to below its rounding; the pdf is
+    # clamped at 0.
 
     def pdf(self, t: float | np.ndarray) -> float | np.ndarray:
         a, lam = self.a, self.lam
@@ -168,22 +173,13 @@ class ExpMaxUExp(ErlangMaxUExp):
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         a, lam = self.a, self.lam
-        if isinstance(t, np.ndarray):
-            tp = np.where((t <= 0.0) | (t == math.inf), 1.0, t)
-            s = lam + tp
-            with np.errstate(over="ignore"):
-                y = a * s
-                ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
-                value = _em1_array(a * tp) + tp / s * ratio
-            return np.where(t <= 0.0, 0.0, np.where(t == math.inf, 1.0, value))
-        if t <= 0.0:
-            return 0.0
-        if t == math.inf:
-            return 1.0
-        s = lam + t
-        y = a * s
-        ratio = -math.expm1(-y) / y if y > 0.0 else 1.0
-        return _em1(a * t) + t / s * ratio
+        tp = np.where((t <= 0.0) | (t == math.inf), 1.0, t)
+        s = lam + tp
+        with np.errstate(over="ignore"):
+            y = a * s
+            ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
+            value = _em1(a * tp) + tp / s * ratio
+        return _like(t, np.where(t <= 0.0, 0.0, np.where(t == math.inf, 1.0, value)))
 
     def joint_pdf(self, t: float, x: float) -> float:
         """Joint density of (T, xi) at (t, x): x e^(-tx) times the mixing density."""

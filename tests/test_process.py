@@ -355,7 +355,7 @@ def test_batch_prefix_matches_single_paths(pp, clock, horizon):
 def _event_loop(pp, clock, horizon, stream):
     # The event-at-a-time simulation: one exponential per arrival, accepted
     # while the running sum stays within xi mu(horizon).  The clock inverse
-    # takes one-element arrays, as numpy's power can differ from Python's.
+    # takes floats: it is one numpy expression for floats and arrays alike.
     xi = pp.xi.sample(stream)
     budget = xi * clock.value(horizon)
     events, s = [], 0.0
@@ -363,7 +363,7 @@ def _event_loop(pp, clock, horizon, stream):
         s += stream.exponential(1.0)
         if s > budget:
             return xi, events
-        events.append(min(float(clock.inverse(np.array([s / xi]))[0]), horizon))
+        events.append(min(clock.inverse(s / xi), horizon))
 
 
 @pytest.mark.parametrize("clock,horizon", CLOCKS)
@@ -388,6 +388,18 @@ def test_simulate_path_consumes_its_draws(pp):
     )
 
 
+def test_simulate_past_two_to_the_53_events_raises_typed_error():
+    # xi is about 1e300 here, so the event budget xi mu(1) passes 2^53, the
+    # bound truncation_point uses; the rounds would fill memory instead.
+    proc = MixedPoissonMaxUExp(MaxUExp(1e-300, 1e-300))
+    with pytest.raises(NumericError):
+        proc.simulate_paths(PowerTransform(1.0), 1.0, 3, seed=1)
+    stream = RandomStream(1)
+    with pytest.raises(NumericError):
+        proc.simulate_path(PowerTransform(1.0), 1.0, stream)
+    assert stream.position == 0
+
+
 def test_simulate_paths_empty_batch(pp):
     assert pp.simulate_paths(PowerTransform(1.0), 2.0, 0, seed=1) == []
     with pytest.raises(DomainError):
@@ -409,7 +421,9 @@ def test_table_inverse_array_matches_scalar():
     tr = TableTransform([(0.0, 0.0), (0.3, 1.0), (0.7, 2.5), (2.9, 2.75), (5.0, 9.0)])
     ys = np.concatenate([tr.mus, np.linspace(0.0, 9.0, 1001), RandomStream(4).uniforms(500) * 9.0])
     ts = np.concatenate([tr.ts, np.linspace(0.0, 5.0, 1001)])
-    assert tr.inverse(ys).tolist() == [tr.inverse(y) for y in ys.tolist()]
+    floats = [tr.inverse(y) for y in ys.tolist()]
+    assert tr.inverse(ys).tolist() == floats and all(type(t) is float for t in floats)
+    assert tr.value(ts).tolist() == [tr.value(t) for t in ts.tolist()]
     assert tr.inverse(np.array(tr.mus)).tolist() == tr.ts
     assert [tr.value(t) for t in tr.ts] == tr.mus
     assert tr.inverse(np.zeros((2, 0))).shape == (2, 0)
@@ -422,7 +436,9 @@ def test_power_inverse_array_matches_scalar():
     for c in (1.0, 1.5, 2.0):
         tr = PowerTransform(c)
         ys = RandomStream(6).uniforms(1000) * 30.0
-        assert tr.inverse(ys).tolist() == [float(tr.inverse(np.array([y]))[0]) for y in ys.tolist()]
+        floats = [tr.inverse(y) for y in ys.tolist()]
+        assert tr.inverse(ys).tolist() == floats and all(type(t) is float for t in floats)
+        assert tr.value(ys).tolist() == [tr.value(y) for y in ys.tolist()]
         with pytest.raises(DomainError):
             tr.inverse(np.array([1.0, -1.0]))
 

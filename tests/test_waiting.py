@@ -14,7 +14,7 @@ from mpmue import (
 )
 from mpmue.numerics import integrate
 from mpmue.rng import _BLOCK
-from mpmue.waiting import _EM1_CUT, _em1, _em1_array, _em2, _em2_array
+from mpmue.waiting import _EM1_CUT, _em1, _em2, _em2_array
 
 
 def _ks2(x, y):
@@ -70,7 +70,7 @@ def test_em1_em2_and_pdf_match_mpmath():
     # z = 1e-3.
     zs = np.logspace(-8, 2, 1001)
     ref = np.array([_em_reference(z) for z in zs])
-    for got in (np.array([_em1(z) for z in zs]), _em1_array(zs)):
+    for got in (np.array([_em1(z) for z in zs]), _em1(zs)):
         assert np.max(np.abs(got / ref[:, 0] - 1.0)) <= 1e-15
     for got in (np.array([_em2(z) for z in zs]), _em2_array(zs)):
         assert np.max(np.abs(got / ref[:, 1] - 1.0)) <= 1e-15
@@ -272,22 +272,44 @@ def test_erlang_cdf_monotone_and_tail_route():
             e2.cdf(bad)
 
 
+def _count_pmf_reference(mpmath, a, lam, k, t):
+    """P(N(t) = k) = t^k/k! E(xi^k e^(-t xi)) from mpmath's incomplete
+    gammas, at the working precision, for mpf a, lam and t."""
+    s = t + lam
+    tilted = (
+        mpmath.gammainc(k + 1, 0, a * t) / t ** (k + 1)
+        - mpmath.gammainc(k + 1, 0, a * s) / s ** (k + 1)
+        + lam * mpmath.gammainc(k + 2, 0, a * s) / s ** (k + 2)
+    ) / a + lam * mpmath.gammainc(k + 1, a * s) / s ** (k + 1)
+    return t**k / mpmath.factorial(k) * tilted
+
+
 def _erlang_cdf_reference(a, lam, n, t):
-    """1 - sum over k < n of P(N(t) = k) in 80-digit arithmetic, each count
-    probability t^k/k! E(xi^k e^(-t xi)) from mpmath's incomplete gammas."""
+    """1 - sum over k < n of P(N(t) = k) in 80-digit arithmetic."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(80):
         a, lam, t = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(t)
-        s = t + lam
-        sf = 0
-        for k in range(n):
-            tilted = (
-                mpmath.gammainc(k + 1, 0, a * t) / t ** (k + 1)
-                - mpmath.gammainc(k + 1, 0, a * s) / s ** (k + 1)
-                + lam * mpmath.gammainc(k + 2, 0, a * s) / s ** (k + 2)
-            ) / a + lam * mpmath.gammainc(k + 1, a * s) / s ** (k + 1)
-            sf += t**k / mpmath.factorial(k) * tilted
-        return 1 - sf
+        return 1 - sum(_count_pmf_reference(mpmath, a, lam, k, t) for k in range(n))
+
+
+@pytest.mark.parametrize("a,lam", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
+def test_erlang_pdf_matches_mpmath(a, lam):
+    # f(t) = (n/t) P(N(t) = n) straight from the count kernel, at the counts
+    # workload's points.  Through the tilted moment, the lgamma(n) and
+    # lgamma(n + 1) round trip cost up to 1.7e-13 relative here.
+    mpmath = pytest.importorskip("mpmath")
+    for n in (1, 5, 30, 60, 120):
+        e = ErlangMaxUExp(n, a, lam)
+        for f in (0.4, 0.9, 1.5):
+            t = f * n
+            with mpmath.workdps(40):
+                pmf = _count_pmf_reference(mpmath, mpmath.mpf(a), mpmath.mpf(lam), n, mpmath.mpf(t))
+                want = float(n / mpmath.mpf(t) * pmf)
+            assert e.pdf(t) == pytest.approx(want, rel=1e-14, abs=0.0), (n, t)
+    with pytest.raises(DomainError):
+        e.pdf(math.inf)
+    with pytest.raises(DomainError):
+        e.pdf(math.nan)
 
 
 @pytest.mark.parametrize(
@@ -382,17 +404,26 @@ def test_erlang_orders_ordered_in_distribution():
 
 
 @pytest.mark.parametrize("name", ["cdf", "pdf"])
-@pytest.mark.parametrize("a,lam", [(1.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("a,lam", [(1.0, 1.0), (2.0, 0.5), (1.0, 1e-6)])
 def test_array_evaluators_match_scalar(name, a, lam):
-    # The grid straddles the series cutover of the density at a*t = 1e-3.
+    # The grid straddles the series cutover of the density at a*t = 1e-3,
+    # then takes 2000 log-spaced a*t from 1e-10 to 1e3.  cdf is one numpy
+    # expression, so a float gives the array's value exactly, as a Python
+    # float; pdf keeps a math-module branch for floats.
+    if name == "pdf" and lam < 1e-3:
+        pytest.skip("the density cancels where lam << t; its branches differ by 3e-10 there")
     f = getattr(ExpMaxUExp(a, lam), name)
-    ts = np.array(
-        [-3.0, -1e-300, 0.0, 1e-300, 1e-9, 0.9e-3 / a, 1.1e-3 / a, a - 1e-12, a, a + 1e-12, 50.0 * a]
-    )
+    edges = [-3.0, -1e-300, 0.0, 1e-300, 1e-9, 0.9e-3 / a, 1.1e-3 / a, a - 1e-12, a, a + 1e-12, 50.0 * a]
+    ts = np.concatenate([edges, np.logspace(-10, 3, 2000) / a])
     got = f(ts)
     assert isinstance(got, np.ndarray) and got.shape == ts.shape
-    for t, value in zip(ts, got):
-        assert value == pytest.approx(f(float(t)), abs=1e-15)
+    floats = [f(float(t)) for t in ts]
+    assert all(type(v) is float for v in floats)
+    if name == "pdf":
+        for value, want in zip(got, floats):
+            assert value == pytest.approx(want, abs=1e-15)
+    else:
+        assert got.tolist() == floats
 
 
 @pytest.mark.parametrize("t", [1e103, 1e300])
