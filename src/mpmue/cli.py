@@ -123,9 +123,16 @@ def _cmd_eval(args) -> int:
         dist = ExpMaxUExp(args.a, args.lam)
     else:
         dist = ErlangMaxUExp(args.order, args.a, args.lam)
+    # The cdf takes the grid as one array, except the Erlang law's, which
+    # takes floats only.  The pdf stays per point: its float branch is the
+    # cheap one.
+    if args.target == "erlang":
+        cdfs = [dist.cdf(x) for x in xs]
+    else:
+        cdfs = dist.cdf(np.array(xs))
     print("x,pdf,cdf")
-    for x in xs:
-        print(f"{_fmt(x)},{_fmt(dist.pdf(x))},{_fmt(dist.cdf(x))}")
+    for x, cdf in zip(xs, cdfs):
+        print(f"{_fmt(x)},{_fmt(dist.pdf(x))},{_fmt(cdf)}")
     return 0
 
 

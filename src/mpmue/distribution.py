@@ -19,7 +19,15 @@ import numpy as np
 from scipy.special import cython_special as _cs
 
 from .errors import DivergenceError, DomainError, NumericError
-from .numerics import _gamma_upper_cf, _log_p, _log_q, checked_exp, find_root
+from .numerics import (
+    _gamma_upper_cf,
+    _log_from_p,
+    _log_from_q,
+    _log_p,
+    _log_q,
+    checked_exp,
+    find_root,
+)
 from .rng import RandomStream, _draw_rows
 
 
@@ -298,27 +306,49 @@ class MaxUExp:
     def _log_count_pmf(self, m: float, n: int) -> float:
         """log P(N = n) for N mixed Poisson with mean m*X; m > 0, integer n >= 0.
 
-        P(N = n) = m^n/n! E(X^n e^(-mX)) is 1/(a*m) times a signed sum of
-        three regularized incomplete gammas, with weights taken in log space
-        so that none overflows or underflows.  The middle weight carries the
-        sign of lam*n - m; when it is negative the first two terms are paired
-        through expm1, which keeps their difference accurate at m >> lam.  The
-        n = 0 case drops the third term (its n factor vanishes).  This is the
-        one kernel behind every tilted-moment form.
+        P(N = n) = m^n/n! E(X^n e^(-mX)) is 1/(a*m) times P1 + w2 P2 + w3 Q:
+        P1 = P(n+1, am), P2 = P(n+1, as), Q = Q(n, as), s = m + lam, with
+        weights w2 = (c/s) r^(n+1), w3 = a lam r^(n+1), c = lam*n - m and
+        r = m/s.  The n = 0 case drops the third term (its n factor vanishes).
+        This is the one kernel behind every tilted-moment form, and each of
+        the three gammas is evaluated once on either of its two routes.
+
+        Where the gammas and r^(n+1) are normal doubles, the sum is taken as
+        it stands, provided a negative middle term cancels at most half of P1
+        and the total is normal: then each term is good to a few ulps and so
+        is the sum.  Elsewhere the terms go to log space, so that none
+        overflows or underflows; P and Q that underflow come from Kummer's M
+        and the continued fraction.  There a negative middle term is paired
+        with P1 through expm1, which keeps their difference accurate at
+        m >> lam.
         """
         a, lam = self.a, self.lam
         s = lam + m
         c = lam * n - m
         log_r = -math.log1p(lam / m)  # log(m/s)
-        u1 = _log_p(n + 1.0, a * m)
+        am, as_ = a * m, a * s
+        p1 = _cs.gammainc(n + 1.0, am)
+        p2 = _cs.gammainc(n + 1.0, as_)
+        q = _cs.gammaincc(n, as_) if n > 0 else 1.0
+        # r^(n+1) is off by about (n+1) eps through pow, and (n+1) |log r| eps
+        # through exp, so pow takes r < 1/2 (m < lam) and exp the rest.
+        r_n1 = (m / s) ** (n + 1) if m < lam else math.exp((n + 1) * log_r)
+        tiny = sys.float_info.min
+        if p1 >= tiny and p2 >= tiny and q >= tiny and r_n1 >= tiny:
+            w2p2 = c / s * r_n1 * p2
+            if c >= 0.0 or -w2p2 <= 0.5 * p1:
+                total = p1 + w2p2 + (a * lam * r_n1 * q if n > 0 else 0.0)
+                if tiny <= total < math.inf:
+                    return math.log(total) - math.log(a) - math.log(m)
+        u1 = _log_from_p(n + 1.0, am, p1)
         # log(|c|/s).  For c < 0, |c|/s = 1 - lam(n+1)/s; log1p keeps it exact
         # at m >> lam, where the quotient itself rounds to 1.
         shortfall = lam * (n + 1) / s
         log_c = math.log1p(-shortfall) if c < 0.0 and shortfall < 0.5 else _log(abs(c) / s)
-        u2 = _log_p(n + 1.0, a * s) + log_c + (n + 1) * log_r
+        u2 = _log_from_p(n + 1.0, as_, p2) + log_c + (n + 1) * log_r
         u3 = -math.inf
         if n > 0:
-            u3 = _log_q(n, a * s) + (n + 1) * log_r
+            u3 = _log_from_q(n, as_, q) + (n + 1) * log_r
             u3 += math.log(a) + math.log(lam)
         top = max(u1, u2, u3)
         if c < 0.0:

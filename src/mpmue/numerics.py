@@ -10,8 +10,11 @@ non-normalized pair is assembled from the logs.  The scipy calls are
 scalar, so they reach the same C routines as the ``scipy.special`` ufuncs
 through ``scipy.special.cython_special``, with the same results and without
 the ufunc dispatch, which costs several times the routine itself on one pair
-of floats.  ``_log_p`` and ``_log_q`` take already-checked arguments; the
-count kernel calls them directly, and the public functions check first.
+of floats.  ``_log_p`` and ``_log_q`` take already-checked arguments, and
+the public functions check first.  The count kernel calls ``cython_special``
+itself, since it uses P and Q as they are wherever they are normal doubles,
+and hands the values to ``_log_from_p`` and ``_log_from_q`` for their logs
+elsewhere, so that no gamma is evaluated twice.
 Quadrature and the optimizers also delegate to scipy, which stays behind the
 signatures below.  Only ``scipy.special`` is imported with this module, since
 the count kernel calls it on nearly every evaluation.  ``integrate``,
@@ -84,7 +87,12 @@ def gamma_upper_reg(alpha: float, x: float) -> float:
 
 def _log_p(alpha: float, x: float) -> float:
     """log P(alpha, x) for arguments that pass ``_check_gamma_args``."""
-    p = _cs.gammainc(alpha, x)
+    return _log_from_p(alpha, x, _cs.gammainc(alpha, x))
+
+
+def _log_from_p(alpha: float, x: float, p: float) -> float:
+    """log P(alpha, x) given scipy's p = P(alpha, x), which may have
+    underflowed; then it comes from Kummer's M."""
     if p > 0.0 or x == 0.0:
         return math.log(p) if p > 0.0 else -math.inf
     # Kummer: P = x^alpha e^-x / Gamma(alpha+1) * M(1, alpha+1, x).
@@ -93,14 +101,61 @@ def _log_p(alpha: float, x: float) -> float:
 
 
 def _log_q(alpha: float, x: float) -> float:
-    """log Q(alpha, x) for arguments that pass ``_check_gamma_args``.  Q
-    underflows only at x > alpha (by 38 sqrt(alpha) or more at large alpha),
-    where the continued fraction takes at most 7 steps for alpha >= 1."""
-    q = _cs.gammaincc(alpha, x)
+    """log Q(alpha, x) for arguments that pass ``_check_gamma_args``."""
+    return _log_from_q(alpha, x, _cs.gammaincc(alpha, x))
+
+
+def _log_from_q(alpha: float, x: float, q: float) -> float:
+    """log Q(alpha, x) given scipy's q = Q(alpha, x), which may have
+    underflowed.  Q underflows only at x > alpha (by 38 sqrt(alpha) or more
+    at large alpha), where the continued fraction takes at most 7 steps for
+    alpha >= 1.  Its lead x^alpha e^-x / Gamma(alpha) has logs of size
+    alpha log alpha that cancel, so from alpha = 10 on it is taken with
+    x = alpha (1 + t) as alpha (log1p(t) - t) + log(alpha / 2 pi) / 2 less
+    Stirling's remainder of lgamma(alpha), which has no such terms."""
     if q > 0.0 or math.isinf(x):
         return math.log(q) if q > 0.0 else -math.inf
-    log_lead = alpha * math.log(x) - x - math.lgamma(alpha)
+    if alpha < 10.0:
+        log_lead = alpha * math.log(x) - x - math.lgamma(alpha)
+    else:
+        log_lead = (
+            alpha * _log1pmx((x - alpha) / alpha)
+            + 0.5 * math.log(alpha / (2.0 * math.pi))
+            - _stirling_remainder(alpha)
+        )
     return log_lead + math.log(_gamma_upper_cf(alpha, x))
+
+
+def _log1pmx(t: float) -> float:
+    """log1p(t) - t for t > 0.  Below t = 1 the difference cancels, so it is
+    the series of 2 atanh(u) - t with u = t/(2 + t): -t u + 2 u^3 (1/3 +
+    u^2/5 + ...), whose terms fall by u^2 <= 1/9."""
+    if t >= 1.0:
+        return math.log1p(t) - t
+    u = t / (2.0 + t)
+    u2 = u * u
+    total, power, k = 0.0, 1.0, 3
+    while True:
+        term = power / k
+        total += term
+        if term <= 2.0**-53 * total:
+            return 2.0 * u * u2 * total - t * u
+        power *= u2
+        k += 2
+
+
+# B_2k / (2k (2k - 1)) for k = 1..8: lgamma(x) = (x - 1/2) log x - x +
+# log(2 pi)/2 + sum over k of these over x^(2k-1), to 1e-18 from x = 10 on.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+
+
+def _stirling_remainder(x: float) -> float:
+    """lgamma(x) - (x - 1/2) log x + x - log(2 pi)/2 for x >= 10."""
+    z = 1.0 / (x * x)
+    total = 0.0
+    for coeff in reversed(_STIRLING):
+        total = total * z + coeff
+    return total / x
 
 
 def _gamma_upper_cf(s: float, x: float) -> float:
@@ -112,7 +167,7 @@ def _gamma_upper_cf(s: float, x: float) -> float:
     x + i - s > 0 at step i - 1, the next is at least b_i for i <= s (a
     numerator >= 0), and above b_i - i (i - s)/(x + i - s) >= b_i - i for
     i > s.  It needs at most about 100 steps at x >= 1, and 731 at x = 0.1."""
-    b = x + 1.0 - s
+    b = x - s + 1.0  # x + 1 would round once x passes 2^53
     c, d = math.inf, 1.0 / b
     h = d
     for i in range(1, 1000):

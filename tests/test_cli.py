@@ -6,10 +6,18 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mpmue
-from mpmue import ErlangMaxUExp, MaxUExp, MaxUExpEstimator, MixedPoissonMaxUExp, RandomStream
+from mpmue import (
+    ErlangMaxUExp,
+    ExpMaxUExp,
+    MaxUExp,
+    MaxUExpEstimator,
+    MixedPoissonMaxUExp,
+    RandomStream,
+)
 from mpmue.cli import main
 from mpmue.verify import CheckResult
 
@@ -62,6 +70,24 @@ def test_eval_grid_and_explicit_points_combine():
     rows = res.stdout.strip().splitlines()[1:]
     xs = [float(r.split(",")[0]) for r in rows]
     assert xs == [9.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "target,law", [("maxuexp", MaxUExp(2.0, 0.5)), ("emue", ExpMaxUExp(2.0, 0.5))]
+)
+def test_eval_grid_cdf_matches_per_point_calls(target, law):
+    """The grid's cdf column comes from one array call; each row prints as
+    the float call at that point would."""
+    res = run_cli(
+        "eval", target, "--a", "2", "--lambda", "0.5", "--x", "1e-300", "--grid", "0:40:401"
+    )
+    assert res.returncode == 0
+    rows = res.stdout.strip().splitlines()[1:]
+    xs = [1e-300, *np.linspace(0.0, 40.0, 401)]
+    assert len(rows) == len(xs)
+    for row, x in zip(rows, xs):
+        want = ",".join(format(float(v), ".12g") for v in (x, law.pdf(x), law.cdf(float(x))))
+        assert row == want
 
 
 def test_eval_erlang_order():

@@ -6,15 +6,21 @@ of the defining integral E(X^n e^(-mX)), independent of any incomplete
 gamma: each piece of the density (uniform branch on (0, a), exponential
 branch beyond) is scaled by the value of its integrand at its peak, near
 x = n/m, in log space, so that the integral itself stays near 1.
+
+The tests at the end hold the kernel's two routes, linear and log, to
+mpmath's closed form in incomplete gammas instead.
 """
 
 import math
 import sys
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import cython_special
 
-from mpmue import ErlangMaxUExp, MaxUExp, MixedPoissonMaxUExp, NumericError
+from mpmue import ErlangMaxUExp, MaxUExp, MixedPoissonMaxUExp, NumericError, distribution, numerics
 from mpmue.numerics import gamma_lower, gamma_lower_reg, gamma_upper, gamma_upper_reg
 
 A = LAM = 1.0
@@ -137,3 +143,101 @@ def test_non_normalized_gammas_raise_numeric_error_past_the_double_range():
         terms.append(term)
     want = math.exp(-1.0) * math.fsum(terms)
     assert gamma_lower(180.0, 1.0) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _log_pmf_mpmath(a, lam, m, n, dps=50):
+    """log P(N = n) from the closed form of ``MaxUExp._log_count_pmf`` in
+    mpmath at ``dps`` digits: [P(n+1, am) + (c/s) r^(n+1) P(n+1, as) +
+    a lam r^(n+1) Q(n, as)] / (a m), s = m + lam, c = lam n - m, r = m/s."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        a, lam, m = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(m)
+        s = m + lam
+        r_n1 = (m / s) ** (n + 1)
+        total = mpmath.gammainc(n + 1, 0, a * m, regularized=True)
+        total += (lam * n - m) / s * r_n1 * mpmath.gammainc(n + 1, 0, a * s, regularized=True)
+        if n > 0:
+            total += a * lam * r_n1 * mpmath.gammainc(n, a * s, mpmath.inf, regularized=True)
+        return float(mpmath.log(total / (a * m)))
+
+
+def _budget(log_p):
+    """|error of log P| allowed: 1e-12 absolute plus 4 ulps of log P."""
+    return 1e-12 + 4.0 * sys.float_info.epsilon * abs(log_p)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0**u)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(
+    a=_log_uniform(1e-2, 1e2),
+    lam=_log_uniform(1e-2, 1e2),
+    m=_log_uniform(1e-3, 1e3),
+    n=st.one_of(st.integers(0, 9), st.integers(10, 99), st.integers(100, 500)),
+)
+def test_count_kernel_against_mpmath(a, lam, m, n):
+    """Both routes of the count kernel, to 1e-12 plus 4 ulps of log P,
+    wherever a lam >= 0.1 and P itself is at least 1e-300."""
+    assume(a * lam >= 0.1)
+    want = _log_pmf_mpmath(a, lam, m, n)
+    assume(want >= math.log(1e-300))
+    got = MaxUExp(a, lam)._log_count_pmf(m, n)
+    assert abs(got - want) <= _budget(want), (a, lam, m, n, got, want)
+
+
+class _CountingGammas:
+    """Stand-in for ``cython_special`` that records each incomplete gamma
+    call with its arguments."""
+
+    def __init__(self):
+        self.calls = []
+
+    def gammainc(self, alpha, x):
+        self.calls.append(("P", alpha, x))
+        return cython_special.gammainc(alpha, x)
+
+    def gammaincc(self, alpha, x):
+        self.calls.append(("Q", alpha, x))
+        return cython_special.gammaincc(alpha, x)
+
+    def hyp1f1(self, a, b, x):
+        return cython_special.hyp1f1(a, b, x)
+
+
+@pytest.mark.parametrize(
+    "a,lam,m,n,route",
+    [
+        (1.0, 1.0, 0.5, 3, "linear"),  # c > 0
+        (1.0, 1.0, 5.0, 1, "linear"),  # c < 0, the pair cancels to about half of P1
+        (1.0, 1.0, 1e100, 0, "log"),  # lst(1e100): the pair cancels to 2e-100
+        (1.0, 1.0, 1e-3, 120, "log"),  # P(121, 1e-3) underflows: Kummer's M
+        (1.0, 1000.0, 1.0, 5, "log"),  # Q(5, 1001) underflows: the continued fraction
+        (1.0, 600.0, 15.0, 199, "log"),  # r^200 = 3e-323, all three gammas normal
+    ],
+)
+def test_count_kernel_routes(monkeypatch, a, lam, m, n, route):
+    """Each route against 150-digit mpmath, with each gamma evaluated once:
+    the log route reuses the values the linear route computed."""
+    gammas = _CountingGammas()
+    monkeypatch.setattr(distribution, "_cs", gammas)
+    monkeypatch.setattr(numerics, "_cs", gammas)
+    logged = []
+    for name in ("_log_from_p", "_log_from_q"):
+        inner = getattr(distribution, name)
+        recorder = lambda *args, inner=inner: logged.append(args) or inner(*args)
+        monkeypatch.setattr(distribution, name, recorder)
+    got = MaxUExp(a, lam)._log_count_pmf(m, n)
+    want = _log_pmf_mpmath(a, lam, m, n, dps=150)
+    assert abs(got - want) <= _budget(want), (got, want)
+    assert (route == "log") == bool(logged)
+    expected = [("P", n + 1.0, a * m), ("P", n + 1.0, a * (lam + m))]
+    if n > 0:
+        expected.append(("Q", n, a * (lam + m)))
+    assert sorted(gammas.calls) == sorted(expected)

@@ -145,6 +145,24 @@ def test_scalar_gammas_match_the_ufuncs_bit_for_bit():
     assert kummer > 0 and continued == 113 + len(extra)
 
 
+@pytest.mark.parametrize(
+    "alpha,x", [(1e4, 14267.367071117078), (1.1e12, 1100040338301.4668), (2.0**53, 9007202904892574.0)]
+)
+def test_log_q_just_past_the_underflow_of_q(alpha, x):
+    """Where Q first underflows at large order, its log is about -744 and
+    its lead's logs are of size alpha log alpha; the lead in log1p(t) - t
+    and Stirling's remainder keeps it to a few ulps."""
+    mpmath = pytest.importorskip("mpmath")
+    assert sc.gammaincc(alpha, x) == 0.0
+    # Gamma(alpha, x) = x^(alpha-1) e^-x times the integral of
+    # (1 + v/x)^(alpha-1) e^-v over (0, inf), independent of the lead.
+    with mpmath.workdps(40):
+        s, x_ = mpmath.mpf(alpha), mpmath.mpf(x)
+        h = mpmath.quad(lambda v: mpmath.exp((s - 1) * mpmath.log1p(v / x_) - v), [0, 1, 10, mpmath.inf])
+        want = float((s - 1) * mpmath.log(x_) - x_ + mpmath.log(h) - mpmath.loggamma(s))
+    assert abs(numerics._log_q(alpha, x) - want) <= 1e-15 * abs(want)
+
+
 @pytest.mark.parametrize("name", ["gamma_lower_reg", "gamma_upper_reg", "gamma_lower", "gamma_upper"])
 @pytest.mark.parametrize(
     "alpha,x", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (2.0, -1e-300), (2.0, math.nan)]
