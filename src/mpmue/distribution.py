@@ -23,6 +23,7 @@ from .numerics import (
     _gamma_upper_cf,
     _log_from_p,
     _log_from_q,
+    _log_lead,
     _log_p,
     _log_q,
     checked_exp,
@@ -85,10 +86,11 @@ class MaxUExp:
     #
     # Each evaluator takes a float or a numpy array and is one numpy
     # expression: an array gives an array of its shape, a float gives a float
-    # (``_like``).  Only ``pdf`` keeps a math-module branch for floats, as
-    # ``ExpMaxUExp.pdf`` does: both are quadrature integrands, called about
-    # 23,000 and 3,000 times with a float per default ``verify``, where a
-    # numpy expression would cost 10-40 us a call against about 1 us.  No
+    # (``_like``).  Only ``pdf`` keeps a math-module branch for floats: it is
+    # a quadrature integrand, called about 23,000 times with a float per
+    # default ``verify``, where a numpy expression would cost 10-40 us a call
+    # against about 1 us.  (The waiting-time densities are float code over
+    # the count kernel, ``ErlangMaxUExp.pdf``, and run arrays through it.)  No
     # workload or library loop calls ``cdf`` or ``hazard`` with floats in
     # bulk (66 and 10 calls per ``verify``), and ``quantile`` bisects on the
     # math module rather than through ``cdf``.
@@ -301,26 +303,28 @@ class MaxUExp:
             raise DomainError(f"lst requires finite t >= 0, got {t!r}")
         if t == 0.0:
             return 1.0
-        return min(1.0, math.exp(self._log_count_pmf(t, 0)))
+        return min(1.0, self._count_pmf(t, 0)[0])
 
-    def _log_count_pmf(self, m: float, n: int) -> float:
-        """log P(N = n) for N mixed Poisson with mean m*X; m > 0, integer n >= 0.
+    def _count_pmf(self, m: float, n: int) -> tuple[float, float]:
+        """(P(N = n), log P(N = n)) for N mixed Poisson with mean m*X; m > 0,
+        integer n >= 0; (0.0, -inf) where the value is lost to cancellation.
 
         P(N = n) = m^n/n! E(X^n e^(-mX)) is 1/(a*m) times P1 + w2 P2 + w3 Q:
         P1 = P(n+1, am), P2 = P(n+1, as), Q = Q(n, as), s = m + lam, with
         weights w2 = (c/s) r^(n+1), w3 = a lam r^(n+1), c = lam*n - m and
         r = m/s.  The n = 0 case drops the third term (its n factor vanishes).
-        This is the one kernel behind every tilted-moment form, and each of
-        the three gammas is evaluated once on either of its two routes.
+        This is the one kernel behind every tilted-moment form and every
+        waiting-time density, and each of the three gammas is evaluated once
+        on either of its two routes.
 
         Where the gammas and r^(n+1) are normal doubles, the sum is taken as
         it stands, provided a negative middle term cancels at most half of P1
-        and the total is normal: then each term is good to a few ulps and so
-        is the sum.  Elsewhere the terms go to log space, so that none
-        overflows or underflows; P and Q that underflow come from Kummer's M
-        and the continued fraction.  There a negative middle term is paired
-        with P1 through expm1, which keeps their difference accurate at
-        m >> lam.
+        and P = total/(a m) is normal: then each term is good to a few ulps
+        and so is P, which is returned with its log.  Elsewhere the terms go
+        to log space, so that none overflows or underflows, and P is the exp
+        of the log; P and Q that underflow come from Kummer's M and the
+        continued fraction.  There a negative middle term is paired with P1
+        through expm1, which keeps their difference accurate at m >> lam.
         """
         a, lam = self.a, self.lam
         s = lam + m
@@ -338,8 +342,9 @@ class MaxUExp:
             w2p2 = c / s * r_n1 * p2
             if c >= 0.0 or -w2p2 <= 0.5 * p1:
                 total = p1 + w2p2 + (a * lam * r_n1 * q if n > 0 else 0.0)
-                if tiny <= total < math.inf:
-                    return math.log(total) - math.log(a) - math.log(m)
+                p = total / a / m
+                if total >= tiny and tiny <= p < math.inf:
+                    return p, math.log(p)
         u1 = _log_from_p(n + 1.0, am, p1)
         # log(|c|/s).  For c < 0, |c|/s = 1 - lam(n+1)/s; log1p keeps it exact
         # at m >> lam, where the quotient itself rounds to 1.
@@ -356,8 +361,9 @@ class MaxUExp:
         else:
             total = math.exp(u1 - top) + math.exp(u2 - top) + math.exp(u3 - top)
         if not total > 0.0:
-            return -math.inf
-        return top + math.log(total) - math.log(a) - math.log(m)
+            return 0.0, -math.inf
+        log_p = top + math.log(total) - math.log(a) - math.log(m)
+        return math.exp(log_p), log_p
 
     def _log_count_sf(self, m: float, n: int) -> float:
         """log P(N >= n) for N mixed Poisson with mean m*X; m > 0, integer n >= 1.
@@ -374,7 +380,7 @@ class MaxUExp:
         uniform = -math.inf
         kummer = 1.0 - (n - y) / (n + 1.0) * _cs.hyp1f1(1.0, n + 2.0, y) if 0.0 < y <= n else math.nan
         if kummer >= 0.0:
-            uniform = n * math.log(y) - y - math.lgamma(n + 1.0) + _log(kummer)
+            uniform = _log_lead(n, y) - math.log(n) + _log(kummer)
         elif y > 0.0:
             uniform = _log(_cs.gammainc(n, y) - n / y * _cs.gammainc(n + 1.0, y))
         log_r_n = -n * math.log1p(lam / m)
@@ -392,7 +398,7 @@ class MaxUExp:
             raise DomainError(f"tilted_moment requires finite m > 0, got {m!r}")
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"tilted_moment requires integer n >= 0, got {n!r}")
-        log_p = self._log_count_pmf(m, n)
+        log_p = self._count_pmf(m, n)[1]
         if not log_p > -math.inf:
             raise NumericError(f"tilted moment lost to cancellation at m={m!r}, n={n}")
         return log_p + math.lgamma(n + 1.0) - n * math.log(m)

@@ -3,18 +3,21 @@ root-finding, bounded derivative-free minimization, and adaptive quadrature.
 
 The regularized incomplete gammas are scipy's ``gammainc``/``gammaincc``
 (DiDonato & Morris, with Temme's uniform asymptotics at large order).  Where
-P underflows, log P comes from Kummer's M.  Gamma(s, x) beyond scipy's reach
-has one algorithm, the continued fraction ``_gamma_upper_cf``: log Q where Q
-underflows, and the orders s <= 0 of the negative moments.  The
-non-normalized pair is assembled from the logs.  The scipy calls are
-scalar, so they reach the same C routines as the ``scipy.special`` ufuncs
-through ``scipy.special.cython_special``, with the same results and without
-the ufunc dispatch, which costs several times the routine itself on one pair
-of floats.  ``_log_p`` and ``_log_q`` take already-checked arguments, and
-the public functions check first.  The count kernel calls ``cython_special``
-itself, since it uses P and Q as they are wherever they are normal doubles,
-and hands the values to ``_log_from_p`` and ``_log_from_q`` for their logs
-elsewhere, so that no gamma is evaluated twice.
+scipy's P is below the normal range (0, or a subnormal with few significant
+bits), log P comes from Kummer's M.  Gamma(s, x) beyond scipy's reach has
+one algorithm, the continued fraction ``_gamma_upper_cf``: log Q where Q is
+below the normal range, and the orders s <= 0 of the negative moments.  Both
+fallbacks share one lead, ``_log_lead``, free of cancelling logs at large
+order.  The non-normalized pair is assembled from the logs.  The scipy
+calls are scalar, so they reach the same C routines as the ``scipy.special``
+ufuncs through ``scipy.special.cython_special``, with the same results and
+without the ufunc dispatch, which costs several times the routine itself on
+one pair of floats.  ``_log_p`` and ``_log_q`` take already-checked
+arguments, and the public functions check first.  The count kernel calls
+``cython_special`` itself, since it uses P and Q as they are wherever they
+are normal doubles, and hands the values to ``_log_from_p`` and
+``_log_from_q`` for their logs elsewhere, so that no gamma is evaluated
+twice.
 Quadrature and the optimizers also delegate to scipy, which stays behind the
 signatures below.  Only ``scipy.special`` is imported with this module, since
 the count kernel calls it on nearly every evaluation.  ``integrate``,
@@ -26,6 +29,7 @@ the count kernel calls it on nearly every evaluation.  ``integrate``,
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -91,13 +95,15 @@ def _log_p(alpha: float, x: float) -> float:
 
 
 def _log_from_p(alpha: float, x: float, p: float) -> float:
-    """log P(alpha, x) given scipy's p = P(alpha, x), which may have
-    underflowed; then it comes from Kummer's M."""
-    if p > 0.0 or x == 0.0:
-        return math.log(p) if p > 0.0 else -math.inf
-    # Kummer: P = x^alpha e^-x / Gamma(alpha+1) * M(1, alpha+1, x).
-    log_lead = alpha * math.log(x) - x - math.lgamma(alpha + 1.0)
-    return log_lead + math.log(_cs.hyp1f1(1.0, alpha + 1.0, x))
+    """log P(alpha, x) given scipy's p = P(alpha, x).  Where p is below the
+    normal range it is 0 or a subnormal with few significant bits, and log P
+    comes from Kummer's M instead: P = x^alpha e^-x / Gamma(alpha + 1)
+    M(1, alpha + 1, x)."""
+    if p >= sys.float_info.min:
+        return math.log(p)
+    if x == 0.0:
+        return -math.inf
+    return _log_lead(alpha, x) - math.log(alpha) + math.log(_cs.hyp1f1(1.0, alpha + 1.0, x))
 
 
 def _log_q(alpha: float, x: float) -> float:
@@ -106,29 +112,42 @@ def _log_q(alpha: float, x: float) -> float:
 
 
 def _log_from_q(alpha: float, x: float, q: float) -> float:
-    """log Q(alpha, x) given scipy's q = Q(alpha, x), which may have
-    underflowed.  Q underflows only at x > alpha (by 38 sqrt(alpha) or more
-    at large alpha), where the continued fraction takes at most 7 steps for
-    alpha >= 1.  Its lead x^alpha e^-x / Gamma(alpha) has logs of size
-    alpha log alpha that cancel, so from alpha = 10 on it is taken with
+    """log Q(alpha, x) given scipy's q = Q(alpha, x).  Where q is below the
+    normal range, log Q comes from the continued fraction.  Q underflows only
+    at x > alpha (by 38 sqrt(alpha) or more at large alpha), where the
+    continued fraction takes at most 7 steps for alpha >= 1."""
+    if q >= sys.float_info.min:
+        return math.log(q)
+    if math.isinf(x):
+        return -math.inf
+    return _log_lead(alpha, x) + math.log(_gamma_upper_cf(alpha, x))
+
+
+def _log_lead(alpha: float, x: float) -> float:
+    """log(x^alpha e^-x / Gamma(alpha)) for x > 0: the lead of Q's continued
+    fraction, and alpha times the lead of P's Kummer form.  Its logs of size
+    alpha log alpha cancel, so from alpha = 10 on it is taken with
     x = alpha (1 + t) as alpha (log1p(t) - t) + log(alpha / 2 pi) / 2 less
     Stirling's remainder of lgamma(alpha), which has no such terms."""
-    if q > 0.0 or math.isinf(x):
-        return math.log(q) if q > 0.0 else -math.inf
     if alpha < 10.0:
-        log_lead = alpha * math.log(x) - x - math.lgamma(alpha)
+        return alpha * math.log(x) - x - math.lgamma(alpha)
+    t = (x - alpha) / alpha
+    if t > -0.5:
+        log1pmx = _log1pmx(t)
     else:
-        log_lead = (
-            alpha * _log1pmx((x - alpha) / alpha)
-            + 0.5 * math.log(alpha / (2.0 * math.pi))
-            - _stirling_remainder(alpha)
-        )
-    return log_lead + math.log(_gamma_upper_cf(alpha, x))
+        # t = -1 + x/alpha has lost the digits of x/alpha, so log1p(t) is
+        # log(x/alpha), in two logs where the quotient leaves the normal range.
+        ratio = x / alpha
+        if ratio >= sys.float_info.min:
+            log1pmx = math.log(ratio) - t
+        else:
+            log1pmx = math.log(x) - math.log(alpha) - t
+    return alpha * log1pmx + 0.5 * math.log(alpha / (2.0 * math.pi)) - _stirling_remainder(alpha)
 
 
 def _log1pmx(t: float) -> float:
-    """log1p(t) - t for t > 0.  Below t = 1 the difference cancels, so it is
-    the series of 2 atanh(u) - t with u = t/(2 + t): -t u + 2 u^3 (1/3 +
+    """log1p(t) - t for t > -1/2.  Below t = 1 the difference cancels, so it
+    is the series of 2 atanh(u) - t with u = t/(2 + t): -t u + 2 u^3 (1/3 +
     u^2/5 + ...), whose terms fall by u^2 <= 1/9."""
     if t >= 1.0:
         return math.log1p(t) - t

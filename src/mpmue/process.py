@@ -184,7 +184,7 @@ class MixedPoissonMaxUExp:
         """P(N = n) at clock value m = mu(t)."""
         m = self._check_m(m)
         self._check_count(n)
-        return min(1.0, math.exp(self.xi._log_count_pmf(m, n)))
+        return min(1.0, self.xi._count_pmf(m, n)[0])
 
     def pmf_upper_tail_bound(self, m: float, kk: int) -> float:
         """Bound on P(N >= kk) that does not increase with kk: the tail itself,

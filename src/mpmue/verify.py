@@ -600,7 +600,7 @@ def _waiting_checks(a: float, lam: float, seed: int, mc_draws: int):
     checks.append(
         check_value(
             f"erlang-first-order-reduction[{tag}]",
-            [(e1.pdf(t), w.pdf(t)) for t in (0.3, 1.0, 2.5)],
+            [(e1.pdf(t), _tilted_quad(d, t, 1.0)) for t in (0.3, 1.0, 2.5)],
             1e-12,
             ops=("waiting.erlang_pdf",),
             relative=True,

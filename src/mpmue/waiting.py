@@ -11,22 +11,22 @@ moments E(T^q) exist exactly for q < 2.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .distribution import MaxUExp, _like, _require_positive, _z_exp, _z_exp_array
+from .distribution import MaxUExp, _like, _require_positive
 from .errors import DomainError, NumericError
 from .numerics import checked_exp, log_gamma
+from .process import MixedPoissonMaxUExp
 from .rng import RandomStream, _draw_rows
 
 
-# 1 - (1 - e^-z)/z = sum over k >= 1 of (-1)^(k+1) z^k / (k+1)!, and its
-# derivative (1 - e^-z - z e^-z)/z^2 is the term-wise derivative.  Below
-# _EM1_CUT sixteen terms reach double precision for both; above it the
-# direct forms lose at most two bits to cancellation.
+# 1 - (1 - e^-z)/z = sum over k >= 1 of (-1)^(k+1) z^k / (k+1)!.  Below
+# _EM1_CUT sixteen terms reach double precision; above it the direct form
+# loses at most two bits to cancellation.
 _EM1_CUT = 0.5
 _EM1_SERIES = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 17))
-_EM2_SERIES = tuple(k * c for k, c in enumerate(_EM1_SERIES, 1))
 
 
 def _horner(coeffs: tuple[float, ...], z: float | np.ndarray) -> float | np.ndarray:
@@ -42,23 +42,6 @@ def _em1(z: float | np.ndarray) -> np.ndarray:
     below z = _EM1_CUT."""
     zs, zd = np.minimum(z, _EM1_CUT), np.maximum(z, _EM1_CUT)
     return np.where(z < _EM1_CUT, _horner(_EM1_SERIES, zs) * zs, 1.0 - (-np.expm1(-zd)) / zd)
-
-
-def _em2(z: float) -> float:
-    """(1 - e^-z - z e^-z) / z^2, the derivative of ``_em1``, by its series
-    below z = _EM1_CUT."""
-    if z < 0.0:
-        raise DomainError(f"_em2 requires z >= 0, got {z!r}")
-    if z < _EM1_CUT:
-        return _horner(_EM2_SERIES, z)
-    return (-math.expm1(-z) - _z_exp(z)) / (z * z)
-
-
-def _em2_array(z: np.ndarray) -> np.ndarray:
-    """``_em2`` over an array of z >= 0, with the same series cutover."""
-    zd = np.maximum(z, _EM1_CUT)
-    direct = (-np.expm1(-zd) - _z_exp_array(zd, np.exp(-zd))) / (zd * zd)
-    return np.where(z < _EM1_CUT, _horner(_EM2_SERIES, np.minimum(z, _EM1_CUT)), direct)
 
 
 class ErlangMaxUExp:
@@ -83,17 +66,26 @@ class ErlangMaxUExp:
     def __repr__(self) -> str:
         return f"ErlangMaxUExp(n={self.n}, a={self.a}, lam={self.lam})"
 
-    def pdf(self, t: float) -> float:
+    def pdf(self, t: float | np.ndarray) -> float | np.ndarray:
         """f(t) = (n/t) P(N(t) = n), N the mixed Poisson count on the unit
-        clock: the count kernel ``MaxUExp._log_count_pmf``, as in ``cdf``."""
+        clock: the count kernel ``MaxUExp._count_pmf``, as in ``cdf``.  Taken
+        as (n/t) P where P and the product are normal doubles, and from log P
+        elsewhere.  An array is evaluated element by element, as Python
+        floats, and gives an array of its shape."""
+        if isinstance(t, np.ndarray):
+            return np.array([self.pdf(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
         if t <= 0.0:
             return 0.0
         if not t < math.inf:
             raise DomainError(f"pdf requires finite t, got {t!r}")
         n = self.n
-        log_p = self.xi._log_count_pmf(t, n)
+        p, log_p = self.xi._count_pmf(t, n)
         if not log_p > -math.inf:
             raise NumericError(f"density of {self!r} at t={t!r} lost to cancellation")
+        if p >= sys.float_info.min:
+            density = n / t * p
+            if density < math.inf:
+                return density
         return checked_exp(math.log(n) - math.log(t) + log_p)
 
     def cdf(self, t: float) -> float:
@@ -132,7 +124,7 @@ class ErlangMaxUExp:
 
 class ExpMaxUExp(ErlangMaxUExp):
     """Inter-arrival time eta / xi with eta a unit exponential independent of
-    xi: the n = 1 arrival, with closed-form pdf and cdf."""
+    xi: the n = 1 arrival, whose density it inherits, with a closed-form cdf."""
 
     __slots__ = ()
 
@@ -142,34 +134,10 @@ class ExpMaxUExp(ErlangMaxUExp):
     def __repr__(self) -> str:
         return f"ExpMaxUExp(a={self.a}, lam={self.lam})"
 
-    # pdf and cdf take a float or a numpy array, as MaxUExp's evaluators do:
-    # cdf is one numpy expression and gives a float back for a float
-    # (``_like``); pdf keeps a math-module branch for floats, since it is a
-    # quadrature integrand, called about 3,000 times with a float per default
-    # ``verify``.  With s = lam + t and y = a s, both carry (1 - e^-y)/y over
-    # powers of s.  Each division by s comes alone, and the quotient is 1
-    # where y underflows, so no product such as a s^3 can underflow to 0.  At
-    # t = inf they return their limits, 0 and 1.  The pdf's signed
-    # (lam - t)/s term can cancel the rest to below its rounding; the pdf is
-    # clamped at 0.
-
-    def pdf(self, t: float | np.ndarray) -> float | np.ndarray:
-        a, lam = self.a, self.lam
-        if isinstance(t, np.ndarray):
-            edge = (t <= 0.0) | (t == math.inf)
-            tp = np.where(edge, 1.0, t)
-            s = lam + tp
-            with np.errstate(over="ignore"):
-                y = a * s
-                ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
-                value = a * _em2_array(a * tp) + (lam - tp) / s * ratio / s + tp / s * np.exp(-y) / s
-            return np.where(edge, 0.0, np.maximum(value, 0.0))
-        if t <= 0.0 or t == math.inf:
-            return 0.0
-        s = lam + t
-        y = a * s
-        ratio = -math.expm1(-y) / y if y > 0.0 else 1.0
-        return max(0.0, a * _em2(a * t) + (lam - t) / s * ratio / s + t / s * math.exp(-y) / s)
+    # cdf takes a float or a numpy array, as MaxUExp's evaluators do, and is
+    # one numpy expression that gives a float back for a float (``_like``).
+    # With s = lam + t and y = a s, it carries (1 - e^-y)/y over s; the
+    # quotient is 1 where y underflows.  At t = inf it returns its limit, 1.
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         a, lam = self.a, self.lam
@@ -188,21 +156,13 @@ class ExpMaxUExp(ErlangMaxUExp):
         return x * math.exp(-t * x) * self.xi.pdf(x)
 
     def conditional_mixing_pdf(self, t: float, x: float) -> float:
-        """Density of xi given T = t: the joint density x e^(-tx) f(x) over the
-        T marginal E(xi e^(-t xi)), in log space as ``posterior_pdf`` is, so
-        that neither underflows alone."""
-        if not (t > 0.0):
-            raise DomainError(f"conditioning requires t > 0, got {t!r}")
-        if x <= 0.0 or x == math.inf:
-            return 0.0
-        xi = self.xi
-        return checked_exp(math.log(x) - t * x + xi._log_pdf(x) - xi.log_tilted_moment(t, 1))
+        """Density of xi given T = t.  Given T = t, xi has the law it has
+        given N(t) = 1, so this is that count's posterior density."""
+        return MixedPoissonMaxUExp(self.xi).posterior_pdf(t, 1, x)
 
     def mean_mixing_given_arrival(self, t: float) -> float:
-        """E(xi | T = t), a ratio of tilted moments."""
-        if not (t > 0.0):
-            raise DomainError(f"requires t > 0, got {t!r}")
-        return checked_exp(self.xi.log_tilted_moment(t, 2) - self.xi.log_tilted_moment(t, 1))
+        """E(xi | T = t) = E(xi | N(t) = 1), a ratio of tilted moments."""
+        return MixedPoissonMaxUExp(self.xi).posterior_mean(t, 1)
 
     def mean_arrival_given_mixing(self, x: float) -> float:
         """E(T | xi = x) = 1/x."""

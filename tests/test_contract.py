@@ -141,7 +141,7 @@ MAXUEXP = {
 }
 
 ERLANG = {
-    "pdf": (ONE, "nonneg", False),
+    "pdf": (ONE, "nonneg", True),
     "cdf": (ONE, "prob", False),
     "sample": (lambda d: [(RandomStream(11),)], "nonneg", False),
     "sample_many": (lambda d: [(RandomStream(11), 3)], "nonneg", False),
@@ -150,7 +150,6 @@ ERLANG = {
 
 EXP = {
     **ERLANG,
-    "pdf": (ONE, "nonneg", True),
     "cdf": (ONE, "prob", True),
     "joint_pdf": (PAIRS, "nonneg", False),
     "conditional_mixing_pdf": (PAIRS, "nonneg", False),

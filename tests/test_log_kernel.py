@@ -146,7 +146,7 @@ def test_non_normalized_gammas_raise_numeric_error_past_the_double_range():
 
 
 def _log_pmf_mpmath(a, lam, m, n, dps=50):
-    """log P(N = n) from the closed form of ``MaxUExp._log_count_pmf`` in
+    """log P(N = n) from the closed form of ``MaxUExp._count_pmf`` in
     mpmath at ``dps`` digits: [P(n+1, am) + (c/s) r^(n+1) P(n+1, as) +
     a lam r^(n+1) Q(n, as)] / (a m), s = m + lam, c = lam n - m, r = m/s."""
     mpmath = pytest.importorskip("mpmath")
@@ -170,26 +170,79 @@ def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0**u)
 
 
-@settings(
+_DRAWS = settings(
     derandomize=True,
     max_examples=200,
     deadline=None,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
-@given(
+_COUNT_LAWS = given(
     a=_log_uniform(1e-2, 1e2),
     lam=_log_uniform(1e-2, 1e2),
     m=_log_uniform(1e-3, 1e3),
     n=st.one_of(st.integers(0, 9), st.integers(10, 99), st.integers(100, 500)),
 )
+
+
+@_DRAWS
+@_COUNT_LAWS
 def test_count_kernel_against_mpmath(a, lam, m, n):
     """Both routes of the count kernel, to 1e-12 plus 4 ulps of log P,
     wherever a lam >= 0.1 and P itself is at least 1e-300."""
     assume(a * lam >= 0.1)
     want = _log_pmf_mpmath(a, lam, m, n)
     assume(want >= math.log(1e-300))
-    got = MaxUExp(a, lam)._log_count_pmf(m, n)
+    got = MaxUExp(a, lam)._count_pmf(m, n)[1]
     assert abs(got - want) <= _budget(want), (a, lam, m, n, got, want)
+
+
+def _log_sf_mpmath(a, lam, m, n, dps=60):
+    """log P(N >= n) from the closed form of ``MaxUExp._log_count_sf`` in
+    mpmath at ``dps`` digits: [P(n, y) - (n/y) P(n+1, y)] + r^n [Q(n, z) +
+    (n/z) P(n+1, z)], y = a m, z = a (m + lam), r = m/(m + lam)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        a, lam, m = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(m)
+        y, z = a * m, a * (m + lam)
+        p = lambda s, x: mpmath.gammainc(s, 0, x, regularized=True)
+        uniform = p(n, y) - n / y * p(n + 1, y)
+        q = mpmath.gammainc(n, z, mpmath.inf, regularized=True)
+        tail = (m / (m + lam)) ** n * (q + n / z * p(n + 1, z))
+        return float(mpmath.log(uniform + tail))
+
+
+@_DRAWS
+@_COUNT_LAWS
+def test_count_tail_against_mpmath(a, lam, m, n):
+    """The closed-form count tail, to 1e-12 plus 4 ulps of log P(N >= n),
+    wherever P(N >= n) is at least 1e-300."""
+    assume(n >= 1)
+    want = _log_sf_mpmath(a, lam, m, n)
+    assume(want >= math.log(1e-300))
+    got = MaxUExp(a, lam)._log_count_sf(m, n)
+    assert abs(got - want) <= _budget(want), (a, lam, m, n, got, want)
+
+
+def test_count_tail_at_a_large_order():
+    """Up to a m = n the uniform bracket is Kummer's M times the lead
+    y^n e^-y / n!, whose logs of size n log n cancel: taken as they stand,
+    they put the tail 1.1e-11 off here, 11 times the budget."""
+    a, lam, m, n = 1.0, 100.0, 9950.0, 10000
+    want = _log_sf_mpmath(a, lam, m, n)
+    got = MaxUExp(a, lam)._log_count_sf(m, n)
+    assert abs(got - want) <= _budget(want), (got, want)
+
+
+def test_posterior_mean_where_the_lower_gamma_is_subnormal():
+    """At m = 6630.4, n = 9999 scipy's P(10001, 6630.4) is subnormal, and its
+    own log put the posterior mean 50% off; Kummer's M takes over there.
+    E(xi | N = n) = (n+1)/m P(N = n+1)/P(N = n)."""
+    a, lam, m, n = 1.0, 1e4, 6630.4, 9999
+    assert cython_special.gammainc(n + 2.0, a * m) < sys.float_info.min
+    log_ratio = _log_pmf_mpmath(a, lam, m, n + 1, dps=60) - _log_pmf_mpmath(a, lam, m, n, dps=60)
+    want = (n + 1) / m * math.exp(log_ratio)
+    got = MixedPoissonMaxUExp(MaxUExp(a, lam)).posterior_mean(m, n)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class _CountingGammas:
@@ -233,7 +286,7 @@ def test_count_kernel_routes(monkeypatch, a, lam, m, n, route):
         inner = getattr(distribution, name)
         recorder = lambda *args, inner=inner: logged.append(args) or inner(*args)
         monkeypatch.setattr(distribution, name, recorder)
-    got = MaxUExp(a, lam)._log_count_pmf(m, n)
+    got = MaxUExp(a, lam)._count_pmf(m, n)[1]
     want = _log_pmf_mpmath(a, lam, m, n, dps=150)
     assert abs(got - want) <= _budget(want), (got, want)
     assert (route == "log") == bool(logged)

@@ -81,9 +81,11 @@ def test_gamma_domain_errors():
 
 def _ufunc_log_p(alpha, x):
     p = float(sc.gammainc(alpha, x))
-    if p > 0.0 or x == 0.0:
-        return math.log(p) if p > 0.0 else -math.inf
-    log_lead = alpha * math.log(x) - x - math.lgamma(alpha + 1.0)
+    if p >= sys.float_info.min:
+        return math.log(p)
+    if x == 0.0:
+        return -math.inf
+    log_lead = numerics._log_lead(alpha, x) - math.log(alpha)
     return log_lead + math.log(sc.hyp1f1(1.0, alpha + 1.0, x))
 
 
@@ -117,14 +119,16 @@ def _gamma_grid():
 
 def test_scalar_gammas_match_the_ufuncs_bit_for_bit():
     """The cython_special route gives the ufuncs' bits for plain P and Q and
-    for Kummer's M where P underflows.  Where Q underflows, log Q comes from
-    the continued fraction and is held to mpmath: 1e-15 relative, plus the
-    rounding of alpha log x in its lead (about alpha eps, so only orders past
-    about 1e10 use it)."""
+    for Kummer's M where P is below the normal range (its lead is
+    ``_log_lead``, held to mpmath in ``test_log_p_below_the_normal_range``).
+    Where Q is below the normal range, log Q comes from the continued
+    fraction and is held to mpmath: 1e-15 relative, plus the rounding of
+    alpha log x in its lead (about alpha eps, so only orders past about 1e10
+    use it)."""
     kummer = continued = 0
     extra = [(0.5, 1e288), (1e-12, 1e300), (2.0**35, 2.0**36), (2.0**40, 1.1 * 2.0**40)]
     for alpha, x in _gamma_grid() + extra:
-        kummer += sc.gammainc(alpha, x) == 0.0 and x > 0.0
+        kummer += sc.gammainc(alpha, x) < sys.float_info.min and x > 0.0
         q = float(sc.gammaincc(alpha, x))
         pairs = [
             (numerics._log_p(alpha, x), _ufunc_log_p(alpha, x)),
@@ -132,7 +136,7 @@ def test_scalar_gammas_match_the_ufuncs_bit_for_bit():
             (numerics.gamma_upper_reg(alpha, x), q),
         ]
         got_q = numerics._log_q(alpha, x)
-        if q > 0.0 or x == math.inf:
+        if q >= sys.float_info.min or x == math.inf:
             pairs.append((got_q, math.log(q) if q > 0.0 else -math.inf))
         else:
             continued += 1
@@ -161,6 +165,24 @@ def test_log_q_just_past_the_underflow_of_q(alpha, x):
         h = mpmath.quad(lambda v: mpmath.exp((s - 1) * mpmath.log1p(v / x_) - v), [0, 1, 10, mpmath.inf])
         want = float((s - 1) * mpmath.log(x_) - x_ + mpmath.log(h) - mpmath.loggamma(s))
     assert abs(numerics._log_q(alpha, x) - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "alpha,x",
+    [(1e4, 6600.0), (1e4, 6630.4), (1e4, 6640.0), (1e4, 4000.0), (1e4, 1.0), (1e4, 1e-305), (5.0, 1e-70)],
+)
+def test_log_p_below_the_normal_range(alpha, x):
+    """Where scipy's P is 0 or subnormal, log P comes from Kummer's M, to
+    1e-12 plus 4 ulps of |log P|.  At (1e4, 6630.4) and (1e4, 6640) P is
+    subnormal, and its own log was 0.7 and 3.4e-3 off; at 6600 and 4000 the
+    lead alpha log x - x - lgamma(alpha + 1) lost about alpha eps.  x = 1
+    takes the lead's log(x/alpha) branch, x = 1e-305 its two logs, where
+    x/alpha is subnormal, and alpha = 5 its plain form."""
+    mpmath = pytest.importorskip("mpmath")
+    assert sc.gammainc(alpha, x) < sys.float_info.min
+    with mpmath.workdps(60):
+        want = float(mpmath.log(mpmath.gammainc(mpmath.mpf(alpha), 0, mpmath.mpf(x), regularized=True)))
+    assert abs(numerics._log_p(alpha, x) - want) <= 1e-12 + 4.0 * sys.float_info.epsilon * abs(want)
 
 
 @pytest.mark.parametrize("name", ["gamma_lower_reg", "gamma_upper_reg", "gamma_lower", "gamma_upper"])
