@@ -79,8 +79,8 @@ def _parse_transform(arg: str):
                 cols = text.split(",")
                 if idx == 1 and any(not _is_float(c) for c in cols):
                     continue
-                if len(cols) != 2:
-                    raise DomainError(f"row {idx}: expected t,mu but got {text!r}")
+                if len(cols) != 2 or not all(_is_float(c) for c in cols):
+                    raise DomainError(f"row {idx}: could not parse {text!r} as t,mu")
                 points.append((float(cols[0]), float(cols[1])))
         return TableTransform(points)
     raise DomainError(f"unknown transform {arg!r}; use power:<c> or table:<file>")
@@ -123,13 +123,10 @@ def _cmd_eval(args) -> int:
         dist = ExpMaxUExp(args.a, args.lam)
     else:
         dist = ErlangMaxUExp(args.order, args.a, args.lam)
-    # The cdf takes the grid as one array, except the Erlang law's, which
-    # takes floats only.  The pdf stays per point: its float branch is the
-    # cheap one.
-    if args.target == "erlang":
-        cdfs = [dist.cdf(x) for x in xs]
-    else:
-        cdfs = dist.cdf(np.array(xs))
+    # The cdf takes the grid as one array.  The pdf stays per point: its
+    # float branch is the cheap one, and MaxUExp's array branch can differ
+    # from it in the last printed digit.
+    cdfs = dist.cdf(np.array(xs))
     print("x,pdf,cdf")
     for x, cdf in zip(xs, cdfs):
         print(f"{_fmt(x)},{_fmt(dist.pdf(x))},{_fmt(cdf)}")

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 from scipy.special import cython_special as _cs
 
-from .errors import DivergenceError, DomainError, NumericError
+from .errors import DivergenceError, DomainError, NumericError, _require_count, _require_positive
 from .numerics import (
     _gamma_upper_cf,
     _log_from_p,
@@ -61,13 +61,6 @@ def _alternating_sum(terms) -> float:
         total += term
         if abs(term) <= 2.0**-53 * abs(total):
             return total
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
-    return value
 
 
 class MaxUExp:
@@ -299,11 +292,9 @@ class MaxUExp:
     def lst(self, t: float) -> float:
         """Laplace-Stieltjes transform E(e^(-tX)) for finite t >= 0: the n = 0
         count probability at clock value t."""
-        if not (0.0 <= t < math.inf):
-            raise DomainError(f"lst requires finite t >= 0, got {t!r}")
         if t == 0.0:
             return 1.0
-        return min(1.0, self._count_pmf(t, 0)[0])
+        return min(1.0, self._count_pmf(_require_positive("t", t), 0)[0])
 
     def _count_pmf(self, m: float, n: int) -> tuple[float, float]:
         """(P(N = n), log P(N = n)) for N mixed Poisson with mean m*X; m > 0,
@@ -392,12 +383,12 @@ class MaxUExp:
         return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
     def log_tilted_moment(self, m: float, n: int) -> float:
-        """log E(X^n e^(-mX)) for m > 0 and integer n >= 0; finite where the
-        moment itself is beyond the double range."""
-        if not (m > 0.0) or not math.isfinite(m):
-            raise DomainError(f"tilted_moment requires finite m > 0, got {m!r}")
-        if not isinstance(n, int) or n < 0:
-            raise DomainError(f"tilted_moment requires integer n >= 0, got {n!r}")
+        """log E(X^n e^(-mX)) for finite m > 0 and integer n >= 0; finite where
+        the moment itself is beyond the double range."""
+        return self._log_tilted(_require_positive("m", m), _require_count("n", n))
+
+    def _log_tilted(self, m: float, n: int) -> float:
+        """``log_tilted_moment`` for checked arguments."""
         log_p = self._count_pmf(m, n)[1]
         if not log_p > -math.inf:
             raise NumericError(f"tilted moment lost to cancellation at m={m!r}, n={n}")

@@ -21,7 +21,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from scipy.special import bdtr
@@ -31,6 +30,8 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NumericError,
+    _require_count,
+    _require_positive,
 )
 from .numerics import find_root, least_squares
 
@@ -98,9 +99,7 @@ def _ratio_stat(x: np.ndarray, variant: str) -> float:
 def mom_curve(x: float) -> float:
     """The moment-ratio curve g(x) for x > 0; series below 1e-3 avoids the
     0/0 cancellation at the origin (limit 2)."""
-    x = float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"mom_curve requires finite x > 0, got {x!r}")
+    x = _require_positive("x", x)
     if x < 1e-3:
         return 2.0 - 2.0 * x * x / 3.0 + x**3 / 3.0 + x**4 / 12.0
     if x < 1e100:  # where x**3 is a double
@@ -318,10 +317,7 @@ def _histogram_init(x: np.ndarray) -> tuple[float, float]:
 def exceedance_confidence(n: int, p: float, max_exceed: int) -> float:
     """P(Binomial(n, p) <= max_exceed): chance the count of tail exceedances
     stays within the allowance."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(max_exceed, int) or max_exceed < 0:
-        raise DomainError(f"max_exceed must be an integer >= 0, got {max_exceed!r}")
+    n, max_exceed = _require_count("n", n, lo=1), _require_count("max_exceed", max_exceed)
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p!r}")
     return min(1.0, float(bdtr(min(max_exceed, n), n, p)))

@@ -1,5 +1,5 @@
-"""Scalar numerical kernels: incomplete gamma functions, bracketed
-root-finding, bounded derivative-free minimization, and adaptive quadrature.
+"""Scalar numerical kernels: incomplete gamma functions, root-finding by
+bisection, bounded derivative-free minimization, and adaptive quadrature.
 
 The regularized incomplete gammas are scipy's ``gammainc``/``gammaincc``
 (DiDonato & Morris, with Temme's uniform asymptotics at large order).  Where
@@ -24,6 +24,10 @@ the count kernel calls it on nearly every evaluation.  ``integrate``,
 ``least_squares`` and ``minimize`` import ``scipy.integrate`` or
 ``scipy.optimize`` on first call, so ``import mpmue`` loads neither, nor the
 ``scipy.linalg`` and ``scipy.sparse`` they pull in.
+
+``minimize``, ``gamma_lower_reg`` and ``gamma_upper_reg`` have no caller in
+the library.  They stay only because the benchmark's tracer
+(``benchmarks/tracing.py``) looks each up by name, with no default.
 """
 
 from __future__ import annotations
@@ -36,13 +40,6 @@ import numpy as np
 from scipy.special import cython_special as _cs
 
 from .errors import BracketError, DomainError, NumericError
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (x > 0.0) or math.isinf(x):
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def checked_exp(x: float) -> float:
@@ -115,11 +112,16 @@ def _log_from_q(alpha: float, x: float, q: float) -> float:
     """log Q(alpha, x) given scipy's q = Q(alpha, x).  Where q is below the
     normal range, log Q comes from the continued fraction.  Q underflows only
     at x > alpha (by 38 sqrt(alpha) or more at large alpha), where the
-    continued fraction takes at most 7 steps for alpha >= 1."""
+    continued fraction takes at most 7 steps for alpha >= 1, or at x < 1
+    for alpha below about 1e-307.  There the fraction converges too slowly,
+    and Q = alpha E1(x) to double precision, since Gamma(alpha, x) is E1(x)
+    and 1/Gamma(alpha) is alpha, each to O(alpha)."""
     if q >= sys.float_info.min:
         return math.log(q)
     if math.isinf(x):
         return -math.inf
+    if x < 1.0:
+        return math.log(alpha) + math.log(_cs.exp1(x))
     return _log_lead(alpha, x) + math.log(_gamma_upper_cf(alpha, x))
 
 
@@ -202,12 +204,12 @@ def _gamma_upper_cf(s: float, x: float) -> float:
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Root of f on [lo, hi] by bisection with secant acceleration.
+    """Root of f on [lo, hi] by bisection.
 
     Requires a sign change over the bracket (an endpoint with f == 0 counts).
-    Stops once the bracket width drops below ``tol``, or after 200 steps; the
-    bracket is halved at least every other step, so that covers any bracket
-    up to 2^100 times ``tol``.
+    Stops once the bracket width drops below ``tol``, or after 200 halvings,
+    which cover any bracket up to 2^200 times ``tol``; the library's
+    brackets and tolerances need at most 70.
     """
     if not (lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
@@ -221,26 +223,17 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    use_secant = True
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if use_secant and fhi != flo:
-            cand = (lo * fhi - hi * flo) / (fhi - flo)
-            # Keep the secant step only when it lands safely inside the bracket.
-            if not (lo + 0.01 * (hi - lo) < cand < hi - 0.01 * (hi - lo)):
-                cand = mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo = mid
         else:
-            cand = mid
-        use_secant = not use_secant
-        fc = f(cand)
-        if fc == 0.0:
-            return cand
-        if (fc > 0.0) == (flo > 0.0):
-            lo, flo = cand, fc
-        else:
-            hi, fhi = cand, fc
+            hi = mid
     return 0.5 * (lo + hi)
 
 

@@ -34,7 +34,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_count
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -107,6 +107,7 @@ def _draw_rows(
     ``stream``: ``draw`` maps a (rows, width) block of uniforms to one value
     per row.  Rows are drawn about ``_BLOCK`` uniforms at a time, in stream
     order, so the output equals ``draw`` of all rows at once bit for bit."""
+    count = _require_count("count", count)
     out = np.empty(count)
     rows = max(1, _BLOCK // width)
     for lo in range(0, count, rows):
@@ -146,8 +147,7 @@ class RandomStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """Vectorized batch of uniforms, bit-identical to ``count`` scalar draws."""
-        if count < 0:
-            raise DomainError("count must be >= 0")
+        count = _require_count("count", count)
         u = counter_uniforms(np.uint64(self.seed), self.position, count)
         self.position += count
         return u
@@ -166,9 +166,7 @@ class RandomStream:
 
     def gamma_int(self, shape: int, rate: float = 1.0) -> float:
         """Gamma draw with integer shape as a sum of exponentials; consumes ``shape`` positions."""
-        if not isinstance(shape, int) or shape < 1:
-            raise DomainError(f"shape must be an integer >= 1, got {shape!r}")
-        return float(np.sum(self.exponentials(shape, rate)))
+        return float(np.sum(self.exponentials(_require_count("shape", shape, lo=1), rate)))
 
     def substream(self, index: int) -> "RandomStream":
         """Independent stream derived from (seed, index); parent state is untouched."""

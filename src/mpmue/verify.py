@@ -39,7 +39,7 @@ import numpy as np
 
 from .distribution import MaxUExp
 from .errors import DomainError
-from .numerics import gamma_lower, gamma_upper, integrate, log_gamma
+from .numerics import gamma_lower, gamma_upper, integrate
 from .process import (
     MixedPoissonMaxUExp,
     PowerTransform,
@@ -396,7 +396,7 @@ def _distribution_checks(a: float, lam: float, seed: int, mc_draws: int):
                     integrate(
                         lambda t, q=q: t ** (q - 1.0) * d.lst(t), 0.0, math.inf, tol=1e-11
                     ).value
-                    / math.exp(log_gamma(q)),
+                    / math.exp(math.lgamma(q)),
                 )
                 for q in (0.5, 1.0, 1.5)
             ],
@@ -1033,7 +1033,7 @@ def _literal_recip_moment(d: MaxUExp, q: float) -> float:
     return 1.0 / (a**q * (1.0 - q)) + (lam ** (q - 1.0) / a) * (
         (q + al) * gamma_upper(1.0 - q, al)
         + al ** (1.0 - q) * math.exp(-al)
-        - q * math.exp(log_gamma(1.0 - q))
+        - q * math.exp(math.lgamma(1.0 - q))
     )
 
 

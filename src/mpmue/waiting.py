@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from .distribution import MaxUExp, _like, _require_positive
-from .errors import DomainError, NumericError
-from .numerics import checked_exp, log_gamma
+from .distribution import MaxUExp, _like
+from .errors import DomainError, NumericError, _require_count, _require_positive
+from .numerics import checked_exp
 from .process import MixedPoissonMaxUExp
 from .rng import RandomStream, _draw_rows
 
@@ -29,19 +29,18 @@ _EM1_CUT = 0.5
 _EM1_SERIES = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 17))
 
 
-def _horner(coeffs: tuple[float, ...], z: float | np.ndarray) -> float | np.ndarray:
-    """sum of coeffs[i] z^i, for a float or an array."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
-
-
 def _em1(z: float | np.ndarray) -> np.ndarray:
     """1 - (1 - e^-z) / z for z > 0, a float or an array, by its series
     below z = _EM1_CUT."""
     zs, zd = np.minimum(z, _EM1_CUT), np.maximum(z, _EM1_CUT)
-    return np.where(z < _EM1_CUT, _horner(_EM1_SERIES, zs) * zs, 1.0 - (-np.expm1(-zd)) / zd)
+    series = np.polynomial.polynomial.polyval(zs, _EM1_SERIES) * zs
+    return np.where(z < _EM1_CUT, series, 1.0 - (-np.expm1(-zd)) / zd)
+
+
+def _each(f, t: np.ndarray) -> np.ndarray:
+    """f over an array element by element, as Python floats, as an array of
+    its shape."""
+    return np.array([f(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
 
 class ErlangMaxUExp:
@@ -50,9 +49,7 @@ class ErlangMaxUExp:
     __slots__ = ("n", "xi")
 
     def __init__(self, n: int, a: float, lam: float):
-        if not isinstance(n, int) or n < 1:
-            raise DomainError(f"order n must be an integer >= 1, got {n!r}")
-        self.n = n
+        self.n = _require_count("order n", n, lo=1)
         self.xi = MaxUExp(a, lam)
 
     @property
@@ -70,10 +67,9 @@ class ErlangMaxUExp:
         """f(t) = (n/t) P(N(t) = n), N the mixed Poisson count on the unit
         clock: the count kernel ``MaxUExp._count_pmf``, as in ``cdf``.  Taken
         as (n/t) P where P and the product are normal doubles, and from log P
-        elsewhere.  An array is evaluated element by element, as Python
-        floats, and gives an array of its shape."""
+        elsewhere.  An array is evaluated element by element (``_each``)."""
         if isinstance(t, np.ndarray):
-            return np.array([self.pdf(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
+            return _each(self.pdf, t)
         if t <= 0.0:
             return 0.0
         if not t < math.inf:
@@ -88,9 +84,12 @@ class ErlangMaxUExp:
                 return density
         return checked_exp(math.log(n) - math.log(t) + log_p)
 
-    def cdf(self, t: float) -> float:
+    def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         """P(T_n <= t) = P(N(t) >= n), N the mixed Poisson count on the unit
-        clock: the closed-form tail ``MaxUExp._log_count_sf``, at any n."""
+        clock: the closed-form tail ``MaxUExp._log_count_sf``, at any n.  An
+        array is evaluated element by element (``_each``)."""
+        if isinstance(t, np.ndarray):
+            return _each(self.cdf, t)
         if t <= 0.0:
             return 0.0
         if not t < math.inf:
@@ -116,7 +115,7 @@ class ErlangMaxUExp:
         """E(T_n^q) = (Gamma(q+n)/Gamma(n)) E(xi^-q); finite exactly for 0 < q < 2,
         NumericError past the double range."""
         neg = self.xi.neg_moment(q)  # raises outside 0 < q < 2
-        value = math.exp(log_gamma(q + self.n) - log_gamma(float(self.n))) * neg
+        value = math.exp(math.lgamma(q + self.n) - math.lgamma(self.n)) * neg
         if value == math.inf:
             raise NumericError(f"E(T^{q!r}) of {self!r} exceeds the double range")
         return value

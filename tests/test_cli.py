@@ -17,6 +17,7 @@ from mpmue import (
     MaxUExpEstimator,
     MixedPoissonMaxUExp,
     RandomStream,
+    TableTransform,
 )
 from mpmue.cli import main
 from mpmue.verify import CheckResult
@@ -143,6 +144,28 @@ def test_simulate_path_format():
     ts = [float(t) for t in times]
     assert ts == sorted(ts)
     assert all(0.0 < t <= 50.0 for t in ts)
+
+
+def test_simulate_path_on_a_table_clock(tmp_path):
+    # mu(t) = 2t on [0, 3], with a header row and a comment row.
+    table = tmp_path / "clock.csv"
+    table.write_text("t,mu\n# doubled clock\n0,0\n1.5,3\n3,6\n")
+    res = run_cli(
+        "simulate", "path", "--a", "1", "--lambda", "1",
+        "--mu", f"table:{table}", "--horizon", "3", "--seed", "9",
+    )
+    assert res.returncode == 0, res.stderr
+    path = MixedPoissonMaxUExp(MaxUExp(1.0, 1.0)).simulate_path(
+        TableTransform([(0.0, 0.0), (1.5, 3.0), (3.0, 6.0)]), 3.0, RandomStream(9)
+    )
+    lines = res.stdout.strip().splitlines()
+    assert lines[:2] == [f"# xi={path.xi:.12g}", "event_index,time"]
+    assert lines[2:] == [f"{i},{t:.12g}" for i, t in enumerate(path.events, start=1)]
+    assert path.events
+    table.write_text("t,mu\n0,0\n1.5,oops\n")
+    res = run_cli("simulate", "path", "--a", "1", "--lambda", "1", "--mu", f"table:{table}")
+    assert res.returncode == 2
+    assert "row 3" in res.stderr
 
 
 def test_fit_json_contract(tmp_path, capsys):

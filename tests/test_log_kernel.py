@@ -223,6 +223,44 @@ def test_count_tail_against_mpmath(a, lam, m, n):
     assert abs(got - want) <= _budget(want), (a, lam, m, n, got, want)
 
 
+def _log_moment_mpmath(a, lam, k, dps=50):
+    """log E(X^k) for -2 < k != 0 in mpmath at ``dps`` digits, from the
+    density split at a.  With x = a lam, s = k + 1 and g, G the lower and
+    upper incomplete gammas, E(X^k) = lam^-s [A + g(k+2, x)]/a +
+    lam^-k G(k+1, x), where A = [x^s (1 - e^-x) - g(k+2, x)]/s integrates
+    u^k (1 - e^-u) over (0, x); at s = 0 it is Ein(x) = E1(x) + log x +
+    Euler's constant."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        a, lam, k = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(k)
+        x, s = a * lam, k + 1
+        g = mpmath.gammainc(k + 2, 0, x)
+        if s == 0:
+            head = mpmath.e1(x) + mpmath.log(x) + mpmath.euler
+        else:
+            head = (x**s * -mpmath.expm1(-x) - g) / s
+        value = lam**-s * (head + g) / a + lam**-k * mpmath.gammainc(k + 1, x, mpmath.inf)
+        return float(mpmath.log(value))
+
+
+@_DRAWS
+@given(
+    a=_log_uniform(1e-2, 1e2),
+    lam=_log_uniform(1e-2, 1e2),
+    k=st.one_of(
+        st.floats(-2.0, 0.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 60.0, exclude_min=True),
+    ),
+)
+def test_moment_kernel_against_mpmath(a, lam, k):
+    """The moment kernel at every order k in (-2, 0) and (0, 60], to 1e-12
+    plus 4 ulps of log E(X^k), wherever E(X^k) is at least 1e-300."""
+    want = _log_moment_mpmath(a, lam, k)
+    assume(want >= math.log(1e-300))
+    got = MaxUExp(a, lam)._log_moment(k)
+    assert abs(got - want) <= _budget(want), (a, lam, k, got, want)
+
+
 def test_count_tail_at_a_large_order():
     """Up to a m = n the uniform bracket is Kummer's M times the lead
     y^n e^-y / n!, whose logs of size n log n cancel: taken as they stand,

@@ -400,6 +400,49 @@ def test_simulate_past_two_to_the_53_events_raises_typed_error():
     assert stream.position == 0
 
 
+def test_simulate_past_the_event_cap_raises_at_once():
+    # xi is near 1e8 at lam = 1e-8, so one path to horizon 1 expects about
+    # 1e8 events, past the batch cap of 2^24; the rounds would take minutes
+    # and gigabytes.
+    proc = MixedPoissonMaxUExp(MaxUExp(1.0, 1e-8))
+    with pytest.raises(NumericError):
+        proc.simulate_paths(PowerTransform(1.0), 1.0, 1, seed=1)
+    with pytest.raises(NumericError):
+        proc.simulate_path(PowerTransform(1.0), 1.0, RandomStream(1))
+
+
+def test_counts_are_integers_from_zero_to_two_to_the_53(pp):
+    """Every count, order and draw count takes a Python or numpy integer
+    from its lower bound to 2^53, and raises DomainError otherwise: for a
+    non-integral float, 2.0 included, a negative count, and one past 2^53,
+    also one with too many digits to print."""
+    stream = RandomStream(1)
+    bad_counts = (2.7, 2.0, -1, 2**53 + 1, 10**5000)
+    calls = [
+        lambda k: pp.pmf(1.0, k),
+        lambda k: pp.ordered_pmf([1.0, 2.0], [1, k]),
+        lambda k: to_cumulative([1, k]),
+        lambda k: to_increments([k]),
+        lambda k: pp.simulate_paths(PowerTransform(1.0), 1.0, k, seed=1),
+        lambda k: MaxUExp(1.0, 1.0).sample_many(stream, k),
+        lambda k: ErlangMaxUExp(2, 1.0, 1.0).sample_many(stream, k),
+        lambda k: ErlangMaxUExp(k, 1.0, 1.0),
+    ]
+    for call in calls:
+        for k in bad_counts:
+            with pytest.raises(DomainError):
+                call(k)
+    assert pp.pmf(1.0, np.int64(3)) == pp.pmf(1.0, 3)
+    assert pp.ordered_pmf([1.0, 2.0], [np.int64(1), 3]) == pp.ordered_pmf([1.0, 2.0], [1, 3])
+    assert to_cumulative([np.int64(1), 2]) == [1, 3]
+    erlang = ErlangMaxUExp(np.int64(5), 1.0, 1.0)
+    assert erlang.pdf(2.0) == ErlangMaxUExp(5, 1.0, 1.0).pdf(2.0)
+    assert len(pp.simulate_paths(PowerTransform(1.0), 1.0, np.int64(2), seed=1)) == 2
+    assert stream.position == 0
+    # The count kernel takes counts up to 2^53 itself.
+    assert 0.0 <= pp.pmf(1.0, 2**53) <= 1.0
+
+
 def test_simulate_paths_empty_batch(pp):
     assert pp.simulate_paths(PowerTransform(1.0), 2.0, 0, seed=1) == []
     with pytest.raises(DomainError):
