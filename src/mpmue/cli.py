@@ -45,22 +45,23 @@ def _parse_grid(arg: str) -> list[float]:
     return list(np.linspace(lo, hi, steps))
 
 
-def _read_sample(path: str) -> list[float]:
-    values: list[float] = []
+def _read_csv(path: str, columns: tuple[str, ...]) -> list[list[float]]:
+    """The rows of a CSV file of numbers, one per column name.  Blank lines
+    and lines that start with ``#`` are skipped, and a first line that is
+    not numbers is a header; any other bad row raises DomainError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for idx, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if idx == 1 and text.lower() == "x":
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise DomainError(f"row {idx}: could not parse {text!r} as a number") from None
-    if not values:
-        raise DomainError(f"no data rows in {path!r}")
-    return values
+        lines = [(i, s) for i, raw in enumerate(fh, 1) if (s := raw.strip()) and s[0] != "#"]
+    rows = []
+    for k, (idx, text) in enumerate(lines):
+        try:
+            row = [float(c) for c in text.split(",")]
+        except ValueError:
+            row = []
+        if len(row) == len(columns):
+            rows.append(row)
+        elif row or k > 0:
+            raise DomainError(f"row {idx}: could not parse {text!r} as {','.join(columns)}")
+    return rows
 
 
 def _parse_transform(arg: str):
@@ -70,28 +71,8 @@ def _parse_transform(arg: str):
     if kind == "table":
         if not rest:
             raise DomainError("table transform needs a file: table:<path>")
-        points = []
-        with open(rest, "r", encoding="utf-8") as fh:
-            for idx, raw in enumerate(fh, start=1):
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                cols = text.split(",")
-                if idx == 1 and any(not _is_float(c) for c in cols):
-                    continue
-                if len(cols) != 2 or not all(_is_float(c) for c in cols):
-                    raise DomainError(f"row {idx}: could not parse {text!r} as t,mu")
-                points.append((float(cols[0]), float(cols[1])))
-        return TableTransform(points)
+        return TableTransform(_read_csv(rest, ("t", "mu")))
     raise DomainError(f"unknown transform {arg!r}; use power:<c> or table:<file>")
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 # -- subcommand bodies ------------------------------------------------------------
@@ -134,7 +115,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    values = _read_sample(args.input)
+    values = [row[0] for row in _read_csv(args.input, ("x",))]
     report = MaxUExpEstimator(args.method, args.trim, args.variant).fit(values).report_
     payload = {
         "a": report.a,

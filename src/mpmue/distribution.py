@@ -18,7 +18,9 @@ import sys
 import numpy as np
 from scipy.special import cython_special as _cs
 
-from .errors import DivergenceError, DomainError, NumericError, _require_count, _require_positive
+from .errors import (
+    DivergenceError, NumericError, _real, _require_count, _require_positive, _require_real
+)
 from .numerics import (
     _gamma_upper_cf,
     _log_from_p,
@@ -89,6 +91,7 @@ class MaxUExp:
     # math module rather than through ``cdf``.
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        x = _real("x", x)
         xp = np.maximum(x, 0.0)
         with np.errstate(over="ignore"):
             tail = -np.expm1(-self.lam * xp)
@@ -97,12 +100,14 @@ class MaxUExp:
 
     def pdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """Density; at the jump point x = a returns the left (uniform-branch) value."""
-        if isinstance(x, np.ndarray):
-            with np.errstate(over="ignore"):
-                z = self.lam * np.maximum(x, 0.0)
-            ez = np.exp(-z)
-            left = (-np.expm1(-z) + _z_exp_array(z, ez)) / self.a
-            return np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam * ez))
+        if type(x) is not float:  # a quadrature's float takes no call
+            x = _real("x", x)
+            if isinstance(x, np.ndarray):
+                with np.errstate(over="ignore"):
+                    z = self.lam * np.maximum(x, 0.0)
+                ez = np.exp(-z)
+                left = (-np.expm1(-z) + _z_exp_array(z, ez)) / self.a
+                return np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam * ez))
         if x <= 0.0:
             return 0.0
         if x <= self.a:
@@ -120,14 +125,15 @@ class MaxUExp:
         """pdf/(1 - cdf).  Just below the jump the survival is about
         e^(-lam a), so the hazard passes the double range once lam*a exceeds
         about 709; there it raises NumericError."""
+        x = _real("x", x)
         # Evaluate the uniform branch on [0, a] only: past a its denominator
-        # can vanish.
+        # can vanish.  A nan point fails both tests below and gives nan.
         xl = np.clip(x, 0.0, self.a)
         with np.errstate(divide="ignore", over="ignore"):
             z = self.lam * xl
             ez = np.exp(-z)
             left = (-np.expm1(-z) + _z_exp_array(z, ez)) / (self.a - xl + xl * ez)
-        out = np.where(x <= 0.0, 0.0, np.where(x <= self.a, left, self.lam))
+        out = np.where(x <= 0.0, 0.0, np.where(x > self.a, self.lam, left))
         if np.any(out == math.inf):
             raise NumericError(f"hazard of {self!r} exceeds the double range near the jump")
         return _like(x, out)
@@ -137,8 +143,7 @@ class MaxUExp:
         uniform branch bisects the cdf's own expression there,
         (x/a)(1 - e^(-lam x)) = q on (0, a), on the math module: a numpy
         ``cdf`` call would cost each of its ~40 steps 10 us or more."""
-        if not (0.0 < q < 1.0):
-            raise DomainError(f"quantile requires 0 < q < 1, got {q!r}")
+        q = _require_real("q", q, 0.0, 1.0)
         a, lam = self.a, self.lam
         if q >= -math.expm1(-lam * a):
             return -math.log1p(-q) / lam
@@ -167,12 +172,12 @@ class MaxUExp:
 
     def moment(self, k: float) -> float:
         """E(X^k) for k > -2, from ``_log_moment``; 1 at k = 0.  The density
-        behaves like 2 lam x / a near 0, so E(X^k) diverges exactly for k <= -2."""
-        if not (k > -2.0):
+        behaves like 2 lam x / a near 0, so E(X^k) diverges exactly for k <= -2
+        (and nan); k = inf raises DomainError."""
+        k = _real("k", k)
+        if not k > -2.0:
             raise DivergenceError(f"moment diverges for k <= -2, got {k!r}")
-        if k == math.inf:
-            raise DomainError("moment requires finite k, got inf")
-        return checked_exp(self._log_moment(k))
+        return checked_exp(self._log_moment(_require_real("k", k)))
 
     def _log_moment(self, k: float) -> float:
         """log E(X^k) for k > -2, the one moment kernel.
@@ -283,11 +288,10 @@ class MaxUExp:
         quadrature by a wide margin; the verification ledger records it as
         ``reciprocal-moment-sign``.
         """
-        if not (q > 0.0):
-            raise DomainError(f"neg_moment requires q > 0, got {q!r}")
+        q = _real("q", q)
         if q >= 2.0:
             raise DivergenceError(f"E(X^-q) diverges for q >= 2, got q={q!r}")
-        return self.moment(-q)
+        return self.moment(-_require_real("q", q, 0.0))
 
     def lst(self, t: float) -> float:
         """Laplace-Stieltjes transform E(e^(-tX)) for finite t >= 0: the n = 0

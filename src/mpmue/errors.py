@@ -4,6 +4,8 @@ raise them."""
 import math
 import operator
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -35,34 +37,51 @@ class RangeError(ValueError):
 
 # -- argument checks ----------------------------------------------------------
 #
-# Every layer checks its counts and its positive reals here, once, at its
-# public entry; private kernels take checked arguments.  This module imports
-# nothing from the package, so every module can import it.
+# Every layer checks its counts and reals here, once, at its public entry;
+# private kernels take checked arguments.  Messages show converted values:
+# ints of over 4300 digits have no str.  Nothing here imports the package.
 
 # Counts stop being exact doubles past 2^53, where the kernels take them.
 _COUNT_MAX = 2**53
 
 
-def _require_positive(name: str, value: float) -> float:
-    """``value`` as a float, DomainError unless it is finite and positive."""
-    try:
-        value = float(value)
-    except OverflowError:
-        raise DomainError(f"{name} must be finite and positive, got an int past a double") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
-    return value
+def _real(name: str, x):
+    """x as a float, or a numpy array of numbers as it stands; DomainError for
+    anything else, a string too, or past the double range.  inf and nan pass."""
+    if type(x) is float or isinstance(x, np.ndarray) and x.dtype.kind in "biuf":
+        return x
+    if not isinstance(x, (str, bytes)):
+        try:
+            return float(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError(f"{name} must be a number within the double range, got {type(x).__name__}")
 
 
-def _require_count(name: str, n: int, lo: int = 0) -> int:
+def _require_real(name: str, x, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``_real`` of a number, DomainError unless lo < x < hi, so finite by
+    default.  A float takes no further call: every pmf call runs this."""
+    if type(x) is not float:
+        x = _real(name, x)
+    if type(x) is not float or not lo < x < hi:
+        raise DomainError(f"{name} must be a number in ({lo:g}, {hi:g}), got {x!r}")
+    return x
+
+
+def _require_positive(name: str, x) -> float:
+    """x as a float, DomainError unless it is finite and positive."""
+    return _require_real(name, x, 0.0)
+
+
+def _require_count(name: str, n: int, lo: int = 0, hi: float = _COUNT_MAX) -> int:
     """``n`` as an int, DomainError unless it is an integer (a Python int, a
-    numpy integer or a bool) from ``lo`` to 2^53.  Past that bound the
-    message gives the bit length: ints of over 4300 digits have no str."""
+    numpy integer or a bool) from ``lo`` to ``hi``, 2^53 by default.  Past
+    2^53 the message gives the bit length."""
     try:
         n = operator.index(n)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got a {type(n).__name__}") from None
-    if not lo <= n <= _COUNT_MAX:
+    if not lo <= n <= hi:
         shown = repr(n) if abs(n) <= _COUNT_MAX else f"an int of {n.bit_length()} bits"
-        raise DomainError(f"{name} must be an integer from {lo} to 2^53, got {shown}")
+        raise DomainError(f"{name} must be an integer from {lo} to {hi}, got {shown}")
     return n

@@ -30,8 +30,10 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NumericError,
+    _real,
     _require_count,
     _require_positive,
+    _require_real,
 )
 from .numerics import find_root, least_squares
 
@@ -219,6 +221,7 @@ def _solve_mom(x: np.ndarray, variant: str) -> FitReport:
 
 
 def _trimmed(values: np.ndarray, trim: float) -> tuple[np.ndarray, int]:
+    trim = _real("trim", trim)
     if not (0.0 <= trim < 1.0):
         raise DomainError(f"trim must lie in [0, 1), got {trim!r}")
     n = values.size
@@ -233,7 +236,7 @@ def lsq_objective(values, a: float, lam: float, trim: float = 0.25) -> float:
     """Sum of squared gaps between plotting positions i/(n+1) (n the original
     size) and the uniform-branch cdf (x_i/a)(1 - e^(-lam x_i)) over the
     retained (smallest) order statistics."""
-    return _lsq_objective(validate_sample(values), a, lam, trim)
+    return _lsq_objective(validate_sample(values), _real("a", a), _real("lam", lam), trim)
 
 
 def _lsq_objective(x: np.ndarray, a: float, lam: float, trim: float) -> float:
@@ -266,8 +269,8 @@ def _lsq_fit(x: np.ndarray, init: tuple[float, float], trim: float) -> FitReport
         a, lam = p
         return positions - (kept / a) * (-np.expm1(-lam * kept))
 
-    a0 = max(float(init[0]), a_floor)
-    lam0 = max(float(init[1]), 1e-12)
+    a0 = max(a_floor, _real("init a", init[0]))  # a nan start takes the floor
+    lam0 = max(1e-12, _real("init lam", init[1]))
     big = max(1e6, 1e4 * a_floor)
     best = least_squares(residuals, [a0, lam0], [(a_floor, big), (1e-12, big)])
     a, lam = float(best[0]), float(best[1])
@@ -318,8 +321,7 @@ def exceedance_confidence(n: int, p: float, max_exceed: int) -> float:
     """P(Binomial(n, p) <= max_exceed): chance the count of tail exceedances
     stays within the allowance."""
     n, max_exceed = _require_count("n", n, lo=1), _require_count("max_exceed", max_exceed)
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"p must lie in (0, 1), got {p!r}")
+    p = _require_real("p", p, 0.0, 1.0)
     return min(1.0, float(bdtr(min(max_exceed, n), n, p)))
 
 

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import cython_special as _cs
 
-from .errors import BracketError, DomainError, NumericError
+from .errors import BracketError, DomainError, NumericError, _require_positive, _require_real
 
 
 def checked_exp(x: float) -> float:
@@ -51,8 +51,7 @@ def checked_exp(x: float) -> float:
 
 
 def _check_gamma_args(alpha: float, x: float) -> None:
-    if not (alpha > 0.0) or math.isinf(alpha):
-        raise DomainError(f"incomplete gamma requires finite alpha > 0, got {alpha!r}")
+    _require_positive("alpha", alpha)
     if not (x >= 0.0):
         raise DomainError(f"incomplete gamma requires x >= 0, got {x!r}")
 
@@ -213,8 +212,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
     """
     if not (lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    if not (tol > 0.0):
-        raise DomainError("tol must be positive")
+    tol = _require_positive("tol", tol)
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -325,10 +323,7 @@ def integrate(
     """
     from scipy.integrate import quad
 
-    if not (tol > 0.0):
-        raise DomainError("tol must be positive")
-    if math.isinf(lo):
-        raise DomainError("lower limit must be finite")
+    tol, lo = _require_positive("tol", tol), _require_real("lower limit", lo)
     if not (lo < hi):
         raise DomainError(f"invalid interval [{lo}, {hi}]")
     cuts = sorted(b for b in breakpoints if lo < b < hi)

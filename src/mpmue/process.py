@@ -19,11 +19,13 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .distribution import MaxUExp, _like
-from .errors import DomainError, NumericError, RangeError, _require_count, _require_positive
+from .errors import (
+    DomainError, NumericError, RangeError, _real, _require_count, _require_positive, _require_real
+)
 from .numerics import checked_exp
 from .rng import RandomStream, counter_uniforms, substream_seeds
 
-# Exponentials drawn per active path in each round of ``_simulate``.
+# Fewest exponentials drawn per active path in one round of ``_simulate``.
 _ROUND = 8
 # Most events a batch may expect, the sum of its budgets xi mu(horizon),
 # checked before the first round.  A batch peaks at about 64 bytes per event
@@ -62,6 +64,7 @@ class PowerTransform:
     def _power(x: float | np.ndarray, p: float) -> float | np.ndarray:
         """x^p for finite x >= 0 (DomainError otherwise), NumericError where
         it passes the double range."""
+        x = _real("time or clock value", x)
         if np.size(x) and not (np.min(x) >= 0.0 and np.max(x) < math.inf):
             raise DomainError("times and clock values must be finite and >= 0")
         with np.errstate(over="raise"):
@@ -82,20 +85,19 @@ class TableTransform:
     __slots__ = ("ts", "mus")
 
     def __init__(self, points: Sequence[tuple[float, float]]):
-        pts = [(float(t), float(m)) for t, m in points]
+        pts = [(_real("table t", t), _real("table mu", m)) for t, m in points]
         if len(pts) < 2:
             raise DomainError("table needs at least two points")
         if pts[0] != (0.0, 0.0):
             raise DomainError("table must start at (0, 0)")
-        for (t0, m0), (t1, m1) in zip(pts[:-1], pts[1:]):
-            if not (t1 > t0 and m1 > m0):
-                raise DomainError("table coordinates must be strictly increasing")
-        self.ts = [p[0] for p in pts]
-        self.mus = [p[1] for p in pts]
+        if not all(t1 > t0 and m1 > m0 for (t0, m0), (t1, m1) in zip(pts, pts[1:])):
+            raise DomainError("table coordinates must be strictly increasing")
+        self.ts, self.mus = (list(column) for column in zip(*pts))
 
     @staticmethod
     def _interpolate(xs: list[float], ys: list[float], x: float | np.ndarray) -> float | np.ndarray:
         """The polyline through (xs, ys) at x, exact at the anchors."""
+        x = _real("time or clock value", x)
         if np.size(x) and not (xs[0] <= np.min(x) and np.max(x) <= xs[-1]):
             raise RangeError(f"values outside table range [{xs[0]}, {xs[-1]}]")
         return _like(x, np.interp(x, xs, ys))
@@ -115,6 +117,8 @@ class ProcessPath:
 
     def count_at(self, t: float) -> int:
         """N(t): events at or before t (``events`` is ascending)."""
+        if type(t) is not float:  # a float, as a scan of paths gives, takes no call
+            t = _real("t", t)
         if not (0.0 <= t <= self.horizon):
             raise DomainError(f"t must lie in [0, horizon], got {t!r}")
         return bisect.bisect_right(self.events, t)
@@ -179,9 +183,7 @@ class MixedPoissonMaxUExp:
         """Smallest count cutoff K with P(N >= K) at most ``tail``, found by
         doubling and then bisection (the tail does not increase).  A cutoff
         past 2^53, where counts stop being exact doubles, raises NumericError."""
-        m = _require_positive("m", m)
-        if not (0.0 < tail < 1.0):
-            raise DomainError(f"tail must lie in (0, 1), got {tail!r}")
+        m, tail = _require_positive("m", m), _require_real("tail", tail, 0.0, 1.0)
         lo, hi = 0, 1
         while self.pmf_upper_tail_bound(m, hi) > tail:
             if hi >= 2**53:
@@ -202,14 +204,12 @@ class MixedPoissonMaxUExp:
 
     def pgf(self, m: float, z: float) -> float:
         """E(z^N) = lst(m(1-z)) for |z| < 1."""
-        m = _require_positive("m", m)
-        if not (-1.0 < z < 1.0):
-            raise DomainError(f"pgf requires |z| < 1, got {z!r}")
+        m, z = _require_positive("m", m), _require_real("z", z, -1.0, 1.0)
         return self.xi.lst(m * (1.0 - z))
 
     def posterior_pdf(self, m: float, n: int, x: float) -> float:
         """Density of xi given N = n at clock value m (Bayes weighting of the prior)."""
-        m, n = _require_positive("m", m), _require_count("n", n)
+        m, n, x = _require_positive("m", m), _require_count("n", n), _real("x", x)
         if x <= 0.0 or x == math.inf:
             return 0.0
         xi = self.xi
@@ -282,9 +282,9 @@ class MixedPoissonMaxUExp:
     ) -> list[ProcessPath]:
         """Paths on the streams with the given seeds, all from one position,
         in one numpy pass.  Each stream gives xi from its next two draws and
-        then unit exponentials, drawn in rounds of ``_ROUND`` for the paths
-        still below their budget.  A batch whose budgets sum past
-        ``_EVENT_CAP`` raises NumericError before the first round."""
+        then unit exponentials, in rounds of a quarter of its draws so far
+        (``_ROUND`` at least) while below its budget.  A batch whose budgets
+        sum past ``_EVENT_CAP`` raises NumericError before the first round."""
         horizon = _require_positive("horizon", horizon)
         mu_h = transform.value(horizon)
         xi = self.xi._from_uniforms(counter_uniforms(seeds[:, None], position, 2))
@@ -295,11 +295,13 @@ class MixedPoissonMaxUExp:
         if not expected <= _EVENT_CAP:
             raise NumericError(f"{self!r} expects {expected:.3g} events, past the cap 2^24")
         position += 2
+        first = position
         s = np.zeros(len(seeds))
         active = np.arange(len(seeds))
         sums, owners = [], []
         while active.size:
-            e = -np.log(counter_uniforms(seeds[active, None], position, _ROUND))
+            width = max(_ROUND, (position - first) // 4)
+            e = -np.log(counter_uniforms(seeds[active, None], position, width))
             # The carried sum goes in first, so each row adds exactly as
             # ``s += e`` would, one draw at a time.
             cum = np.cumsum(np.concatenate([s[active, None], e], axis=1), axis=1)[:, 1:]
@@ -309,7 +311,7 @@ class MixedPoissonMaxUExp:
             going = kept[:, -1]
             s[active[going]] = cum[going, -1]
             active = active[going]
-            position += _ROUND
+            position += width
         sums = np.concatenate([np.zeros(0)] + sums)
         owners = np.concatenate([np.zeros(0, dtype=np.intp)] + owners)
         order = np.argsort(owners, kind="stable")

@@ -30,11 +30,12 @@ a path and its batch, bit-identical.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
 
-from .errors import DomainError, _require_count
+from .errors import DomainError, _require_count, _require_positive
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -132,10 +133,8 @@ class RandomStream:
     def __init__(self, seed: int, position: int = 0):
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise DomainError(f"seed must be an integer, got {seed!r}")
-        if position < 0:
-            raise DomainError("position must be >= 0")
         self.seed = seed & _MASK
-        self.position = position
+        self.position = _require_count("position", position, hi=math.inf)
 
     def _next_u64(self) -> int:
         self.position += 1
@@ -155,13 +154,11 @@ class RandomStream:
     def exponential(self, rate: float = 1.0) -> float:
         """Exponential draw by inverse transform; consumes one position.
         The logarithm is numpy's, as in ``exponentials``."""
-        if not (rate > 0.0):
-            raise DomainError(f"rate must be positive, got {rate!r}")
+        rate = _require_positive("rate", rate)
         return float(-np.log(self.uniform())) / rate
 
     def exponentials(self, count: int, rate: float = 1.0) -> np.ndarray:
-        if not (rate > 0.0):
-            raise DomainError(f"rate must be positive, got {rate!r}")
+        rate = _require_positive("rate", rate)
         return -np.log(self.uniforms(count)) / rate
 
     def gamma_int(self, shape: int, rate: float = 1.0) -> float:
@@ -170,8 +167,7 @@ class RandomStream:
 
     def substream(self, index: int) -> "RandomStream":
         """Independent stream derived from (seed, index); parent state is untouched."""
-        if index < 0:
-            raise DomainError("substream index must be >= 0")
+        index = _require_count("substream index", index)
         return RandomStream(_mix64(self.seed + (index + 1) * _SUBSTREAM_GAMMA))
 
     def __repr__(self) -> str:

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distribution import MaxUExp
-from .errors import DomainError
+from .errors import DomainError, _require_count
 from .numerics import gamma_lower, gamma_upper, integrate
 from .process import (
     MixedPoissonMaxUExp,
@@ -79,9 +79,7 @@ def ks_statistic(values, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
 
 
 def ks_critical(n: int) -> float:
-    if n < 1:
-        raise DomainError("need at least one observation")
-    return KS_COEFF_1PCT / math.sqrt(n)
+    return KS_COEFF_1PCT / math.sqrt(_require_count("n", n, lo=1))
 
 
 # -- check plumbing --------------------------------------------------------------

@@ -16,7 +16,9 @@ import sys
 import numpy as np
 
 from .distribution import MaxUExp, _like
-from .errors import DomainError, NumericError, _require_count, _require_positive
+from .errors import (
+    DomainError, NumericError, _real, _require_count, _require_positive, _require_real
+)
 from .numerics import checked_exp
 from .process import MixedPoissonMaxUExp
 from .rng import RandomStream, _draw_rows
@@ -70,10 +72,9 @@ class ErlangMaxUExp:
         elsewhere.  An array is evaluated element by element (``_each``)."""
         if isinstance(t, np.ndarray):
             return _each(self.pdf, t)
+        t = _require_real("t", t)
         if t <= 0.0:
             return 0.0
-        if not t < math.inf:
-            raise DomainError(f"pdf requires finite t, got {t!r}")
         n = self.n
         p, log_p = self.xi._count_pmf(t, n)
         if not log_p > -math.inf:
@@ -90,10 +91,9 @@ class ErlangMaxUExp:
         array is evaluated element by element (``_each``)."""
         if isinstance(t, np.ndarray):
             return _each(self.cdf, t)
+        t = _require_real("t", t)
         if t <= 0.0:
             return 0.0
-        if not t < math.inf:
-            raise DomainError(f"cdf requires finite t, got {t!r}")
         return min(1.0, math.exp(self.xi._log_count_sf(t, self.n)))
 
     def sample(self, stream: RandomStream) -> float:
@@ -139,6 +139,7 @@ class ExpMaxUExp(ErlangMaxUExp):
     # quotient is 1 where y underflows.  At t = inf it returns its limit, 1.
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
+        t = _real("t", t)
         a, lam = self.a, self.lam
         tp = np.where((t <= 0.0) | (t == math.inf), 1.0, t)
         s = lam + tp
@@ -150,6 +151,7 @@ class ExpMaxUExp(ErlangMaxUExp):
 
     def joint_pdf(self, t: float, x: float) -> float:
         """Joint density of (T, xi) at (t, x): x e^(-tx) times the mixing density."""
+        t, x = _real("t", t), _real("x", x)
         if t <= 0.0 or x <= 0.0 or x == math.inf:
             return 0.0
         return x * math.exp(-t * x) * self.xi.pdf(x)
@@ -174,7 +176,7 @@ class ExpMaxUExp(ErlangMaxUExp):
         A single mixing draw couples the coordinates, so this depends on the
         arguments only through their sum.
         """
-        ts = [float(t) for t in ts]
+        ts = [_real("t", t) for t in ts]
         if not ts:
             raise DomainError("need at least one coordinate")
         if any(t <= 0.0 for t in ts):

@@ -198,6 +198,20 @@ def test_fit_rejects_bad_rows(tmp_path):
     assert "row 3" in res.stderr
 
 
+def test_fit_reads_any_header_and_comment_rows(tmp_path, capsys):
+    # One CSV reader serves fit and table clocks: blank and # lines are
+    # skipped, and a first line that is not numbers is a header.
+    rows = [f"{v:.17g}" for v in MaxUExp(1.0, 1.0).sample_many(RandomStream(5), 200)]
+    plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+    plain.write_text("\n".join(rows) + "\n")
+    commented.write_text("# seed 5\nvalue\n\n" + "\n# again\n".join(rows) + "\n")
+    outs = []
+    for sample in (plain, commented):
+        assert main(["fit", "--input", str(sample), "--method", "mom"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_momcurve_output():
     res = run_cli("momcurve", "--lo", "1", "--hi", "5", "--steps", "5")
     assert res.returncode == 0

@@ -2,7 +2,8 @@
 the package's typed errors, on an extreme grid.
 
 The grid: a, lam and every float argument in {1e-300, 1e-12, 1, 1e12,
-1e300}, and the arguments at inf as well.  Counts, orders and draw counts
+1e300}, and the arguments at inf and at the int 10**400, past the double
+range, as well.  Counts, orders and draw counts
 are integers and take small fixed sets; the counts include a numpy integer
 and two past 2^53, the largest count any law takes.  An evaluator that
 takes arrays is called with a float and with a one-element array.  Warnings
@@ -47,7 +48,7 @@ from mpmue import (
 )
 
 GRID = (1e-300, 1e-12, 1.0, 1e12, 1e300)
-ARGS = GRID + (math.inf,)
+ARGS = GRID + (math.inf, 10**400)
 COUNTS = (0, 1, 5, 1000, np.int64(5), 2**53 + 1, 10**400)
 TYPED = (
     BracketError,
@@ -276,3 +277,30 @@ def test_methods_return_finite_in_range_or_raise_typed_errors(cls):
 def test_functions_return_finite_in_range_or_raise_typed_errors(name):
     calls, kind = FUNCTIONS[name]
     assert _leaks(name, getattr(mpmue, name), calls, kind) == []
+
+
+def test_ints_with_no_str_and_non_integers_raise_domain_error():
+    # Python will not print an int of over 4300 digits, so a message that
+    # formatted the argument itself would raise ValueError instead.
+    huge = 10**5000
+    d = MaxUExp(1.0, 1.0)
+    proc = MixedPoissonMaxUExp(d)
+    flat = np.linspace(1.0, 2.0, 30)  # ratio below the curve: fit_auto refits with trim
+    probes = [
+        lambda: d.quantile(huge),
+        lambda: proc.pgf(1.0, huge),
+        lambda: proc.truncation_point(1.0, huge),
+        lambda: mpmue.exceedance_confidence(10, huge, 1),
+        lambda: mpmue.lsq_objective(flat, 1.0, 1.0, huge),
+        lambda: mpmue.fit_auto(flat, trim=huge),
+        lambda: ProcessPath(1.0, [0.5], 1.0).count_at(huge),
+        lambda: RandomStream(1).substream(2.5),
+        lambda: RandomStream(1, 2.5),
+    ]
+    for probe in probes:
+        with pytest.raises(DomainError):
+            probe()
+    # Positions wrap mod 2^64 and have no 2^53 bound.
+    s1, s2 = RandomStream(1, 2**60), RandomStream(1, 2**60)
+    assert s1.uniforms(3).tolist() == [s2.uniform() for _ in range(3)]
+    assert s1.position == s2.position == 2**60 + 3

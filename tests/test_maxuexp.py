@@ -56,6 +56,9 @@ def test_hazard_values_and_zero_left_of_support():
     assert d.hazard(1.5) == 1.0
     assert d.hazard(7.0) == 1.0
     assert MaxUExp(2.0, 0.7).hazard(5.0) == 0.7
+    # A nan point gives nan in all three evaluators, as a float or an array.
+    for f in (d.cdf, d.pdf, d.hazard):
+        assert math.isnan(f(math.nan)) and math.isnan(f(np.array([math.nan]))[0])
 
 
 MOMENT_GRID = [(1.0, 1.0), (2.0, 0.5), (1e-12, 1.0), (1e-14, 1.0), (1e-300, 1.0), (1e300, 1.0),

@@ -376,6 +376,17 @@ def test_batch_matches_event_loop(pp, clock, horizon):
         assert stream.position == 3 + len(path.events)
 
 
+def test_long_path_matches_event_loop(pp):
+    # About 2e4 events: the rounds grow to a quarter of the draws so far,
+    # and the path is still the event-at-a-time one, bit for bit.
+    clock, horizon = PowerTransform(1.0), 3.5e4
+    stream, loop = RandomStream(1), RandomStream(1)
+    path = pp.simulate_path(clock, horizon, stream)
+    assert 1.5e4 < len(path.events) < 3e4
+    assert _event_loop(pp, clock, horizon, loop) == (path.xi, path.events)
+    assert stream.position == loop.position == 3 + len(path.events)
+
+
 def test_simulate_path_consumes_its_draws(pp):
     # xi takes two positions and each arrival one, plus the one that passes
     # the budget, so a stream can carry on after a path.
