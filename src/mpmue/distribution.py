@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import cython_special as _cs
 
 from .errors import (
-    DivergenceError, NumericError, _real, _require_count, _require_positive, _require_real
+    DivergenceError, NumericError, _real, _require_count, _require_positive, _require_real, _scalar
 )
 from .numerics import (
     _gamma_upper_cf,
@@ -174,7 +174,7 @@ class MaxUExp:
         """E(X^k) for k > -2, from ``_log_moment``; 1 at k = 0.  The density
         behaves like 2 lam x / a near 0, so E(X^k) diverges exactly for k <= -2
         (and nan); k = inf raises DomainError."""
-        k = _real("k", k)
+        k = _scalar("k", k)
         if not k > -2.0:
             raise DivergenceError(f"moment diverges for k <= -2, got {k!r}")
         return checked_exp(self._log_moment(_require_real("k", k)))
@@ -288,7 +288,7 @@ class MaxUExp:
         quadrature by a wide margin; the verification ledger records it as
         ``reciprocal-moment-sign``.
         """
-        q = _real("q", q)
+        q = _scalar("q", q)
         if q >= 2.0:
             raise DivergenceError(f"E(X^-q) diverges for q >= 2, got q={q!r}")
         return self.moment(-_require_real("q", q, 0.0))

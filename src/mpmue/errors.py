@@ -58,12 +58,22 @@ def _real(name: str, x):
     raise DomainError(f"{name} must be a number within the double range, got {type(x).__name__}")
 
 
-def _require_real(name: str, x, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """``_real`` of a number, DomainError unless lo < x < hi, so finite by
-    default.  A float takes no further call: every pmf call runs this."""
+def _scalar(name: str, x) -> float:
+    """``_real`` of one number: a numpy array raises DomainError too.  inf
+    and nan pass."""
     if type(x) is not float:
         x = _real(name, x)
-    if type(x) is not float or not lo < x < hi:
+        if type(x) is not float:
+            raise DomainError(f"{name} must be a single number, got a numpy array")
+    return x
+
+
+def _require_real(name: str, x, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``_scalar`` of x, DomainError unless lo < x < hi, so finite by
+    default.  A float takes no further call: every pmf call runs this."""
+    if type(x) is not float:
+        x = _scalar(name, x)
+    if not lo < x < hi:
         raise DomainError(f"{name} must be a number in ({lo:g}, {hi:g}), got {x!r}")
     return x
 

@@ -13,6 +13,11 @@ x ~ 2.17382.  A sample ratio therefore lands in one of four regimes: a
 unique root, a two-root ambiguity resolved by the least-squares criterion,
 a fallback to the curve minimum, or a clamp for ratios at or above the
 exponential limit 2.
+
+The fallback refines the fit by trimmed least squares on the empirical cdf,
+as ``lsq_fit`` does.  The model (x/a)(1 - e^(-lam x)) is linear in 1/a, so
+the best a has a closed form for each lam, and the fit is a one-dimensional
+search in lam (variable projection).
 """
 
 from __future__ import annotations
@@ -30,12 +35,12 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NumericError,
-    _real,
     _require_count,
     _require_positive,
     _require_real,
+    _scalar,
 )
-from .numerics import find_root, least_squares
+from .numerics import find_root
 
 FOUR_THIRDS = 4.0 / 3.0
 _CLAMP_EPS = 1e-6
@@ -220,10 +225,14 @@ def _solve_mom(x: np.ndarray, variant: str) -> FitReport:
     )
 
 
-def _trimmed(values: np.ndarray, trim: float) -> tuple[np.ndarray, int]:
-    trim = _real("trim", trim)
+def _require_trim(trim) -> float:
+    trim = _scalar("trim", trim)
     if not (0.0 <= trim < 1.0):
         raise DomainError(f"trim must lie in [0, 1), got {trim!r}")
+    return trim
+
+
+def _trimmed(values: np.ndarray, trim: float) -> tuple[np.ndarray, int]:
     n = values.size
     if n < 2:
         raise InsufficientDataError("need at least two observations")
@@ -236,7 +245,8 @@ def lsq_objective(values, a: float, lam: float, trim: float = 0.25) -> float:
     """Sum of squared gaps between plotting positions i/(n+1) (n the original
     size) and the uniform-branch cdf (x_i/a)(1 - e^(-lam x_i)) over the
     retained (smallest) order statistics."""
-    return _lsq_objective(validate_sample(values), _real("a", a), _real("lam", lam), trim)
+    x, a, lam = validate_sample(values), _scalar("a", a), _scalar("lam", lam)
+    return _lsq_objective(x, a, lam, _require_trim(trim))
 
 
 def _lsq_objective(x: np.ndarray, a: float, lam: float, trim: float) -> float:
@@ -254,26 +264,62 @@ def _lsq_objective(x: np.ndarray, a: float, lam: float, trim: float) -> float:
 
 def lsq_fit(values, init: tuple[float, float], trim: float = 0.25) -> FitReport:
     """Trimmed least squares on the empirical cdf, constrained to a at least
-    the largest retained observation (the model branch assumes x <= a)."""
-    return _lsq_fit(validate_sample(values), init, trim)
+    the largest retained observation (the model branch assumes x <= a).
+    The best a is solved exactly for each lam, so the search runs from
+    init's lam alone; init's a is checked but steers nothing."""
+    return _lsq_fit(validate_sample(values), init, _require_trim(trim))
 
 
 def _lsq_fit(x: np.ndarray, init: tuple[float, float], trim: float) -> FitReport:
+    """The bounded problem of ``lsq_fit`` by variable projection (Golub &
+    Pereyra 1973).  The model (x/a)(1 - e^(-lam x)) is linear in 1/a, so
+    with g = kept (1 - e^(-lam kept)) and plotting positions p, the best a
+    for each lam is <g, g>/<p, g>, clipped to [a_floor, big]: the objective
+    is a convex quadratic in 1/a, whose clipped minimiser is the clipped a.
+    What is left is a Brent search in log lam on [log 1e-12, log big] from
+    init's lam, a nan start taking the lower bound.  Each step is one expm1
+    pass and three dot products, in one buffer.  g is taken over a_floor,
+    so that it lies in [0, 1] and its squares neither overflow nor, for a
+    sample of tiny values, all underflow."""
+    from scipy.optimize import minimize_scalar
+
     r_hat = _ratio_stat(x, "plain")
     kept, n = _trimmed(x, trim)
     a_floor = float(kept[-1])
-    i = np.arange(1, kept.size + 1, dtype=float)
-    positions = i / (n + 1.0)
-
-    def residuals(p) -> np.ndarray:
-        a, lam = p
-        return positions - (kept / a) * (-np.expm1(-lam * kept))
-
-    a0 = max(a_floor, _real("init a", init[0]))  # a nan start takes the floor
-    lam0 = max(1e-12, _real("init lam", init[1]))
+    positions = np.arange(1, kept.size + 1, dtype=float) / (n + 1.0)
+    scaled = kept / a_floor
     big = max(1e6, 1e4 * a_floor)
-    best = least_squares(residuals, [a0, lam0], [(a_floor, big), (1e-12, big)])
-    a, lam = float(best[0]), float(best[1])
+    s_lo, s_hi = math.log(1e-12), math.log(big)
+    w = np.empty_like(kept)
+
+    def best_a(lam: float) -> float:
+        # Leaves -g / a_floor in w.  <g, g>/<p, g> is at most n + 1, as
+        # p >= 1/(n + 1) and g <= 1; a zero <p, g> or <g, g> is the floor.
+        np.multiply(kept, -lam, out=w)
+        np.expm1(w, out=w)
+        np.multiply(w, scaled, out=w)
+        pg = -float(np.dot(positions, w))
+        a = a_floor * (float(np.dot(w, w)) / pg) if pg > 0.0 else a_floor
+        return min(max(a, a_floor), big)  # clip a, not 1/a: 1/(1/a_floor) may round below
+
+    def profile(s: float) -> float:
+        # Past the bounds, the objective at the bound plus the squared
+        # distance, so that the bracket search turns back.
+        inside = min(max(s, s_lo), s_hi)
+        a = best_a(math.exp(inside))
+        np.multiply(w, a_floor / a, out=w)
+        np.add(w, positions, out=w)
+        return float(np.dot(w, w)) + (s - inside) ** 2
+
+    _scalar("init a", init[0])
+    s = math.log(min(max(1e-12, _scalar("init lam", init[1])), big))
+    # Where the objective is flat at the start, as where the model underflows
+    # at every lam, scipy finds no bracket and reports the start.  lam x may
+    # overflow, and expm1 then takes its limit -1.
+    with np.errstate(over="ignore"):
+        s = minimize_scalar(profile, bracket=(s, s + 1.0), method="brent").x
+        lam = min(max(math.exp(min(max(s, s_lo), s_hi)), 1e-12), big)
+        a = best_a(lam)
     return FitReport(
         a=a,
         lam=lam,
@@ -334,7 +380,7 @@ def fit_auto(values, trim: float = 0.25, variant: str = "unbiased") -> FitReport
     seeded from the histogram heuristic (or the argmin parameters when the
     sample is too small for it).
     """
-    x = validate_sample(values)
+    x, trim = validate_sample(values), _require_trim(trim)
     rep = _solve_mom(x, variant)
     if rep.branch == "unique":
         return rep
@@ -411,7 +457,7 @@ class MaxUExpEstimator:
             except ValueError:
                 # No moment start (e.g. a degenerate ratio): read one off the histogram.
                 init = _histogram_init(x)
-            report = _lsq_fit(x, init, self.trim)
+            report = _lsq_fit(x, init, _require_trim(self.trim))
         else:
             raise DomainError(f"unknown method {self.method!r}")
         self.report_ = report

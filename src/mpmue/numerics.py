@@ -1,5 +1,5 @@
 """Scalar numerical kernels: incomplete gamma functions, root-finding by
-bisection, bounded derivative-free minimization, and adaptive quadrature.
+bisection, and adaptive quadrature.
 
 The regularized incomplete gammas are scipy's ``gammainc``/``gammaincc``
 (DiDonato & Morris, with Temme's uniform asymptotics at large order).  Where
@@ -18,16 +18,17 @@ arguments, and the public functions check first.  The count kernel calls
 are normal doubles, and hands the values to ``_log_from_p`` and
 ``_log_from_q`` for their logs elsewhere, so that no gamma is evaluated
 twice.
-Quadrature and the optimizers also delegate to scipy, which stays behind the
-signatures below.  Only ``scipy.special`` is imported with this module, since
-the count kernel calls it on nearly every evaluation.  ``integrate``,
-``least_squares`` and ``minimize`` import ``scipy.integrate`` or
-``scipy.optimize`` on first call, so ``import mpmue`` loads neither, nor the
-``scipy.linalg`` and ``scipy.sparse`` they pull in.
+Quadrature also delegates to scipy, which stays behind the signature
+below.  Only ``scipy.special`` is imported with this module, since the count
+kernel calls it on nearly every evaluation.  ``integrate`` imports
+``scipy.integrate`` on first call, so ``import mpmue`` loads neither it nor
+``scipy.optimize``, nor the ``scipy.linalg`` and ``scipy.sparse`` they pull
+in.  The least-squares fit calls ``scipy.optimize.minimize_scalar`` itself,
+imported the same way (``estimation._lsq_fit``).
 
-``minimize``, ``gamma_lower_reg`` and ``gamma_upper_reg`` have no caller in
-the library.  They stay only because the benchmark's tracer
-(``benchmarks/tracing.py``) looks each up by name, with no default.
+``minimize``, ``least_squares``, ``gamma_lower_reg`` and ``gamma_upper_reg``
+have no caller in the library.  They stay only because the benchmark's
+tracer (``benchmarks/tracing.py``) looks each up by name, with no default.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import cython_special as _cs
 
-from .errors import BracketError, DomainError, NumericError, _require_positive, _require_real
+from .errors import (
+    BracketError, DomainError, NumericError, _require_positive, _require_real, _scalar
+)
 
 
 def checked_exp(x: float) -> float:
@@ -50,10 +53,11 @@ def checked_exp(x: float) -> float:
         raise NumericError(f"e^{x:.17g} exceeds the double range") from None
 
 
-def _check_gamma_args(alpha: float, x: float) -> None:
-    _require_positive("alpha", alpha)
+def _check_gamma_args(alpha: float, x: float) -> tuple[float, float]:
+    alpha, x = _require_positive("alpha", alpha), _scalar("x", x)
     if not (x >= 0.0):
         raise DomainError(f"incomplete gamma requires x >= 0, got {x!r}")
+    return alpha, x
 
 
 def gamma_lower(alpha: float, x: float) -> float:
@@ -63,26 +67,24 @@ def gamma_lower(alpha: float, x: float) -> float:
     even where Gamma(alpha) alone overflows; past the double range it raises
     NumericError.
     """
-    _check_gamma_args(alpha, x)
+    alpha, x = _check_gamma_args(alpha, x)
     return checked_exp(_log_p(alpha, x) + math.lgamma(alpha))
 
 
 def gamma_upper(alpha: float, x: float) -> float:
     """Non-normalized upper incomplete gamma: integral of t^(alpha-1) e^-t over (x, inf)."""
-    _check_gamma_args(alpha, x)
+    alpha, x = _check_gamma_args(alpha, x)
     return checked_exp(_log_q(alpha, x) + math.lgamma(alpha))
 
 
 def gamma_lower_reg(alpha: float, x: float) -> float:
     """Regularized lower incomplete gamma P(alpha, x), always within [0, 1]."""
-    _check_gamma_args(alpha, x)
-    return _cs.gammainc(alpha, x)
+    return _cs.gammainc(*_check_gamma_args(alpha, x))
 
 
 def gamma_upper_reg(alpha: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(alpha, x), always within [0, 1]."""
-    _check_gamma_args(alpha, x)
-    return _cs.gammaincc(alpha, x)
+    return _cs.gammaincc(*_check_gamma_args(alpha, x))
 
 
 def _log_p(alpha: float, x: float) -> float:
@@ -210,6 +212,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
     which cover any bracket up to 2^200 times ``tol``; the library's
     brackets and tolerances need at most 70.
     """
+    lo, hi = _require_real("lo", lo), _require_real("hi", hi)
     if not (lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     tol = _require_positive("tol", tol)
@@ -288,8 +291,6 @@ def least_squares(
 
     ``residuals`` maps a parameter vector to a residual vector; the result
     minimizes the residual sum of squares and always lies inside ``bounds``.
-    Curved valleys that stall a simplex are handled well here, which is why
-    the cdf fitters use this entry point instead of ``minimize``.
     """
     from scipy.optimize import least_squares as scipy_least_squares
 
@@ -324,9 +325,10 @@ def integrate(
     from scipy.integrate import quad
 
     tol, lo = _require_positive("tol", tol), _require_real("lower limit", lo)
+    hi = _scalar("upper limit", hi)
     if not (lo < hi):
         raise DomainError(f"invalid interval [{lo}, {hi}]")
-    cuts = sorted(b for b in breakpoints if lo < b < hi)
+    cuts = sorted(b for b in (_scalar("breakpoint", b) for b in breakpoints) if lo < b < hi)
     edges = [lo, *cuts, hi]
     value = 0.0
     err = 0.0

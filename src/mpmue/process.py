@@ -20,7 +20,8 @@ import numpy as np
 
 from .distribution import MaxUExp, _like
 from .errors import (
-    DomainError, NumericError, RangeError, _real, _require_count, _require_positive, _require_real
+    DomainError, NumericError, RangeError, _real, _require_count, _require_positive, _require_real,
+    _scalar,
 )
 from .numerics import checked_exp
 from .rng import RandomStream, counter_uniforms, substream_seeds
@@ -85,7 +86,7 @@ class TableTransform:
     __slots__ = ("ts", "mus")
 
     def __init__(self, points: Sequence[tuple[float, float]]):
-        pts = [(_real("table t", t), _real("table mu", m)) for t, m in points]
+        pts = [(_scalar("table t", t), _scalar("table mu", m)) for t, m in points]
         if len(pts) < 2:
             raise DomainError("table needs at least two points")
         if pts[0] != (0.0, 0.0):
@@ -118,7 +119,7 @@ class ProcessPath:
     def count_at(self, t: float) -> int:
         """N(t): events at or before t (``events`` is ascending)."""
         if type(t) is not float:  # a float, as a scan of paths gives, takes no call
-            t = _real("t", t)
+            t = _scalar("t", t)
         if not (0.0 <= t <= self.horizon):
             raise DomainError(f"t must lie in [0, horizon], got {t!r}")
         return bisect.bisect_right(self.events, t)
@@ -209,7 +210,7 @@ class MixedPoissonMaxUExp:
 
     def posterior_pdf(self, m: float, n: int, x: float) -> float:
         """Density of xi given N = n at clock value m (Bayes weighting of the prior)."""
-        m, n, x = _require_positive("m", m), _require_count("n", n), _real("x", x)
+        m, n, x = _require_positive("m", m), _require_count("n", n), _scalar("x", x)
         if x <= 0.0 or x == math.inf:
             return 0.0
         xi = self.xi

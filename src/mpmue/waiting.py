@@ -17,7 +17,7 @@ import numpy as np
 
 from .distribution import MaxUExp, _like
 from .errors import (
-    DomainError, NumericError, _real, _require_count, _require_positive, _require_real
+    DomainError, NumericError, _real, _require_count, _require_positive, _require_real, _scalar
 )
 from .numerics import checked_exp
 from .process import MixedPoissonMaxUExp
@@ -151,7 +151,7 @@ class ExpMaxUExp(ErlangMaxUExp):
 
     def joint_pdf(self, t: float, x: float) -> float:
         """Joint density of (T, xi) at (t, x): x e^(-tx) times the mixing density."""
-        t, x = _real("t", t), _real("x", x)
+        t, x = _scalar("t", t), _scalar("x", x)
         if t <= 0.0 or x <= 0.0 or x == math.inf:
             return 0.0
         return x * math.exp(-t * x) * self.xi.pdf(x)
@@ -176,7 +176,7 @@ class ExpMaxUExp(ErlangMaxUExp):
         A single mixing draw couples the coordinates, so this depends on the
         arguments only through their sum.
         """
-        ts = [_real("t", t) for t in ts]
+        ts = [_scalar("t", t) for t in ts]
         if not ts:
             raise DomainError("need at least one coordinate")
         if any(t <= 0.0 for t in ts):

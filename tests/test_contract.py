@@ -304,3 +304,29 @@ def test_ints_with_no_str_and_non_integers_raise_domain_error():
     s1, s2 = RandomStream(1, 2**60), RandomStream(1, 2**60)
     assert s1.uniforms(3).tolist() == [s2.uniform() for _ in range(3)]
     assert s1.position == s2.position == 2**60 + 3
+
+
+def test_scalar_arguments_reject_numpy_arrays():
+    # These take inf and nan, and one number only: an array raises
+    # DomainError, not numpy's "truth value ... is ambiguous".
+    arr = np.array([1.0, 2.0])
+    d = MaxUExp(1.0, 1.0)
+    flat = np.linspace(1.0, 2.0, 30)
+    probes = [
+        lambda: d.moment(arr),
+        lambda: d.neg_moment(arr),
+        lambda: ExpMaxUExp(1.0, 1.0).joint_pdf(arr, 1.0),
+        lambda: ExpMaxUExp(1.0, 1.0).joint_pdf(1.0, arr),
+        lambda: ExpMaxUExp(1.0, 1.0).joint_interarrival_pdf([arr]),
+        lambda: MixedPoissonMaxUExp(d).posterior_pdf(1.0, 1, arr),
+        lambda: ProcessPath(1.0, [0.5], 1.0).count_at(arr),
+        lambda: TableTransform([(0.0, 0.0), (arr, 1.0)]),
+        lambda: mpmue.lsq_fit(flat, (arr, 1.0)),
+        lambda: mpmue.lsq_fit(flat, (1.0, arr)),
+        lambda: mpmue.lsq_objective(flat, arr, 1.0),
+        lambda: mpmue.lsq_objective(flat, 1.0, arr),
+        lambda: mpmue.fit_auto(flat, trim=np.array([0.1, 0.2])),
+    ]
+    for probe in probes:
+        with pytest.raises(DomainError):
+            probe()

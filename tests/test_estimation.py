@@ -190,6 +190,38 @@ def test_lsq_fit_respects_a_floor():
     assert rep.a >= kept_max - 1e-12
 
 
+def test_lsq_fit_a_at_its_floor_is_the_largest_retained_observation():
+    # The bound binds on a uniform sample; a is clipped, not 1/a, so it is
+    # the floor exactly.
+    x = np.random.Generator(np.random.PCG64(11)).uniform(0.5, 1.0, 2_000)
+    kept_max = np.sort(x)[1_500 - 1]
+    assert lsq_fit(x, (0.9, 1.0), trim=0.25).a == kept_max
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lsq_fit_minimises_the_profile(seed):
+    # At lam(1 +- 1e-6), each with its best a (the clipped closed form),
+    # the objective is no lower than at the fit.
+    d = MaxUExp(2.0, 0.5)
+    vals = np.sort(d.sample_many(RandomStream(seed), 500))
+    rep = lsq_fit(vals, (2.0, 0.5), trim=0.25)
+    kept = vals[: 500 - 125]
+    p = np.arange(1, kept.size + 1) / 501.0
+    for lam in (rep.lam * (1.0 - 1e-6), rep.lam * (1.0 + 1e-6)):
+        g = kept * -np.expm1(-lam * kept)
+        a = min(max(np.dot(g, g) / np.dot(p, g), kept[-1]), max(1e6, 1e4 * kept[-1]))
+        assert lsq_objective(vals, a, lam, 0.25) >= rep.objective
+
+
+def test_fit_auto_checks_trim_on_every_branch():
+    # The unique branch uses no trim, yet rejects a bad one like the others.
+    sample = MaxUExp(1.0, 1.0).sample_many(RandomStream(5), 30)
+    assert fit_auto(sample).branch == "unique"
+    for trim in (2.0, -0.1, 1.0, math.nan, 10**5000, "0.25"):
+        with pytest.raises(DomainError):
+            fit_auto(sample, trim=trim)
+
+
 def test_lsq_objective_matches_reported():
     d = MaxUExp(2.0, 0.5)
     vals = d.sample_many(RandomStream(3), 200)

@@ -186,6 +186,25 @@ def test_public_gammas_check_their_arguments(name, alpha, x):
         getattr(numerics, name)(alpha, x)
 
 
+def test_ints_past_the_double_range_raise_domain_error():
+    # An int of over 4300 digits has no str, so the messages show floats.
+    probes = [
+        *(lambda n=n: getattr(numerics, n)(1.0, 10**400) for n in (
+            "gamma_lower", "gamma_upper", "gamma_lower_reg", "gamma_upper_reg")),
+        lambda: find_root(lambda x: x, -1.0, 10**5000),
+        lambda: find_root(lambda x: x, -(10**400), 1.0),
+        lambda: integrate(lambda x: 0.0, 0.0, 10**400),
+        lambda: integrate(lambda x: 0.0, 0.0, math.inf, breakpoints=[10**400]),
+    ]
+    for probe in probes:
+        with pytest.raises(DomainError, match="double range"):
+            probe()
+    with pytest.raises(DomainError, match=r"\[1.0, 1.0\]"):
+        find_root(lambda x: x, 1, 1)
+    with pytest.raises(DomainError, match=r"\[0.0, -inf\]"):
+        integrate(lambda x: 0.0, 0, -math.inf)
+
+
 def test_find_root_simple():
     r = find_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-14)
     assert r == pytest.approx(math.sqrt(2.0), abs=1e-12)
