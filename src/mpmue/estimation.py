@@ -17,7 +17,8 @@ exponential limit 2.
 The fallback refines the fit by trimmed least squares on the empirical cdf,
 as ``lsq_fit`` does.  The model (x/a)(1 - e^(-lam x)) is linear in 1/a, so
 the best a has a closed form for each lam, and the fit is a one-dimensional
-search in lam (variable projection).
+search in lam a_floor, which has no units (variable projection): a fixed
+log grid, then a bounded Brent refinement.  It takes no start.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def _lsq_objective(x: np.ndarray, a: float, lam: float, trim: float) -> float:
     kept, n = _trimmed(x, trim)
     i = np.arange(1, kept.size + 1, dtype=float)
     positions = i / (n + 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         model = (kept / a) * (-np.expm1(-lam * kept))
         gaps = positions - model
         value = float(np.dot(gaps, gaps))
@@ -262,25 +263,31 @@ def _lsq_objective(x: np.ndarray, a: float, lam: float, trim: float) -> float:
     return value
 
 
-def lsq_fit(values, init: tuple[float, float], trim: float = 0.25) -> FitReport:
+def lsq_fit(values, trim: float = 0.25) -> FitReport:
     """Trimmed least squares on the empirical cdf, constrained to a at least
     the largest retained observation (the model branch assumes x <= a).
-    The best a is solved exactly for each lam, so the search runs from
-    init's lam alone; init's a is checked but steers nothing."""
-    return _lsq_fit(validate_sample(values), init, _require_trim(trim))
+    It takes no start and no units: the search runs in lam a_floor, over a
+    fixed grid, and the best a is solved exactly at each lam."""
+    return _lsq_fit(validate_sample(values), _require_trim(trim))
 
 
-def _lsq_fit(x: np.ndarray, init: tuple[float, float], trim: float) -> FitReport:
+# The coarse grid of u = lam a_floor: 73 points a quarter decade apart on
+# [1e-12, 1e6], taken on at most _GRID_SAMPLE evenly thinned order statistics.
+_GRID_U = np.logspace(-12.0, 6.0, 73)
+_GRID_SAMPLE = 1_000
+
+
+def _lsq_fit(x: np.ndarray, trim: float) -> FitReport:
     """The bounded problem of ``lsq_fit`` by variable projection (Golub &
-    Pereyra 1973).  The model (x/a)(1 - e^(-lam x)) is linear in 1/a, so
-    with g = kept (1 - e^(-lam kept)) and plotting positions p, the best a
-    for each lam is <g, g>/<p, g>, clipped to [a_floor, big]: the objective
-    is a convex quadratic in 1/a, whose clipped minimiser is the clipped a.
-    What is left is a Brent search in log lam on [log 1e-12, log big] from
-    init's lam, a nan start taking the lower bound.  Each step is one expm1
-    pass and three dot products, in one buffer.  g is taken over a_floor,
-    so that it lies in [0, 1] and its squares neither overflow nor, for a
-    sample of tiny values, all underflow."""
+    Pereyra 1973).  The model (x/a)(1 - e^(-lam x)) is linear in 1/a: with
+    w = -(kept/a_floor)(1 - e^(-u kept/a_floor)) and plotting positions p,
+    the objective is |p + w a_floor/a|^2, whose best a under a >= a_floor is
+    a_floor max(1, <w, w>/<p, |w|>), at most (n + 1) a_floor as p >= 1/(n + 1)
+    and |w| <= 1.  In u = lam a_floor nothing depends on the sample's units.
+    The profile in u is not unimodal, so its argmin on a log grid, taken on a
+    thinned sample, picks the step, and a bounded Brent search in log u on
+    the full sample refines it between the grid point's neighbours.  Each
+    step is one expm1 pass and three dot products, in one buffer."""
     from scipy.optimize import minimize_scalar
 
     r_hat = _ratio_stat(x, "plain")
@@ -288,38 +295,41 @@ def _lsq_fit(x: np.ndarray, init: tuple[float, float], trim: float) -> FitReport
     a_floor = float(kept[-1])
     positions = np.arange(1, kept.size + 1, dtype=float) / (n + 1.0)
     scaled = kept / a_floor
-    big = max(1e6, 1e4 * a_floor)
-    s_lo, s_hi = math.log(1e-12), math.log(big)
+
+    def best_c(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # a / a_floor for each row of w; a zero <p, |w|> is the floor.
+        pw = -(w @ p)
+        ww = np.einsum("...i,...i", w, w)
+        return np.maximum(1.0, np.divide(ww, pw, out=np.zeros_like(pw), where=pw > 0.0))
+
+    step = math.ceil(kept.size / _GRID_SAMPLE)
+    p_grid, x_grid = positions[::step], scaled[::step]
+    w_grid = np.expm1(np.multiply.outer(-_GRID_U, x_grid)) * x_grid
+    gaps = p_grid + w_grid / best_c(w_grid, p_grid)[:, None]
+    i = int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))
+    log_u = np.log(_GRID_U[max(i - 1, 0) : i + 2])
+
     w = np.empty_like(kept)
 
-    def best_a(lam: float) -> float:
-        # Leaves -g / a_floor in w.  <g, g>/<p, g> is at most n + 1, as
-        # p >= 1/(n + 1) and g <= 1; a zero <p, g> or <g, g> is the floor.
-        np.multiply(kept, -lam, out=w)
+    def project(u: float) -> float:
+        # Leaves w for lam a_floor = u; returns the best a / a_floor.
+        np.multiply(scaled, -u, out=w)
         np.expm1(w, out=w)
         np.multiply(w, scaled, out=w)
-        pg = -float(np.dot(positions, w))
-        a = a_floor * (float(np.dot(w, w)) / pg) if pg > 0.0 else a_floor
-        return min(max(a, a_floor), big)  # clip a, not 1/a: 1/(1/a_floor) may round below
+        return float(best_c(w, positions))
 
     def profile(s: float) -> float:
-        # Past the bounds, the objective at the bound plus the squared
-        # distance, so that the bracket search turns back.
-        inside = min(max(s, s_lo), s_hi)
-        a = best_a(math.exp(inside))
-        np.multiply(w, a_floor / a, out=w)
+        np.divide(w, project(math.exp(s)), out=w)
         np.add(w, positions, out=w)
-        return float(np.dot(w, w)) + (s - inside) ** 2
+        return float(np.dot(w, w))
 
-    _scalar("init a", init[0])
-    s = math.log(min(max(1e-12, _scalar("init lam", init[1])), big))
-    # Where the objective is flat at the start, as where the model underflows
-    # at every lam, scipy finds no bracket and reports the start.  lam x may
-    # overflow, and expm1 then takes its limit -1.
-    with np.errstate(over="ignore"):
-        s = minimize_scalar(profile, bracket=(s, s + 1.0), method="brent").x
-        lam = min(max(math.exp(min(max(s, s_lo), s_hi)), 1e-12), big)
-        a = best_a(lam)
+    s = minimize_scalar(
+        profile, bounds=(log_u[0], log_u[-1]), method="bounded", options={"xatol": 1e-10}
+    ).x
+    a = a_floor * project(math.exp(s))
+    lam = math.exp(s) / a_floor
+    if not math.isfinite(lam):
+        raise NumericError(f"the fitted lam passes the double range at a_floor={a_floor!r}")
     return FitReport(
         a=a,
         lam=lam,
@@ -332,7 +342,8 @@ def _lsq_fit(x: np.ndarray, init: tuple[float, float], trim: float) -> FitReport
 
 
 def histogram_init(values) -> tuple[float, float]:
-    """Crude (a, lam) start values from the shape of a square-root-rule histogram.
+    """Crude (a, lam) values from the shape of a square-root-rule histogram, a
+    standalone heuristic that no fitter calls.
 
     The density drops sharply past a, so a is read off as the left edge of
     the first post-peak bin whose height falls below half its predecessor's
@@ -340,10 +351,7 @@ def histogram_init(values) -> tuple[float, float]:
     memoryless, so lam is the inverted mean exceedance when at least five
     observations land there, else 1/mean.
     """
-    return _histogram_init(validate_sample(values))
-
-
-def _histogram_init(x: np.ndarray) -> tuple[float, float]:
+    x = validate_sample(values)
     n = x.size
     if n < 20:
         raise InsufficientDataError("histogram heuristic needs at least 20 observations")
@@ -376,9 +384,8 @@ def fit_auto(values, trim: float = 0.25, variant: str = "unbiased") -> FitReport
 
     The unique branch is returned as is (no least-squares polish).  An
     ambiguous ratio picks the candidate with the lower trimmed
-    least-squares objective.  The fallback branch refits by least squares
-    seeded from the histogram heuristic (or the argmin parameters when the
-    sample is too small for it).
+    least-squares objective.  The fallback branch refits by ``lsq_fit``,
+    which needs no start.
     """
     x, trim = validate_sample(values), _require_trim(trim)
     rep = _solve_mom(x, variant)
@@ -401,17 +408,11 @@ def fit_auto(values, trim: float = 0.25, variant: str = "unbiased") -> FitReport
             + [f"ambiguous ratio: kept the candidate with objective {obj:.6g}"],
             candidates=rep.candidates,
         )
-    # fallback_min: refine by least squares from the histogram start.
-    warnings = list(rep.warnings)
-    try:
-        init = _histogram_init(x)
-    except InsufficientDataError:
-        init = (rep.a, rep.lam)
-        warnings.append("sample too small for the histogram start; seeding from the argmin fit")
-    refined = _lsq_fit(x, init, trim)
+    # fallback_min: refine by least squares.
+    refined = _lsq_fit(x, trim)
     refined.r_hat = rep.r_hat
     refined.r_hat_variant = variant
-    refined.warnings = warnings + refined.warnings
+    refined.warnings = rep.warnings
     refined.candidates = [(rep.a, rep.lam)]
     return refined
 
@@ -450,14 +451,7 @@ class MaxUExpEstimator:
         elif self.method == "mom":
             report = solve_mom(arr, variant=self.variant)
         elif self.method == "lsq":
-            x = validate_sample(arr)
-            try:
-                start = _solve_mom(x, self.variant)
-                init = (start.a, start.lam)
-            except ValueError:
-                # No moment start (e.g. a degenerate ratio): read one off the histogram.
-                init = _histogram_init(x)
-            report = _lsq_fit(x, init, _require_trim(self.trim))
+            report = lsq_fit(arr, self.trim)
         else:
             raise DomainError(f"unknown method {self.method!r}")
         self.report_ = report

@@ -932,6 +932,8 @@ def run_checks(
     seed: int = 20260814, mc_draws: int = 200_000, paths: int = 10_000
 ) -> list[CheckResult]:
     """The full oracle battery plus the coverage audit."""
+    mc_draws = _require_count("mc_draws", mc_draws, lo=1)
+    paths = _require_count("paths", paths, lo=1)
     checks: list[CheckResult] = []
     for i, (a, lam) in enumerate(_PARAM_POINTS):
         checks.extend(_distribution_checks(a, lam, seed + 100 * i, mc_draws))

@@ -252,6 +252,17 @@ def test_verify_writes_ledger(tmp_path):
     assert by_id["interarrival-mean-finite"]["paper_literal"] == math.inf
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, name", [("--draws", "mc_draws"), ("--paths", "paths")])
+def test_verify_rejects_zero_draws_and_paths(tmp_path, flag, name):
+    counts = {"--draws": "2000", "--paths": "500", flag: "0"}
+    ledger = tmp_path / "l.json"
+    res = run_cli("verify", *[v for kv in counts.items() for v in kv], "--ledger", str(ledger))
+    assert res.returncode == 2
+    assert name in res.stderr and "RuntimeWarning" not in res.stderr
+    assert not ledger.exists()
+
+
 def test_verify_zero_tolerance_fails(tmp_path, monkeypatch):
     # One failing check must fail the run: exit 1 and a FAIL line.
     failing = CheckResult("broken", False, 1.0, 0.0, 0.0, "forced", ())

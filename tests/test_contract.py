@@ -233,7 +233,7 @@ FUNCTIONS = {
     ),
     "fit_auto": ([(x,) for x in SAMPLES], "nonneg"),
     "histogram_init": ([(x,) for x in SAMPLES], "nonneg"),
-    "lsq_fit": ([(x, p) for x in SAMPLES for p in PARAMS], "nonneg"),
+    "lsq_fit": ([(x,) for x in SAMPLES], "nonneg"),
     "lsq_objective": ([(x, a, lam) for x in SAMPLES for a, lam in PARAMS], "nonneg"),
     "mom_curve": (ONE, "nonneg"),
     "mom_curve_extrema": ([()], "nonneg"),
@@ -321,8 +321,6 @@ def test_scalar_arguments_reject_numpy_arrays():
         lambda: MixedPoissonMaxUExp(d).posterior_pdf(1.0, 1, arr),
         lambda: ProcessPath(1.0, [0.5], 1.0).count_at(arr),
         lambda: TableTransform([(0.0, 0.0), (arr, 1.0)]),
-        lambda: mpmue.lsq_fit(flat, (arr, 1.0)),
-        lambda: mpmue.lsq_fit(flat, (1.0, arr)),
         lambda: mpmue.lsq_objective(flat, arr, 1.0),
         lambda: mpmue.lsq_objective(flat, 1.0, arr),
         lambda: mpmue.fit_auto(flat, trim=np.array([0.1, 0.2])),

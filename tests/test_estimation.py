@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpmue import (
-    DegenerateSampleError,
     DomainError,
     InsufficientDataError,
     MaxUExp,
@@ -23,7 +23,6 @@ from mpmue import (
     ratio_stat,
     solve_mom,
 )
-from mpmue import estimation
 from mpmue.estimation import empirical_moments, validate_sample
 
 
@@ -176,7 +175,7 @@ def test_lsq_fit_exact_plotting_positions():
     d = MaxUExp(1.0, 1.0)
     n = 40
     vals = [d.quantile(i / (n + 1)) for i in range(1, n + 1)]
-    rep = lsq_fit(vals, (1.3, 0.7), trim=0.4)
+    rep = lsq_fit(vals, trim=0.4)
     assert rep.branch == "lsq_refined"
     assert rep.a == pytest.approx(1.0, abs=1e-3)
     assert rep.lam == pytest.approx(1.0, abs=1e-3)
@@ -185,7 +184,7 @@ def test_lsq_fit_exact_plotting_positions():
 
 def test_lsq_fit_respects_a_floor():
     vals = [0.5, 1.0, 2.0, 4.0]
-    rep = lsq_fit(vals, (0.1, 1.0), trim=0.25)
+    rep = lsq_fit(vals, trim=0.25)
     kept_max = sorted(vals)[2]  # trim drops ceil(0.25*4) = 1 observation
     assert rep.a >= kept_max - 1e-12
 
@@ -195,7 +194,7 @@ def test_lsq_fit_a_at_its_floor_is_the_largest_retained_observation():
     # the floor exactly.
     x = np.random.Generator(np.random.PCG64(11)).uniform(0.5, 1.0, 2_000)
     kept_max = np.sort(x)[1_500 - 1]
-    assert lsq_fit(x, (0.9, 1.0), trim=0.25).a == kept_max
+    assert lsq_fit(x, trim=0.25).a == kept_max
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -204,12 +203,12 @@ def test_lsq_fit_minimises_the_profile(seed):
     # the objective is no lower than at the fit.
     d = MaxUExp(2.0, 0.5)
     vals = np.sort(d.sample_many(RandomStream(seed), 500))
-    rep = lsq_fit(vals, (2.0, 0.5), trim=0.25)
+    rep = lsq_fit(vals, trim=0.25)
     kept = vals[: 500 - 125]
     p = np.arange(1, kept.size + 1) / 501.0
     for lam in (rep.lam * (1.0 - 1e-6), rep.lam * (1.0 + 1e-6)):
         g = kept * -np.expm1(-lam * kept)
-        a = min(max(np.dot(g, g) / np.dot(p, g), kept[-1]), max(1e6, 1e4 * kept[-1]))
+        a = max(np.dot(g, g) / np.dot(p, g), kept[-1])
         assert lsq_objective(vals, a, lam, 0.25) >= rep.objective
 
 
@@ -225,8 +224,64 @@ def test_fit_auto_checks_trim_on_every_branch():
 def test_lsq_objective_matches_reported():
     d = MaxUExp(2.0, 0.5)
     vals = d.sample_many(RandomStream(3), 200)
-    rep = lsq_fit(vals, (2.0, 0.5), trim=0.25)
+    rep = lsq_fit(vals, trim=0.25)
     assert rep.objective == pytest.approx(lsq_objective(vals, rep.a, rep.lam, 0.25), rel=1e-12)
+
+
+# 300 uniform(0.5, 1) draws, where the objective is flat in lam past about
+# 1e4: a fit that started there stayed at 5.365.
+FLAT = np.random.Generator(np.random.PCG64(1)).uniform(0.5, 1.0, 300)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e12])
+def test_lsq_fit_leaves_the_flat_region(scale):
+    assert lsq_fit(scale * FLAT).objective <= 2.8896824362
+
+
+SCALE_SAMPLES = {
+    "30 draws": MaxUExp(1.0, 1.0).sample_many(RandomStream(5), 30),
+    "20000 draws": MaxUExp(1.0, 1.0).sample_many(RandomStream(200), 20_000),
+}
+
+
+@pytest.mark.parametrize("name", list(SCALE_SAMPLES))
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e13])
+def test_lsq_fit_has_no_units(name, c):
+    # Rescaling the sample by c rescales a by c and lam by 1/c, and leaves
+    # the objective as it was.
+    x = SCALE_SAMPLES[name]
+    base, rep = lsq_fit(x), lsq_fit(c * x)
+    assert rep.objective == pytest.approx(base.objective, rel=1e-12)
+    assert rep.a / c == pytest.approx(base.a, rel=1e-6)
+    assert rep.lam * c == pytest.approx(base.lam, rel=1e-6)
+
+
+def test_fit_auto_fallback_has_no_units():
+    x = np.random.Generator(np.random.PCG64(1)).uniform(0.5, 1.0, 2_000)
+    base, rep = fit_auto(x), fit_auto(1e-7 * x)
+    assert rep.branch == base.branch == "lsq_refined"
+    assert rep.objective == pytest.approx(base.objective, rel=1e-12)
+    assert rep.a / 1e-7 == pytest.approx(base.a, rel=1e-6)
+    assert rep.lam * 1e-7 == pytest.approx(base.lam, rel=1e-6)
+
+
+def test_lsq_fit_takes_no_start():
+    # A stale positional start lands in trim.
+    with pytest.raises(DomainError):
+        lsq_fit(FLAT, (1.0, 1.0))
+
+
+def test_lsq_fit_lam_past_the_double_range_raises():
+    # lam = u / a_floor overflows where the retained values are subnormal.
+    with pytest.raises(NumericError):
+        lsq_fit([5e-324, 5e-324, 5e-324, 1.0])
+
+
+def test_lsq_objective_at_a_zero_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            lsq_objective(FLAT, 0.0, 1.0)
 
 
 def test_histogram_init_locates_endpoint():
@@ -268,7 +323,7 @@ def test_fit_auto_tiny_sample_does_not_crash():
     assert rep2.branch in ("lsq_refined", "fallback_min")
 
 
-def test_estimator_facade(monkeypatch):
+def test_estimator_facade():
     est = MaxUExpEstimator()
     assert est.get_params() == {"method": "auto", "trim": 0.25, "variant": "unbiased"}
     est.set_params(trim=0.3)
@@ -285,13 +340,8 @@ def test_estimator_facade(monkeypatch):
     again = MaxUExpEstimator().fit(draws)
     assert again.a_ == fitted.a_
 
-    # Without a moment fit to start from, lsq starts from the histogram.
-    def no_moment_fit(x, variant):
-        raise DegenerateSampleError("no moment start")
-
-    monkeypatch.setattr(estimation, "_solve_mom", no_moment_fit)
-    report = MaxUExpEstimator("lsq").fit(draws).report_
-    assert report.params() == lsq_fit(draws, histogram_init(draws)).params()
+    # The lsq method is lsq_fit at the estimator's trim.
+    assert MaxUExpEstimator("lsq").fit(draws).report_.params() == lsq_fit(draws).params()
 
 
 def test_estimator_rejects_matrix_input():

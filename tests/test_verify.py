@@ -210,6 +210,12 @@ def test_run_checks_small_budget_green():
     assert REQUIRED_OPS <= covered
 
 
+@pytest.mark.parametrize("kwargs", [{"mc_draws": 0}, {"paths": 0}, {"mc_draws": 2.0}])
+def test_run_checks_rejects_empty_budgets(kwargs):
+    with pytest.raises(DomainError, match=next(iter(kwargs))):
+        run_checks(**kwargs)
+
+
 @pytest.mark.parametrize("law", ["maxuexp", "emue"])
 def test_ks_statistic_one_array_call_matches_scalar_loop(law):
     d = MaxUExp(1.0, 1.0) if law == "maxuexp" else ExpMaxUExp(1.0, 1.0)
