@@ -16,12 +16,12 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import cython_special as _cs
 
 from .errors import (
     DivergenceError, NumericError, _real, _require_count, _require_positive, _require_real, _scalar
 )
 from .numerics import (
+    _cs,
     _gamma_upper_cf,
     _log_from_p,
     _log_from_q,

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import bdtr
 
 from .errors import (
     DegenerateSampleError,
@@ -374,6 +373,8 @@ def histogram_init(values) -> tuple[float, float]:
 def exceedance_confidence(n: int, p: float, max_exceed: int) -> float:
     """P(Binomial(n, p) <= max_exceed): chance the count of tail exceedances
     stays within the allowance."""
+    from scipy.special import bdtr
+
     n, max_exceed = _require_count("n", n, lo=1), _require_count("max_exceed", max_exceed)
     p = _require_real("p", p, 0.0, 1.0)
     return min(1.0, float(bdtr(min(max_exceed, n), n, p)))

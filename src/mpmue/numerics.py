@@ -19,12 +19,16 @@ are normal doubles, and hands the values to ``_log_from_p`` and
 ``_log_from_q`` for their logs elsewhere, so that no gamma is evaluated
 twice.
 Quadrature also delegates to scipy, which stays behind the signature
-below.  Only ``scipy.special`` is imported with this module, since the count
-kernel calls it on nearly every evaluation.  ``integrate`` imports
-``scipy.integrate`` on first call, so ``import mpmue`` loads neither it nor
-``scipy.optimize``, nor the ``scipy.linalg`` and ``scipy.sparse`` they pull
-in.  The least-squares fit calls ``scipy.optimize.minimize_scalar`` itself,
-imported the same way (``estimation._lsq_fit``).
+below.  ``import mpmue`` loads no scipy module.  ``_cs`` is a stand-in that
+imports ``scipy.special`` at the first incomplete gamma (moments, ``lst``,
+``pmf``, the Erlang pdf and cdf, ``verify``) and rebinds ``_cs`` to
+``cython_special``; the samplers, ``simulate_paths``, ``MaxUExp``'s pdf, cdf
+and quantile and ``mom_curve*`` need only numpy.  ``integrate`` imports
+``scipy.integrate`` on first call, and so do ``minimize`` and
+``least_squares`` with ``scipy.optimize``, which also keeps the
+``scipy.linalg`` and ``scipy.sparse`` they pull in unloaded.  The
+least-squares fit calls ``scipy.optimize.minimize_scalar`` itself, imported
+the same way (``estimation._lsq_fit``).
 
 ``minimize``, ``least_squares``, ``gamma_lower_reg`` and ``gamma_upper_reg``
 have no caller in the library.  They stay only because the benchmark's
@@ -38,11 +42,32 @@ import sys
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import cython_special as _cs
 
 from .errors import (
     BracketError, DomainError, NumericError, _require_positive, _require_real, _scalar
 )
+
+
+class _LazyCythonSpecial:
+    """Stands in for ``scipy.special.cython_special`` until the first gamma.
+
+    The first attribute access imports the module and rebinds ``_cs`` to it
+    in each module of this package that still holds this stand-in, so warm
+    kernel calls reach the module directly.  A ``_cs`` bound to anything
+    else is left alone.
+    """
+
+    def __getattr__(self, name: str):
+        from scipy.special import cython_special
+
+        prefix = __package__ + "."
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith(prefix) and getattr(module, "_cs", None) is self:
+                module._cs = cython_special
+        return getattr(cython_special, name)
+
+
+_cs = _LazyCythonSpecial()
 
 
 def checked_exp(x: float) -> float:

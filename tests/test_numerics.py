@@ -240,23 +240,55 @@ def test_integrate_breakpoints_with_infinite_tail():
     assert got == pytest.approx(2.0, rel=1e-10)
 
 
-# Run in a fresh interpreter: the sweep over every library evaluator must
-# leave scipy.integrate and scipy.optimize unloaded, and the three
-# scipy-backed kernels must still work once they import them on first call.
+# Run in a fresh interpreter.  Import and the numpy-only evaluators (the
+# samplers, the path simulator, MaxUExp's pdf, cdf and quantile, the CLI's
+# eval maxuexp and simulate path) must leave all of scipy unloaded; the first
+# pmf loads scipy.special and rebinds both kernels' _cs to cython_special.
+# The sweep over every library evaluator must leave scipy.integrate and
+# scipy.optimize unloaded, and the three scipy-backed kernels must still work
+# once they import them on first call.
 _COLD_START_CHILD = """
-import json, math, sys
+import contextlib, io, json, math, sys
 import numpy as np
 import mpmue, mpmue.cli
-from mpmue import ErlangMaxUExp, MaxUExp, MixedPoissonMaxUExp, PowerTransform, RandomStream
+from mpmue import (ErlangMaxUExp, ExpMaxUExp, MaxUExp, MixedPoissonMaxUExp, PowerTransform,
+                   RandomStream)
 
 def lazy_loaded():
     return sorted(m for m in sys.modules
                   if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"]))
 
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
 after_import = lazy_loaded()
+scipy_after_import = scipy_loaded()
 xi = MaxUExp(1.0, 1.0)
 proc = MixedPoissonMaxUExp(xi)
+# Needs numpy only: the samplers, the path simulator, MaxUExp's pdf, cdf and
+# quantile, ExpMaxUExp's cdf and the moment-ratio curve.
+xi.pdf(0.5)
+xi.pdf(np.array([0.5, 2.0]))
+xi.cdf(0.5)
+xi.cdf(np.array([0.5, 2.0]))
+xi.quantile(0.3)
+xi.sample_many(RandomStream(1), 1000)
+ErlangMaxUExp(3, 1.0, 1.0).sample_many(RandomStream(2), 1000)
+ExpMaxUExp(1.0, 1.0).sample_many(RandomStream(3), 1000)
+ExpMaxUExp(1.0, 1.0).cdf(2.0)
+ExpMaxUExp(1.0, 1.0).cdf(np.array([0.5, 2.0]))
+proc.simulate_paths(PowerTransform(1.0), 2.0, 100, seed=5)
+mpmue.mom_curve_extrema()
+with contextlib.redirect_stdout(io.StringIO()):
+    cli_codes = [mpmue.cli.main(["eval", "maxuexp", "--a", "1", "--lambda", "1", "--x", "0.5",
+                                 "--grid", "0:3:4"]),
+                 mpmue.cli.main(["simulate", "path", "--a", "1", "--lambda", "1",
+                                 "--horizon", "5", "--seed", "3"])]
+scipy_after_numpy_sweep = scipy_loaded()
 proc.pmf(1.0, 3)
+special_after_pmf = "scipy.special" in sys.modules
+from scipy.special import cython_special
+warm = [mpmue.distribution._cs is cython_special, mpmue.numerics._cs is cython_special]
 proc.posterior_mean(1.0, 3)
 proc.ordered_pmf([0.5, 1.0], [1, 2])
 ErlangMaxUExp(3, 1.0, 1.0).pdf(2.0)
@@ -265,12 +297,9 @@ xi.moment(2.0)
 xi.moment(-0.5)
 xi.moment(-1.5)
 xi.neg_moment(1.5)
-mpmue.mom_curve_extrema()
 ErlangMaxUExp(10, 1.0, 1.0).cdf(1.0)   # lower tail: the closed-form count tail
 ErlangMaxUExp(10, 1.0, 1.0).cdf(20.0)  # the same closed form near the median
 ErlangMaxUExp(2, 1.0, 1.0).moment(1.5)
-xi.sample_many(RandomStream(1), 1000)
-proc.simulate_paths(PowerTransform(1.0), 2.0, 100, seed=5)
 after_sweep = lazy_loaded()
 
 from mpmue.numerics import integrate, least_squares, minimize
@@ -279,6 +308,9 @@ lsq = least_squares(lambda p: np.array([p[0] - 2.0, 3.0 * (p[1] + 0.5)]), [0.0, 
                     bounds=[(-5.0, 5.0), (-5.0, 5.0)]).tolist()
 nm = minimize(lambda p: (p[0] - 3.0) ** 2, [0.0], bounds=[(-10.0, 10.0)], tol=1e-12).tolist()
 print(json.dumps({"after_import": after_import, "after_sweep": after_sweep,
+                  "scipy_after_import": scipy_after_import, "cli_codes": cli_codes,
+                  "scipy_after_numpy_sweep": scipy_after_numpy_sweep,
+                  "special_after_pmf": special_after_pmf, "warm": warm,
                   "after_calls": lazy_loaded(), "quad": quad, "lsq": lsq, "minimize": nm}))
 """
 
@@ -293,8 +325,38 @@ def test_import_leaves_quadrature_and_optimizers_unloaded():
     out = json.loads(res.stdout.strip().splitlines()[-1])
     assert out["after_import"] == []
     assert out["after_sweep"] == []
+    assert out["scipy_after_import"] == []
+    assert out["cli_codes"] == [0, 0]
+    assert out["scipy_after_numpy_sweep"] == []
+    assert out["special_after_pmf"]
+    assert out["warm"] == [True, True]
     assert "scipy.integrate" in out["after_calls"]
     assert "scipy.optimize" in out["after_calls"]
     assert out["quad"] == pytest.approx(1.0, rel=1e-12)
     assert out["lsq"] == pytest.approx([2.0, -0.5], abs=1e-10)
     assert out["minimize"] == pytest.approx([3.0], abs=1e-6)
+
+
+def test_lazy_gammas_rebind_only_the_stand_in(monkeypatch):
+    """The first gamma rebinds ``_cs`` to cython_special in each module that
+    holds the firing stand-in, and leaves a ``_cs`` bound to anything else."""
+    from types import SimpleNamespace
+
+    from scipy.special import cython_special
+
+    from mpmue import MaxUExp, MixedPoissonMaxUExp, distribution
+
+    stand_in = numerics._LazyCythonSpecial()
+    monkeypatch.setattr(numerics, "_cs", stand_in)
+    monkeypatch.setattr(distribution, "_cs", stand_in)
+    MixedPoissonMaxUExp(MaxUExp(1.0, 1.0)).pmf(1.0, 3)
+    assert numerics._cs is cython_special
+    assert distribution._cs is cython_special
+
+    double = SimpleNamespace()
+    for fires, patched in ((numerics, distribution), (distribution, numerics)):
+        monkeypatch.setattr(fires, "_cs", numerics._LazyCythonSpecial())
+        monkeypatch.setattr(patched, "_cs", double)
+        assert fires._cs.gammainc(2.0, 1.0) == cython_special.gammainc(2.0, 1.0)
+        assert fires._cs is cython_special
+        assert patched._cs is double
