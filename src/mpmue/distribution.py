@@ -139,17 +139,25 @@ class MaxUExp:
         return _like(x, out)
 
     def quantile(self, q: float) -> float:
-        """Inverse cdf.  The exponential branch inverts in closed form; the
-        uniform branch bisects the cdf's own expression there,
-        (x/a)(1 - e^(-lam x)) = q on (0, a), on the math module: a numpy
-        ``cdf`` call would cost each of its ~40 steps 10 us or more."""
+        """Inverse cdf.  The exponential branch inverts in closed form.  The
+        uniform branch bisects log cdf = log q in t = log x on the math
+        module (a numpy ``cdf`` call would cost each step 10 us or more), so
+        x keeps its relative accuracy at any q.  As cdf(x) <= lam x^2 / a
+        there, the root lies above sqrt(aq/lam)/e.  e^(log a) can round
+        below a, so the bracket's top sits 2^-40 above log a, with x held
+        at a."""
         q = _require_real("q", q, 0.0, 1.0)
         a, lam = self.a, self.lam
         if q >= -math.expm1(-lam * a):
             return -math.log1p(-q) / lam
-        return find_root(
-            lambda x: (x / a) * -math.expm1(-lam * x) - q, 0.0, a, tol=1e-13 * max(1.0, a)
-        )
+        log_a, log_q = math.log(a), math.log(q)
+
+        def excess(t: float) -> float:
+            x = min(a, math.exp(t))
+            return _log(x / a) + _log(-math.expm1(-lam * x)) - log_q
+
+        lo = 0.5 * (log_a + log_q - math.log(lam)) - 1.0
+        return min(a, math.exp(find_root(excess, lo, log_a + 2.0**-40, tol=2.0**-50)))
 
     # -- sampling -------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     _require_real,
     _scalar,
 )
-from .numerics import find_root
+from .numerics import _cs, find_root
 
 FOUR_THIRDS = 4.0 / 3.0
 _CLAMP_EPS = 1e-6
@@ -267,7 +267,10 @@ def lsq_fit(values, trim: float = 0.25) -> FitReport:
     the largest retained observation (the model branch assumes x <= a).
     It takes no start and no units: the search runs in lam a_floor, over a
     fixed grid, and the best a is solved exactly at each lam."""
-    return _lsq_fit(validate_sample(values), _require_trim(trim))
+    x, trim = validate_sample(values), _require_trim(trim)
+    r_hat = _ratio_stat(x, "plain")
+    a, lam, objective = _lsq_fit(x, trim)
+    return FitReport(a, lam, a * lam, r_hat, "plain", "lsq_refined", objective)
 
 
 # The coarse grid of u = lam a_floor: 73 points a quarter decade apart on
@@ -276,8 +279,8 @@ _GRID_U = np.logspace(-12.0, 6.0, 73)
 _GRID_SAMPLE = 1_000
 
 
-def _lsq_fit(x: np.ndarray, trim: float) -> FitReport:
-    """The bounded problem of ``lsq_fit`` by variable projection (Golub &
+def _lsq_fit(x: np.ndarray, trim: float) -> tuple[float, float, float]:
+    """(a, lam, objective) of ``lsq_fit`` by variable projection (Golub &
     Pereyra 1973).  The model (x/a)(1 - e^(-lam x)) is linear in 1/a: with
     w = -(kept/a_floor)(1 - e^(-u kept/a_floor)) and plotting positions p,
     the objective is |p + w a_floor/a|^2, whose best a under a >= a_floor is
@@ -285,59 +288,40 @@ def _lsq_fit(x: np.ndarray, trim: float) -> FitReport:
     and |w| <= 1.  In u = lam a_floor nothing depends on the sample's units.
     The profile in u is not unimodal, so its argmin on a log grid, taken on a
     thinned sample, picks the step, and a bounded Brent search in log u on
-    the full sample refines it between the grid point's neighbours.  Each
-    step is one expm1 pass and three dot products, in one buffer."""
+    the full sample refines it between the grid point's neighbours.  One
+    evaluator, an expm1 pass and three dot products, serves the grid, the
+    refinement and the reported objective."""
     from scipy.optimize import minimize_scalar
 
-    r_hat = _ratio_stat(x, "plain")
     kept, n = _trimmed(x, trim)
     a_floor = float(kept[-1])
     positions = np.arange(1, kept.size + 1, dtype=float) / (n + 1.0)
     scaled = kept / a_floor
 
-    def best_c(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-        # a / a_floor for each row of w; a zero <p, |w|> is the floor.
-        pw = -(w @ p)
-        ww = np.einsum("...i,...i", w, w)
-        return np.maximum(1.0, np.divide(ww, pw, out=np.zeros_like(pw), where=pw > 0.0))
+    def fit_at(u: float, xs: np.ndarray, ps: np.ndarray) -> tuple[float, float]:
+        # The objective at lam a_floor = u and its best a / a_floor; a zero
+        # <p, |w|> is the floor.
+        w = np.expm1(-u * xs) * xs
+        pw, ww = -float(np.dot(w, ps)), float(np.dot(w, w))
+        c = max(1.0, ww / pw) if pw > 0.0 else 1.0
+        gaps = ps + w / c
+        return float(np.dot(gaps, gaps)), c
 
     step = math.ceil(kept.size / _GRID_SAMPLE)
-    p_grid, x_grid = positions[::step], scaled[::step]
-    w_grid = np.expm1(np.multiply.outer(-_GRID_U, x_grid)) * x_grid
-    gaps = p_grid + w_grid / best_c(w_grid, p_grid)[:, None]
-    i = int(np.argmin(np.einsum("ij,ij->i", gaps, gaps)))
+    grid = [fit_at(u, scaled[::step], positions[::step])[0] for u in _GRID_U]
+    i = int(np.argmin(grid))
     log_u = np.log(_GRID_U[max(i - 1, 0) : i + 2])
-
-    w = np.empty_like(kept)
-
-    def project(u: float) -> float:
-        # Leaves w for lam a_floor = u; returns the best a / a_floor.
-        np.multiply(scaled, -u, out=w)
-        np.expm1(w, out=w)
-        np.multiply(w, scaled, out=w)
-        return float(best_c(w, positions))
-
-    def profile(s: float) -> float:
-        np.divide(w, project(math.exp(s)), out=w)
-        np.add(w, positions, out=w)
-        return float(np.dot(w, w))
-
     s = minimize_scalar(
-        profile, bounds=(log_u[0], log_u[-1]), method="bounded", options={"xatol": 1e-10}
+        lambda s: fit_at(math.exp(s), scaled, positions)[0],
+        bounds=(log_u[0], log_u[-1]),
+        method="bounded",
+        options={"xatol": 1e-10},
     ).x
-    a = a_floor * project(math.exp(s))
+    objective, c = fit_at(math.exp(s), scaled, positions)
     lam = math.exp(s) / a_floor
     if not math.isfinite(lam):
         raise NumericError(f"the fitted lam passes the double range at a_floor={a_floor!r}")
-    return FitReport(
-        a=a,
-        lam=lam,
-        x_product=a * lam,
-        r_hat=r_hat,
-        r_hat_variant="plain",
-        branch="lsq_refined",
-        objective=_lsq_objective(x, a, lam, trim),
-    )
+    return a_floor * c, lam, objective
 
 
 def histogram_init(values) -> tuple[float, float]:
@@ -372,12 +356,14 @@ def histogram_init(values) -> tuple[float, float]:
 
 def exceedance_confidence(n: int, p: float, max_exceed: int) -> float:
     """P(Binomial(n, p) <= max_exceed): chance the count of tail exceedances
-    stays within the allowance."""
-    from scipy.special import bdtr
-
+    stays within the allowance.  For k = max_exceed < n it is 1 - I_p(k + 1,
+    n - k), scipy's complemented regularized incomplete beta, accurate for
+    any n up to 2^53."""
     n, max_exceed = _require_count("n", n, lo=1), _require_count("max_exceed", max_exceed)
     p = _require_real("p", p, 0.0, 1.0)
-    return min(1.0, float(bdtr(min(max_exceed, n), n, p)))
+    if max_exceed >= n:
+        return 1.0
+    return float(_cs.betaincc(max_exceed + 1.0, n - max_exceed, p))
 
 
 def fit_auto(values, trim: float = 0.25, variant: str = "unbiased") -> FitReport:
@@ -386,36 +372,35 @@ def fit_auto(values, trim: float = 0.25, variant: str = "unbiased") -> FitReport
     The unique branch is returned as is (no least-squares polish).  An
     ambiguous ratio picks the candidate with the lower trimmed
     least-squares objective.  The fallback branch refits by ``lsq_fit``,
-    which needs no start.
+    which needs no start.  Both refined branches are the moment report with
+    the fitted (a, lam), branch ``lsq_refined``, the objective, and the
+    warnings and candidates replaced in one step, so each keeps the moment
+    fit's r_hat and its variant.
     """
     x, trim = validate_sample(values), _require_trim(trim)
     rep = _solve_mom(x, variant)
     if rep.branch == "unique":
         return rep
     if rep.branch == "ambiguous_two_roots":
-        scored = [
-            (_lsq_objective(x, a, lam, trim), (a, lam)) for a, lam in rep.candidates
+        scored = [(_lsq_objective(x, a, lam, trim), (a, lam)) for a, lam in rep.candidates]
+        objective, (a, lam) = min(scored, key=lambda s: s[0])
+        warnings = rep.warnings + [
+            f"ambiguous ratio: kept the candidate with objective {objective:.6g}"
         ]
-        obj, (a, lam) = min(scored, key=lambda s: s[0])
-        return FitReport(
-            a=a,
-            lam=lam,
-            x_product=a * lam,
-            r_hat=rep.r_hat,
-            r_hat_variant=variant,
-            branch="lsq_refined",
-            objective=obj,
-            warnings=rep.warnings
-            + [f"ambiguous ratio: kept the candidate with objective {obj:.6g}"],
-            candidates=rep.candidates,
-        )
-    # fallback_min: refine by least squares.
-    refined = _lsq_fit(x, trim)
-    refined.r_hat = rep.r_hat
-    refined.r_hat_variant = variant
-    refined.warnings = rep.warnings
-    refined.candidates = [(rep.a, rep.lam)]
-    return refined
+        candidates = rep.candidates
+    else:  # fallback_min: refine by least squares.
+        a, lam, objective = _lsq_fit(x, trim)
+        warnings, candidates = rep.warnings, [(rep.a, rep.lam)]
+    return replace(
+        rep,
+        a=a,
+        lam=lam,
+        x_product=a * lam,
+        branch="lsq_refined",
+        objective=objective,
+        warnings=warnings,
+        candidates=candidates,
+    )
 
 
 class MaxUExpEstimator:

@@ -233,9 +233,10 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
     """Root of f on [lo, hi] by bisection.
 
     Requires a sign change over the bracket (an endpoint with f == 0 counts).
-    Stops once the bracket width drops below ``tol``, or after 200 halvings,
-    which cover any bracket up to 2^200 times ``tol``; the library's
-    brackets and tolerances need at most 70.
+    Stops once the bracket width drops below ``tol``, once its midpoint
+    rounds to an end (further halvings would leave it as it is), or after
+    200 halvings, which cover any bracket up to 2^200 times ``tol``; the
+    library's brackets and tolerances need at most 70.
     """
     lo, hi = _require_real("lo", lo), _require_real("hi", hi)
     if not (lo < hi):
@@ -253,6 +254,8 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         fmid = f(mid)
         if fmid == 0.0:
             return mid

@@ -31,6 +31,7 @@ a path and its batch, bit-identical.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 
 import numpy as np
@@ -131,9 +132,10 @@ class RandomStream:
     __slots__ = ("seed", "position")
 
     def __init__(self, seed: int, position: int = 0):
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        # Any integer a Python int or a numpy integer can hold, but no bool.
+        if isinstance(seed, bool) or not hasattr(seed, "__index__"):
             raise DomainError(f"seed must be an integer, got {seed!r}")
-        self.seed = seed & _MASK
+        self.seed = operator.index(seed) & _MASK
         self.position = _require_count("position", position, hi=math.inf)
 
     def _next_u64(self) -> int:

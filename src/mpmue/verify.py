@@ -186,6 +186,13 @@ def check_quantiles(
     return CheckResult(name, worst <= 4.0, worst, 4.0, 4.0, detail, ops)
 
 
+def _z_score(mean: float, reference: float, se: float) -> float:
+    """|mean - reference| / se; at se = 0, 0 if the mean is exact and inf if not."""
+    if se == 0.0:
+        return 0.0 if mean == reference else math.inf
+    return abs(mean - reference) / se
+
+
 def check_mc(
     name: str,
     draws: np.ndarray,
@@ -226,11 +233,7 @@ def check_mc(
         return check_quantiles(name, draws, cdf, cdf_points, why, ops)
 
     mean = float(draws.mean())
-    se = float(draws.std(ddof=1)) / math.sqrt(draws.size)
-    if se == 0.0:
-        z = 0.0 if mean == closed_form else math.inf
-    else:
-        z = abs(mean - closed_form) / se
+    z = _z_score(mean, closed_form, float(draws.std(ddof=1)) / math.sqrt(draws.size))
     return CheckResult(
         name=name,
         passed=z <= 4.0,
@@ -912,8 +915,7 @@ def _process_checks(a: float, lam: float, seed: int, paths: int):
     z0 = abs(p0_hat - p0) / math.sqrt(p0 * (1.0 - p0) / len(sim))
     counts2 = np.array([path.count_at(2.0) for path in sim], dtype=float)
     mean2, _ = pp.mean_variance(2.0)
-    se2 = counts2.std(ddof=1) / math.sqrt(len(sim))
-    z2 = abs(counts2.mean() - mean2) / se2
+    z2 = _z_score(float(counts2.mean()), mean2, float(counts2.std(ddof=1)) / math.sqrt(len(sim)))
     checks.append(
         CheckResult(
             name=f"path-count-law[{tag}]",
@@ -931,9 +933,10 @@ def _process_checks(a: float, lam: float, seed: int, paths: int):
 def run_checks(
     seed: int = 20260814, mc_draws: int = 200_000, paths: int = 10_000
 ) -> list[CheckResult]:
-    """The full oracle battery plus the coverage audit."""
-    mc_draws = _require_count("mc_draws", mc_draws, lo=1)
-    paths = _require_count("paths", paths, lo=1)
+    """The full oracle battery plus the coverage audit.  Both budgets are
+    at least 2: a standard error needs two draws."""
+    mc_draws = _require_count("mc_draws", mc_draws, lo=2)
+    paths = _require_count("paths", paths, lo=2)
     checks: list[CheckResult] = []
     for i, (a, lam) in enumerate(_PARAM_POINTS):
         checks.extend(_distribution_checks(a, lam, seed + 100 * i, mc_draws))
@@ -1108,7 +1111,9 @@ def _literal_posterior_pdf(pp: MixedPoissonMaxUExp, m: float, n: int, x: float) 
 
 
 def run_ledger(mc_draws: int = 200_000, seed: int = 7_654_321) -> list[DiscrepancyRecord]:
-    """Evaluate every recorded formula discrepancy at two parameter points."""
+    """Evaluate every recorded formula discrepancy at two parameter points,
+    with at least 2 Monte Carlo draws: a standard error needs two."""
+    mc_draws = _require_count("mc_draws", mc_draws, lo=2)
     tol = QUAD_TOL
     records: list[DiscrepancyRecord] = []
 

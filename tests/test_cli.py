@@ -253,9 +253,18 @@ def test_verify_writes_ledger(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("flag, name", [("--draws", "mc_draws"), ("--paths", "paths")])
-def test_verify_rejects_zero_draws_and_paths(tmp_path, flag, name):
-    counts = {"--draws": "2000", "--paths": "500", flag: "0"}
+@pytest.mark.parametrize(
+    "flag, name, value",
+    [
+        pytest.param("--draws", "mc_draws", "0", id="--draws-mc_draws"),
+        pytest.param("--paths", "paths", "0", id="--paths-paths"),
+        # One draw or one path has no standard error.
+        pytest.param("--draws", "mc_draws", "1", id="--draws-mc_draws-1"),
+        pytest.param("--paths", "paths", "1", id="--paths-paths-1"),
+    ],
+)
+def test_verify_rejects_zero_draws_and_paths(tmp_path, flag, name, value):
+    counts = {"--draws": "2000", "--paths": "500", flag: value}
     ledger = tmp_path / "l.json"
     res = run_cli("verify", *[v for kv in counts.items() for v in kv], "--ledger", str(ledger))
     assert res.returncode == 2

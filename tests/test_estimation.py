@@ -388,3 +388,27 @@ def test_fit_auto_validates_the_sample_once(monkeypatch):
         est = MaxUExpEstimator(method=method).fit(samples["unique"])
         assert len(calls) == 1, method
         assert est.report_.branch == branch
+
+
+@pytest.mark.parametrize(
+    "k, n, p",
+    [
+        (3, 2**31, 2.0**-31),
+        (3, 2**40, 1e-12),
+        (0, 2**53, 1e-15),
+        (14, 10**6, 1e-5),
+        (25, 2000, 0.01),
+        (580, 2000, 0.3),
+    ],
+)
+def test_exceedance_confidence_matches_exact_binomial_sums(k, n, p):
+    # Past n = 2^31 a C-int count argument overflows, and at n = 2^53 the
+    # log-space sum of the test above cannot be formed.  The reference is the
+    # binomial cdf summed at 50 digits.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        mp = mpmath.mpf(p)
+        want = mpmath.fsum(
+            mpmath.binomial(n, i) * mp**i * (1 - mp) ** (n - i) for i in range(k + 1)
+        )
+    assert exceedance_confidence(n, p, k) == pytest.approx(float(want), rel=1e-13)

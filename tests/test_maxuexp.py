@@ -360,3 +360,32 @@ def test_array_evaluators_keep_shape(name):
     got = f(xs)
     assert got.shape == (3, 4)
     assert got[2, 1] == pytest.approx(f(float(xs[2, 1])), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "a, lam", [(1.0, 1.0), (2.0, 0.5), (1e-3, 1.0), (1e3, 1e-3), (1e-6, 1e6), (5.0, 3.0)]
+)
+def test_quantile_relative_accuracy_matches_mpmath(a, lam):
+    # The uniform branch down to q = 1e-300 and up to just below the jump,
+    # against a 60-digit inverse of (x/a)(1 - e^(-lam x)) = q; a q past the
+    # jump's cdf inverts the exponential branch.
+    mpmath = pytest.importorskip("mpmath")
+    d = MaxUExp(a, lam)
+    top = -math.expm1(-lam * a)
+    qs = [1e-300, 1e-100, 1e-20, 1e-12, 1e-8, 1e-3, 0.3 * top, 0.9 * top, top * (1.0 - 1e-12)]
+    with mpmath.workdps(60):
+        ma, ml = mpmath.mpf(a), mpmath.mpf(lam)
+        for q in qs:
+            mq = mpmath.mpf(q)
+
+            def excess(t):
+                x = mpmath.exp(t)
+                return mpmath.log(x / ma) + mpmath.log(-mpmath.expm1(-ml * x)) - mpmath.log(mq)
+
+            if mq >= -mpmath.expm1(-ml * ma):
+                want = -mpmath.log1p(-mq) / ml
+            else:
+                lo = mpmath.log(ma * mq / ml) / 2 - 1
+                want = mpmath.exp(mpmath.findroot(excess, (lo, mpmath.log(ma)), solver="anderson"))
+            got = d.quantile(q)
+            assert abs(got - want) <= 1e-12 * want, (q, got, want)

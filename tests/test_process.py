@@ -283,6 +283,13 @@ def test_simulate_path_deterministic(pp):
     assert all(b > a for a, b in zip(p1.events[:-1], p1.events[1:]))
 
 
+@pytest.mark.parametrize("seed", [np.int64(2), np.uint64(2)])
+def test_simulate_paths_takes_numpy_integer_seeds(pp, seed):
+    got = pp.simulate_paths(PowerTransform(1.0), 2.0, 20, seed=seed)
+    want = pp.simulate_paths(PowerTransform(1.0), 2.0, 20, seed=2)
+    assert [p.events for p in got] == [p.events for p in want]
+
+
 def test_simulate_paths_substreams_independent(pp):
     paths = pp.simulate_paths(PowerTransform(1.0), 1.0, 50, seed=99)
     assert len(paths) == 50

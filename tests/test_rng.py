@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpmue import ErlangMaxUExp, MaxUExp
+from mpmue import DomainError, ErlangMaxUExp, MaxUExp
 from mpmue.rng import _BLOCK, RandomStream, counter_uniforms, substream_seeds
 
 
@@ -163,3 +163,18 @@ def test_batch_draws_peak_near_output_size(sampler):
     # their output; blocked draws hold the output plus a block.
     stream = RandomStream(5)
     assert _peak_ratio(lambda: sampler(stream)) <= 1.5
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.int32(5), np.uint64(2**64 - 1)])
+def test_numpy_integer_seeds_give_the_python_int_draws(seed):
+    want = RandomStream(int(seed))
+    got = RandomStream(seed)
+    assert type(got.seed) is int and got.seed == want.seed
+    assert np.array_equal(got.uniforms(8), want.uniforms(8))
+    assert got.uniform() == want.uniform()
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, 5.0, np.float64(5.0), "5", None])
+def test_seed_rejects_bools_and_non_integers(seed):
+    with pytest.raises(DomainError, match="seed"):
+        RandomStream(seed)

@@ -17,6 +17,7 @@ from mpmue.verify import (
     check_value,
     ks_critical,
     ks_statistic,
+    _process_checks,
 )
 
 
@@ -210,10 +211,26 @@ def test_run_checks_small_budget_green():
     assert REQUIRED_OPS <= covered
 
 
-@pytest.mark.parametrize("kwargs", [{"mc_draws": 0}, {"paths": 0}, {"mc_draws": 2.0}])
+@pytest.mark.parametrize(
+    "kwargs", [{"mc_draws": 0}, {"paths": 0}, {"mc_draws": 2.0}, {"mc_draws": 1}, {"paths": 1}]
+)
 def test_run_checks_rejects_empty_budgets(kwargs):
     with pytest.raises(DomainError, match=next(iter(kwargs))):
         run_checks(**kwargs)
+
+
+@pytest.mark.parametrize("mc_draws", [0, 1])
+def test_run_ledger_rejects_budgets_below_two(mc_draws):
+    with pytest.raises(DomainError, match="mc_draws"):
+        run_ledger(mc_draws=mc_draws)
+
+
+@pytest.mark.filterwarnings("error")
+def test_path_count_law_at_two_paths_warns_nothing():
+    # Two paths at the default seed share N(2), so E N(2) has a zero
+    # standard error and a mean off the closed form: z is inf, as in check_mc.
+    (law,) = [c for c in _process_checks(1.0, 1.0, 20_260_814 + 50, 2) if "path-count" in c.name]
+    assert law.value == math.inf and not law.passed
 
 
 @pytest.mark.parametrize("law", ["maxuexp", "emue"])
