@@ -40,14 +40,26 @@ from .errors import (
     _require_real,
     _scalar,
 )
-from .numerics import _cs, find_root
+from .numerics import _cs, find_root, minimize_bounded
 
 FOUR_THIRDS = 4.0 / 3.0
 _CLAMP_EPS = 1e-6
 
 
 def validate_sample(values) -> np.ndarray:
-    """Coerce observations to a sorted 1-D float array; all finite and positive."""
+    """Coerce observations to a sorted 1-D float array; all finite and positive.
+
+    Of the public functions, the ones that read order statistics sort:
+    ``lsq_fit``, ``lsq_objective``, ``histogram_init`` and ``fit_auto`` on its
+    two least-squares branches.  The moments (``empirical_moments``,
+    ``ratio_stat``, ``solve_mom`` and ``fit_auto``'s unique branch) do not
+    depend on order and take the sample as it comes.  No fitter loads scipy.
+    """
+    return np.sort(_check_sample(values))
+
+
+def _check_sample(values) -> np.ndarray:
+    """Observations as a 1-D float array, all finite and positive, unsorted."""
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise InsufficientDataError("sample is empty")
@@ -55,16 +67,16 @@ def validate_sample(values) -> np.ndarray:
         raise DomainError("sample contains non-finite values")
     if np.any(arr <= 0.0):
         raise DomainError("sample contains non-positive values")
-    return np.sort(arr)
+    return arr
 
 
-# The public functions below validate their input; fit_auto validates once
-# and calls the private helpers, which take an already validated array.
+# The public functions below check their input; fit_auto checks once and
+# calls the private helpers, which take an already checked array.
 
 
 def empirical_moments(values) -> tuple[float, float, float]:
     """(m1, m2, unbiased mean square (n m1^2 - m2)/(n - 1)); needs n >= 2."""
-    return _empirical_moments(validate_sample(values))
+    return _empirical_moments(_check_sample(values))
 
 
 def _empirical_moments(x: np.ndarray) -> tuple[float, float, float]:
@@ -89,11 +101,11 @@ def ratio_stat(values, variant: str = "unbiased") -> float:
     unbiased estimate, giving m2 (n-1) / (n m1^2 - m2).  The plain variant
     is never below the unbiased one.
     """
-    return _ratio_stat(validate_sample(values), variant)
+    return _ratio_stat(_empirical_moments(_check_sample(values)), variant)
 
 
-def _ratio_stat(x: np.ndarray, variant: str) -> float:
-    m1, m2, ms_unbiased = _empirical_moments(x)
+def _ratio_stat(moments: tuple[float, float, float], variant: str) -> float:
+    m1, m2, ms_unbiased = moments
     if variant == "plain":
         return m2 / (m1 * m1)
     if variant != "unbiased":
@@ -171,12 +183,12 @@ def solve_mom(values, variant: str = "unbiased") -> FitReport:
                       reported, selection deferred to least squares;
       r < gmin        the curve cannot reach r; use the argmin (warned).
     """
-    return _solve_mom(validate_sample(values), variant)
+    return _solve_mom(_check_sample(values), variant)
 
 
 def _solve_mom(x: np.ndarray, variant: str) -> FitReport:
-    m1 = float(np.mean(x))
-    r = _ratio_stat(x, variant)
+    moments = _empirical_moments(x)
+    m1, r = moments[0], _ratio_stat(moments, variant)
     x43, argmin, gmin = mom_curve_extrema()
     warnings: list[str] = []
     candidates: list[tuple[float, float]] = []
@@ -266,9 +278,11 @@ def lsq_fit(values, trim: float = 0.25) -> FitReport:
     """Trimmed least squares on the empirical cdf, constrained to a at least
     the largest retained observation (the model branch assumes x <= a).
     It takes no start and no units: the search runs in lam a_floor, over a
-    fixed grid, and the best a is solved exactly at each lam."""
+    fixed grid, and the best a is solved exactly at each lam.  The plain
+    r_hat is taken on the sample over its largest value, the same ratio at
+    any scale, so a sample whose squares pass the double range fits too."""
     x, trim = validate_sample(values), _require_trim(trim)
-    r_hat = _ratio_stat(x, "plain")
+    r_hat = _ratio_stat(_empirical_moments(x / x[-1]), "plain")
     a, lam, objective = _lsq_fit(x, trim)
     return FitReport(a, lam, a * lam, r_hat, "plain", "lsq_refined", objective)
 
@@ -288,11 +302,9 @@ def _lsq_fit(x: np.ndarray, trim: float) -> tuple[float, float, float]:
     and |w| <= 1.  In u = lam a_floor nothing depends on the sample's units.
     The profile in u is not unimodal, so its argmin on a log grid, taken on a
     thinned sample, picks the step, and a bounded Brent search in log u on
-    the full sample refines it between the grid point's neighbours.  One
-    evaluator, an expm1 pass and three dot products, serves the grid, the
-    refinement and the reported objective."""
-    from scipy.optimize import minimize_scalar
-
+    the full sample (``minimize_bounded``) refines it between the grid
+    point's neighbours.  One evaluator, an expm1 pass and three dot
+    products, serves the grid, the refinement and the reported objective."""
     kept, n = _trimmed(x, trim)
     a_floor = float(kept[-1])
     positions = np.arange(1, kept.size + 1, dtype=float) / (n + 1.0)
@@ -311,12 +323,9 @@ def _lsq_fit(x: np.ndarray, trim: float) -> tuple[float, float, float]:
     grid = [fit_at(u, scaled[::step], positions[::step])[0] for u in _GRID_U]
     i = int(np.argmin(grid))
     log_u = np.log(_GRID_U[max(i - 1, 0) : i + 2])
-    s = minimize_scalar(
-        lambda s: fit_at(math.exp(s), scaled, positions)[0],
-        bounds=(log_u[0], log_u[-1]),
-        method="bounded",
-        options={"xatol": 1e-10},
-    ).x
+    s = minimize_bounded(
+        lambda s: fit_at(math.exp(s), scaled, positions)[0], log_u[0], log_u[-1], xatol=1e-10
+    )
     objective, c = fit_at(math.exp(s), scaled, positions)
     lam = math.exp(s) / a_floor
     if not math.isfinite(lam):
@@ -375,12 +384,16 @@ def fit_auto(values, trim: float = 0.25, variant: str = "unbiased") -> FitReport
     which needs no start.  Both refined branches are the moment report with
     the fitted (a, lam), branch ``lsq_refined``, the objective, and the
     warnings and candidates replaced in one step, so each keeps the moment
-    fit's r_hat and its variant.
+    fit's r_hat and its variant.  The moments are taken on the sample as it
+    comes; only the two least-squares branches sort it.  Every branch needs
+    m1 and m2, so a sample whose squares pass the double range raises
+    NumericError here, where ``lsq_fit`` fits it.
     """
-    x, trim = validate_sample(values), _require_trim(trim)
+    x, trim = _check_sample(values), _require_trim(trim)
     rep = _solve_mom(x, variant)
     if rep.branch == "unique":
         return rep
+    x = np.sort(x)
     if rep.branch == "ambiguous_two_roots":
         scored = [(_lsq_objective(x, a, lam, trim), (a, lam)) for a, lam in rep.candidates]
         objective, (a, lam) = min(scored, key=lambda s: s[0])

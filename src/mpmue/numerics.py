@@ -1,5 +1,5 @@
 """Scalar numerical kernels: incomplete gamma functions, root-finding by
-bisection, and adaptive quadrature.
+bisection, bounded minimization by Brent's method, and adaptive quadrature.
 
 The regularized incomplete gammas are scipy's ``gammainc``/``gammaincc``
 (DiDonato & Morris, with Temme's uniform asymptotics at large order).  Where
@@ -23,16 +23,17 @@ below.  ``import mpmue`` loads no scipy module.  ``_cs`` is a stand-in that
 imports ``scipy.special`` at the first incomplete gamma (moments, ``lst``,
 ``pmf``, the Erlang pdf and cdf, ``verify``) and rebinds ``_cs`` to
 ``cython_special``; the samplers, ``simulate_paths``, ``MaxUExp``'s pdf, cdf
-and quantile and ``mom_curve*`` need only numpy.  ``integrate`` imports
+and quantile, ``mom_curve*`` and the fitters need only numpy.  The
+least-squares fit refines its step with ``minimize_bounded``, a port of
+scipy's bounded scalar minimizer that loads no scipy.  ``integrate`` imports
 ``scipy.integrate`` on first call, and so do ``minimize`` and
 ``least_squares`` with ``scipy.optimize``, which also keeps the
-``scipy.linalg`` and ``scipy.sparse`` they pull in unloaded.  The
-least-squares fit calls ``scipy.optimize.minimize_scalar`` itself, imported
-the same way (``estimation._lsq_fit``).
+``scipy.linalg`` and ``scipy.sparse`` they pull in unloaded.
 
 ``minimize``, ``least_squares``, ``gamma_lower_reg`` and ``gamma_upper_reg``
-have no caller in the library.  They stay only because the benchmark's
-tracer (``benchmarks/tracing.py``) looks each up by name, with no default.
+have no caller in the library, so nothing in it loads ``scipy.optimize``.
+They stay only because the benchmark's tracer (``benchmarks/tracing.py``)
+looks each up by name, with no default.
 """
 
 from __future__ import annotations
@@ -264,6 +265,84 @@ def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def minimize_bounded(f: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:
+    """Local minimizer of f on [lo, hi] by Brent's method, golden-section
+    steps with parabolic interpolation (Brent 1973, ch. 5).
+
+    A step-for-step port of scipy's ``minimize_scalar(method="bounded")``:
+    the same points, the same result and the same evaluation count.  It
+    stops once the bracket around the best point is within 2 tol1 of it,
+    where tol1 = sqrt(2.2e-16) |x| + xatol/3, or after 500 evaluations, and
+    returns the best point seen.  A bracket narrower than about xatol takes
+    one evaluation, at its golden-section point.
+    """
+    a, b = _require_real("lo", lo), _require_real("hi", hi)
+    if not (a <= b):
+        raise DomainError(f"invalid bracket [{a}, {b}]")
+    xatol = _require_positive("xatol", xatol)
+    # xf is the best point, nfc the second best and fulc the one before.
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = f(xf)
+    num, rat, e = 1, 0.0, 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:
+            # A parabola through the three points, taken if its vertex lies
+            # inside the bracket and moves less than half the step before last.
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+            if parabolic:
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if not parabolic:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)  # never closer than tol1 to xf
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
 
 
 def minimize(

@@ -23,7 +23,7 @@ from mpmue import (
     ratio_stat,
     solve_mom,
 )
-from mpmue.estimation import empirical_moments, validate_sample
+from mpmue.estimation import _check_sample, empirical_moments, validate_sample
 
 
 def test_validate_sample():
@@ -256,6 +256,16 @@ def test_lsq_fit_has_no_units(name, c):
     assert rep.lam * c == pytest.approx(base.lam, rel=1e-6)
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
+def test_lsq_fit_fits_samples_whose_squares_pass_the_double_range(c):
+    # The plain r_hat is taken on the sample over its largest value, so
+    # squares that overflow or underflow raise nothing.
+    base, rep = lsq_fit(FLAT), lsq_fit(c * FLAT)
+    assert rep.a / c == pytest.approx(base.a, rel=1e-7)
+    assert rep.lam * c == pytest.approx(base.lam, rel=1e-7)
+    assert rep.r_hat == pytest.approx(base.r_hat, rel=1e-13)
+
+
 def test_fit_auto_fallback_has_no_units():
     x = np.random.Generator(np.random.PCG64(1)).uniform(0.5, 1.0, 2_000)
     base, rep = fit_auto(x), fit_auto(1e-7 * x)
@@ -363,20 +373,22 @@ def test_exceedance_confidence_large_n(n, p, k):
     assert exceedance_confidence(n, p, k) == pytest.approx(min(1.0, want), rel=rel)
 
 
+BRANCH_SAMPLES = {
+    "unique": MaxUExp(1.0, 1.0).sample_many(RandomStream(2), 4_000),
+    "ambiguous": MaxUExp(1.0, 8.0).sample_many(RandomStream(4), 4_000),
+    "fallback": np.random.Generator(np.random.PCG64(3)).uniform(0.5, 1.0, 4_000),
+}
+
+
 def test_fit_auto_validates_the_sample_once(monkeypatch):
     calls = []
 
     def counting(values):
         calls.append(1)
-        return validate_sample(values)
+        return _check_sample(values)
 
-    monkeypatch.setattr("mpmue.estimation.validate_sample", counting)
-    gen = np.random.Generator(np.random.PCG64(3))
-    samples = {
-        "unique": MaxUExp(1.0, 1.0).sample_many(RandomStream(2), 4_000),
-        "ambiguous": MaxUExp(1.0, 8.0).sample_many(RandomStream(4), 4_000),
-        "fallback": gen.uniform(0.5, 1.0, 4_000),
-    }
+    monkeypatch.setattr("mpmue.estimation._check_sample", counting)
+    samples = BRANCH_SAMPLES
     for name, sample in samples.items():
         calls.clear()
         rep = fit_auto(sample)
@@ -388,6 +400,34 @@ def test_fit_auto_validates_the_sample_once(monkeypatch):
         est = MaxUExpEstimator(method=method).fit(samples["unique"])
         assert len(calls) == 1, method
         assert est.report_.branch == branch
+
+
+def test_fit_auto_unique_branch_does_not_depend_on_order():
+    x = BRANCH_SAMPLES["unique"]
+    shuffled = np.random.Generator(np.random.PCG64(9)).permutation(x)
+    base, rep = fit_auto(np.sort(x)), fit_auto(shuffled)
+    assert rep.branch == base.branch == "unique"
+    assert rep.a == pytest.approx(base.a, rel=1e-12)
+    assert rep.lam == pytest.approx(base.lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["ambiguous", "fallback"])
+def test_fit_auto_least_squares_branches_do_not_depend_on_order(name):
+    # Both branches sort before they read order statistics, so the
+    # fallback's refit is the same to the bit.  The ambiguous pick is one of
+    # the moment roots, and the moments are sums whose rounding depends on
+    # the order of the terms.
+    x = BRANCH_SAMPLES[name]
+    shuffled = np.random.Generator(np.random.PCG64(9)).permutation(x)
+    base, rep = fit_auto(np.sort(x)), fit_auto(shuffled)
+    assert rep.branch == base.branch == "lsq_refined"
+    if name == "fallback":
+        assert (rep.a, rep.lam, rep.objective) == (base.a, base.lam, base.objective)
+    else:
+        pick = base.candidates.index((base.a, base.lam))
+        assert rep.candidates.index((rep.a, rep.lam)) == pick
+        assert rep.params() == pytest.approx(base.params(), rel=1e-12)
+        assert rep.objective == pytest.approx(base.objective, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from mpmue.numerics import (
     gamma_upper,
     integrate,
     minimize,
+    minimize_bounded,
 )
 
 
@@ -228,6 +229,63 @@ def test_minimize_respects_bounds():
     assert res[0] == pytest.approx(1.0, abs=1e-6)
 
 
+# (function, lo, hi, xatol): smooth and non-smooth minima inside the
+# bracket, minima at or next to either end (1e-9 past the lower end takes
+# the near-bound tol1 nudge), several local minima, a flat function, a
+# bracket so wide that the search stops at its 500-evaluation cap, and
+# brackets narrower than xatol.
+BOUNDED_CASES = [
+    (lambda x: x * x, 0.0, 2.0, 1e-10),
+    (lambda x: (x - 1e-9) ** 2, 0.0, 2.0, 1e-10),
+    (lambda x: abs(x), -1e300, 1e300, 1e-10),
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-10),
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-5),
+    (lambda x: abs(x - 0.3), -1.0, 2.0, 1e-10),
+    (lambda x: abs(x - 1.7), 0.0, 4.0, 1e-8),
+    (lambda x: x, 1.0, 5.0, 1e-10),
+    (lambda x: -x, 1.0, 5.0, 1e-10),
+    (lambda x: (x - 7.0) ** 2, -3.0, 2.0, 1e-6),
+    (lambda x: math.sin(5.0 * x) + 0.1 * x * x, -4.0, 4.0, 1e-10),
+    (lambda x: math.cos(x) * math.exp(-abs(x - 1.0)), -10.0, 10.0, 1e-9),
+    (lambda x: x**4 - 3.0 * x * x, -2.0, 3.0, 1e-12),
+    (lambda x: math.floor(3.0 * x) + (x - 0.5) ** 2, -2.0, 2.0, 1e-10),
+    (lambda x: 1.0, 0.0, 1.0, 1e-10),
+    (lambda x: math.exp(x) - 2.0 * x, -30.0, 30.0, 1e-10),
+    (lambda x: (x - 1e-3) ** 2, 0.0, 1e-11, 1e-10),
+    (lambda x: (x - 2.0) ** 2, 2.0, 2.0, 1e-10),
+]
+
+
+@pytest.mark.parametrize("f, lo, hi, xatol", BOUNDED_CASES)
+def test_minimize_bounded_is_scipys_bounded_method(f, lo, hi, xatol):
+    from scipy.optimize import minimize_scalar
+
+    calls = {"ours": 0, "scipy": 0}
+
+    def counted(key):
+        def g(x):
+            calls[key] += 1
+            return f(float(x))
+
+        return g
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the 1e300-wide bracket
+        want = minimize_scalar(counted("scipy"), bounds=(lo, hi), method="bounded",
+                               options={"xatol": xatol})
+    got = minimize_bounded(counted("ours"), lo, hi, xatol)
+    assert got == float(want.x)
+    assert calls["ours"] == calls["scipy"]
+
+
+def test_minimize_bounded_checks_its_bracket():
+    with pytest.raises(DomainError):
+        minimize_bounded(abs, 1.0, 0.0, 1e-10)
+    with pytest.raises(DomainError):
+        minimize_bounded(abs, 0.0, math.inf, 1e-10)
+    with pytest.raises(DomainError):
+        minimize_bounded(abs, 0.0, 1.0, 0.0)
+
+
 def test_integrate_finite_and_infinite():
     assert integrate(lambda x: x * x, 0.0, 1.0, tol=1e-12).value == pytest.approx(1.0 / 3.0)
     assert integrate(lambda x: math.exp(-x), 0.0, math.inf, tol=1e-12).value == pytest.approx(1.0)
@@ -241,9 +299,10 @@ def test_integrate_breakpoints_with_infinite_tail():
 
 
 # Run in a fresh interpreter.  Import and the numpy-only evaluators (the
-# samplers, the path simulator, MaxUExp's pdf, cdf and quantile, the CLI's
-# eval maxuexp and simulate path) must leave all of scipy unloaded; the first
-# pmf loads scipy.special and rebinds both kernels' _cs to cython_special.
+# samplers, the path simulator, MaxUExp's pdf, cdf and quantile, the fitters
+# on every fit_auto branch, the CLI's eval maxuexp and simulate path) must
+# leave all of scipy unloaded; the first pmf loads scipy.special and
+# rebinds both kernels' _cs to cython_special.
 # The sweep over every library evaluator must leave scipy.integrate and
 # scipy.optimize unloaded, and the three scipy-backed kernels must still work
 # once they import them on first call.
@@ -279,6 +338,17 @@ ExpMaxUExp(1.0, 1.0).cdf(2.0)
 ExpMaxUExp(1.0, 1.0).cdf(np.array([0.5, 2.0]))
 proc.simulate_paths(PowerTransform(1.0), 2.0, 100, seed=5)
 mpmue.mom_curve_extrema()
+# The fitters need only numpy: fit_auto on each of its three branches,
+# solve_mom, lsq_fit and the estimator's lsq method.
+gen = np.random.Generator(np.random.PCG64(1))
+branch_samples = [MaxUExp(1.0, 1.0).sample_many(RandomStream(2), 4000),
+                  MaxUExp(1.0, 8.0).sample_many(RandomStream(4), 4000),
+                  gen.uniform(0.5, 1.0, 4000)]
+fits = [mpmue.fit_auto(x) for x in branch_samples]
+fit_branches = [f.branch for f in fits] + [len(f.candidates) for f in fits]
+mpmue.solve_mom(branch_samples[0])
+mpmue.lsq_fit(branch_samples[2])
+mpmue.MaxUExpEstimator("lsq").fit(branch_samples[0])
 with contextlib.redirect_stdout(io.StringIO()):
     cli_codes = [mpmue.cli.main(["eval", "maxuexp", "--a", "1", "--lambda", "1", "--x", "0.5",
                                  "--grid", "0:3:4"]),
@@ -310,6 +380,7 @@ nm = minimize(lambda p: (p[0] - 3.0) ** 2, [0.0], bounds=[(-10.0, 10.0)], tol=1e
 print(json.dumps({"after_import": after_import, "after_sweep": after_sweep,
                   "scipy_after_import": scipy_after_import, "cli_codes": cli_codes,
                   "scipy_after_numpy_sweep": scipy_after_numpy_sweep,
+                  "fit_branches": fit_branches,
                   "special_after_pmf": special_after_pmf, "warm": warm,
                   "after_calls": lazy_loaded(), "quad": quad, "lsq": lsq, "minimize": nm}))
 """
@@ -328,6 +399,7 @@ def test_import_leaves_quadrature_and_optimizers_unloaded():
     assert out["scipy_after_import"] == []
     assert out["cli_codes"] == [0, 0]
     assert out["scipy_after_numpy_sweep"] == []
+    assert out["fit_branches"] == ["unique", "lsq_refined", "lsq_refined", 0, 2, 1]
     assert out["special_after_pmf"]
     assert out["warm"] == [True, True]
     assert "scipy.integrate" in out["after_calls"]
