@@ -18,7 +18,12 @@ The fallback refines the fit by trimmed least squares on the empirical cdf,
 as ``lsq_fit`` does.  The model (x/a)(1 - e^(-lam x)) is linear in 1/a, so
 the best a has a closed form for each lam, and the fit is a one-dimensional
 search in lam a_floor, which has no units (variable projection): a fixed
-log grid, then a bounded Brent refinement.  It takes no start.
+log grid, then a bounded Brent refinement.  It takes no start.  One
+evaluator, ``_objective``, gives the trimmed objective everywhere: to
+``lsq_objective``, to the ambiguous branch's pick between its two roots and
+to the fallback's grid, refinement and reported objective.  ``_trimmed``
+builds the retained order statistics and their plotting positions once per
+sample.
 """
 
 from __future__ import annotations
@@ -83,8 +88,8 @@ def _empirical_moments(x: np.ndarray) -> tuple[float, float, float]:
     n = x.size
     if n < 2:
         raise InsufficientDataError("need at least two observations")
-    m1 = float(np.mean(x))
     with np.errstate(over="ignore"):
+        m1 = float(np.mean(x))
         m2 = float(np.dot(x, x)) / n  # no n-sized temporary, unlike mean(x * x)
     ms_unbiased = (n * m1 * m1 - m2) / (n - 1)
     # Squares of a sample past about 1e154 overflow, and below 1e-154 they
@@ -244,13 +249,33 @@ def _require_trim(trim) -> float:
     return trim
 
 
-def _trimmed(values: np.ndarray, trim: float) -> tuple[np.ndarray, int]:
-    n = values.size
+def _trimmed(x: np.ndarray, trim: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(retained order statistics over a_floor, their positions i/(n+1), a_floor)."""
+    n = x.size
     if n < 2:
         raise InsufficientDataError("need at least two observations")
     # Keep at least two order statistics no matter how aggressive the trim.
     drop = min(math.ceil(trim * n), n - 2)
-    return values[: n - drop], n
+    kept = x[: n - drop]
+    a_floor = float(kept[-1])
+    return kept / a_floor, np.arange(1, kept.size + 1, dtype=float) / (n + 1.0), a_floor
+
+
+def _objective(
+    xs: np.ndarray, ps: np.ndarray, u: float, c: float | None = None
+) -> tuple[float, float]:
+    """(|p + w/c|^2 with w = expm1(-u xs) xs, c) at u = lam a_floor, c = a/a_floor;
+    with no c, at the best one, max(1, <w, w>/<p, |w|>), 1 where <p, |w|> = 0."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = np.expm1(-u * xs) * xs
+        if c is None:
+            pw, ww = -float(np.dot(w, ps)), float(np.dot(w, w))
+            c = max(1.0, ww / pw) if pw > 0.0 else 1.0
+        gaps = ps + w / c
+        value = float(np.dot(gaps, gaps))
+    if not math.isfinite(value):
+        raise NumericError(f"the objective at u={u!r}, c={c!r} passes the double range")
+    return value, c
 
 
 def lsq_objective(values, a: float, lam: float, trim: float = 0.25) -> float:
@@ -258,20 +283,8 @@ def lsq_objective(values, a: float, lam: float, trim: float = 0.25) -> float:
     size) and the uniform-branch cdf (x_i/a)(1 - e^(-lam x_i)) over the
     retained (smallest) order statistics."""
     x, a, lam = validate_sample(values), _scalar("a", a), _scalar("lam", lam)
-    return _lsq_objective(x, a, lam, _require_trim(trim))
-
-
-def _lsq_objective(x: np.ndarray, a: float, lam: float, trim: float) -> float:
-    kept, n = _trimmed(x, trim)
-    i = np.arange(1, kept.size + 1, dtype=float)
-    positions = i / (n + 1.0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        model = (kept / a) * (-np.expm1(-lam * kept))
-        gaps = positions - model
-        value = float(np.dot(gaps, gaps))
-    if not math.isfinite(value):
-        raise NumericError(f"the objective at a={a!r}, lam={lam!r} passes the double range")
-    return value
+    xs, ps, a_floor = _trimmed(x, _require_trim(trim))
+    return _objective(xs, ps, lam * a_floor, a / a_floor)[0]
 
 
 def lsq_fit(values, trim: float = 0.25) -> FitReport:
@@ -303,34 +316,22 @@ def _lsq_fit(x: np.ndarray, trim: float) -> tuple[float, float, float]:
     The profile in u is not unimodal, so its argmin on a log grid, taken on a
     thinned sample, picks the step, and a bounded Brent search in log u on
     the full sample (``minimize_bounded``) refines it between the grid
-    point's neighbours.  One evaluator, an expm1 pass and three dot
-    products, serves the grid, the refinement and the reported objective."""
-    kept, n = _trimmed(x, trim)
-    a_floor = float(kept[-1])
-    positions = np.arange(1, kept.size + 1, dtype=float) / (n + 1.0)
-    scaled = kept / a_floor
-
-    def fit_at(u: float, xs: np.ndarray, ps: np.ndarray) -> tuple[float, float]:
-        # The objective at lam a_floor = u and its best a / a_floor; a zero
-        # <p, |w|> is the floor.
-        w = np.expm1(-u * xs) * xs
-        pw, ww = -float(np.dot(w, ps)), float(np.dot(w, w))
-        c = max(1.0, ww / pw) if pw > 0.0 else 1.0
-        gaps = ps + w / c
-        return float(np.dot(gaps, gaps)), c
-
-    step = math.ceil(kept.size / _GRID_SAMPLE)
-    grid = [fit_at(u, scaled[::step], positions[::step])[0] for u in _GRID_U]
+    point's neighbours.  ``_objective`` gives the grid, the refinement and the
+    reported objective, as it gives ``lsq_objective`` and the ambiguous pick.
+    An a or a lam past the double range raises NumericError."""
+    xs, ps, a_floor = _trimmed(x, trim)
+    step = math.ceil(xs.size / _GRID_SAMPLE)
+    grid = [_objective(xs[::step], ps[::step], u)[0] for u in _GRID_U]
     i = int(np.argmin(grid))
     log_u = np.log(_GRID_U[max(i - 1, 0) : i + 2])
     s = minimize_bounded(
-        lambda s: fit_at(math.exp(s), scaled, positions)[0], log_u[0], log_u[-1], xatol=1e-10
+        lambda s: _objective(xs, ps, math.exp(s))[0], log_u[0], log_u[-1], xatol=1e-10
     )
-    objective, c = fit_at(math.exp(s), scaled, positions)
-    lam = math.exp(s) / a_floor
-    if not math.isfinite(lam):
-        raise NumericError(f"the fitted lam passes the double range at a_floor={a_floor!r}")
-    return a_floor * c, lam, objective
+    objective, c = _objective(xs, ps, math.exp(s))
+    a, lam = a_floor * c, math.exp(s) / a_floor
+    if not (math.isfinite(a) and math.isfinite(lam)):
+        raise NumericError(f"the fitted (a, lam) = ({a!r}, {lam!r}) passes the double range")
+    return a, lam, objective
 
 
 def histogram_init(values) -> tuple[float, float]:
@@ -356,10 +357,10 @@ def histogram_init(values) -> tuple[float, float]:
             a0 = float(edges[i])
             break
     tail = x[x > a0]
-    if tail.size >= 5:
-        lam0 = 1.0 / float(np.mean(tail - a0))
-    else:
-        lam0 = 1.0 / float(np.mean(x))
+    with np.errstate(over="ignore", divide="ignore"):
+        lam0 = float(1.0 / np.mean(tail - a0 if tail.size >= 5 else x))
+    if not 0.0 < lam0 < math.inf:
+        raise NumericError(f"the start lam0 = {lam0!r} passes the double range")
     return a0, lam0
 
 
@@ -395,8 +396,10 @@ def fit_auto(values, trim: float = 0.25, variant: str = "unbiased") -> FitReport
         return rep
     x = np.sort(x)
     if rep.branch == "ambiguous_two_roots":
-        scored = [(_lsq_objective(x, a, lam, trim), (a, lam)) for a, lam in rep.candidates]
-        objective, (a, lam) = min(scored, key=lambda s: s[0])
+        xs, ps, a_floor = _trimmed(x, trim)
+        scored = [_objective(xs, ps, lam * a_floor, a / a_floor)[0] for a, lam in rep.candidates]
+        objective = min(scored)
+        a, lam = rep.candidates[scored.index(objective)]
         warnings = rep.warnings + [
             f"ambiguous ratio: kept the candidate with objective {objective:.6g}"
         ]

@@ -137,6 +137,7 @@ class ExpMaxUExp(ErlangMaxUExp):
     # one numpy expression that gives a float back for a float (``_like``).
     # With s = lam + t and y = a s, it carries (1 - e^-y)/y over s; the
     # quotient is 1 where y underflows.  At t = inf it returns its limit, 1.
+    # Where t/s rounds to 1 the sum can round past 1, so it is clipped at 1.
 
     def cdf(self, t: float | np.ndarray) -> float | np.ndarray:
         t = _real("t", t)
@@ -146,7 +147,7 @@ class ExpMaxUExp(ErlangMaxUExp):
         with np.errstate(over="ignore"):
             y = a * s
             ratio = np.divide(-np.expm1(-y), y, out=np.ones_like(y), where=y > 0.0)
-            value = _em1(a * tp) + tp / s * ratio
+            value = np.minimum(_em1(a * tp) + tp / s * ratio, 1.0)
         return _like(t, np.where(t <= 0.0, 0.0, np.where(t == math.inf, 1.0, value)))
 
     def joint_pdf(self, t: float, x: float) -> float:

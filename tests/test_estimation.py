@@ -287,6 +287,16 @@ def test_lsq_fit_lam_past_the_double_range_raises():
         lsq_fit([5e-324, 5e-324, 5e-324, 1.0])
 
 
+# 50 draws near the top of the double range: their sum and squares overflow,
+# and a_floor times the best a / a_floor passes it.
+HUGE = np.random.default_rng(0).uniform(1e300, 1.7e308, 50)
+
+
+def test_lsq_fit_a_past_the_double_range_raises():
+    with pytest.raises(NumericError):
+        lsq_fit(HUGE)
+
+
 def test_lsq_objective_at_a_zero_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -301,6 +311,23 @@ def test_histogram_init_locates_endpoint():
     assert 0.4 < lam0 < 2.5
     with pytest.raises(InsufficientDataError):
         histogram_init([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("x", [np.full(30, 1e-310), HUGE], ids=["subnormal", "huge"])
+def test_histogram_init_lam_past_the_double_range_raises_without_a_warning(x):
+    # 1/mean is inf on the subnormal sample and 0.0 on the huge one.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            histogram_init(x)
+
+
+@pytest.mark.parametrize("f", [empirical_moments, ratio_stat, solve_mom, fit_auto])
+def test_moments_past_the_double_range_raise_without_a_warning(f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            f(HUGE)
 
 
 def test_exceedance_confidence():
@@ -324,6 +351,14 @@ def test_fit_auto_branches():
     assert rep8.branch == "lsq_refined"
     assert len(rep8.candidates) == 2
     assert rep8.warnings
+
+
+def test_fit_auto_ambiguous_objective_is_lsq_objective():
+    # Both run one evaluator on the same sorted sample, so they agree exactly.
+    x = MaxUExp(1.0, 8.0).sample_many(RandomStream(4), 4_000)
+    rep = fit_auto(x)
+    assert len(rep.candidates) == 2
+    assert rep.objective == lsq_objective(x, rep.a, rep.lam, 0.25)
 
 
 def test_fit_auto_tiny_sample_does_not_crash():

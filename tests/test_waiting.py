@@ -105,6 +105,16 @@ def test_cdf_small_t_keeps_relative_accuracy(a, lam):
         assert abs(got - got_array) <= np.spacing(got)
 
 
+@pytest.mark.parametrize("lam", [1e-30, 1e-25])
+def test_cdf_never_passes_one(lam):
+    # t/s rounds to 1 here, and the unclipped sum to 1 + 2^-52.
+    w = ExpMaxUExp(1.0, lam)
+    want = _cdf_reference(1.0, lam, 1e-6)
+    for got in (w.cdf(1e-6), w.cdf(np.array([1e-6]))[0]):
+        assert got <= 1.0
+        assert got == pytest.approx(want, rel=2e-16, abs=0.0)
+
+
 def test_cdf_is_integral_of_pdf():
     w = ExpMaxUExp(2.0, 0.5)
     for t in (0.2, 1.0, 3.0):
