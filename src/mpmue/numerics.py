@@ -18,17 +18,19 @@ arguments, and the public functions check first.  The count kernel calls
 are normal doubles, and hands the values to ``_log_from_p`` and
 ``_log_from_q`` for their logs elsewhere, so that no gamma is evaluated
 twice.
-Quadrature also delegates to scipy, which stays behind the signature
-below.  ``import mpmue`` loads no scipy module.  ``_cs`` is a stand-in that
+``import mpmue`` loads no scipy module.  ``_cs`` is a stand-in that
 imports ``scipy.special`` at the first incomplete gamma (moments, ``lst``,
 ``pmf``, the Erlang pdf and cdf, ``verify``) and rebinds ``_cs`` to
 ``cython_special``; the samplers, ``simulate_paths``, ``MaxUExp``'s pdf, cdf
 and quantile, ``mom_curve*`` and the fitters need only numpy.  The
 least-squares fit refines its step with ``minimize_bounded``, a port of
-scipy's bounded scalar minimizer that loads no scipy.  ``integrate`` imports
-``scipy.integrate`` on first call, and so do ``minimize`` and
-``least_squares`` with ``scipy.optimize``, which also keeps the
-``scipy.linalg`` and ``scipy.sparse`` they pull in unloaded.
+scipy's bounded scalar minimizer that loads no scipy.  ``integrate`` runs
+``_quadpack``, a step-for-step port of QUADPACK's QAGS and QAGI (Piessens
+et al. 1983), the routines behind ``scipy.integrate.quad``, with the same
+points, value, error estimate and evaluation count, so it loads no
+``scipy.integrate`` either; it imports ``_quadpack`` on first call.  Only ``minimize`` and ``least_squares`` import ``scipy.optimize``,
+on first call, which also keeps the ``scipy.linalg`` and ``scipy.sparse``
+it pulls in unloaded.
 
 ``minimize``, ``least_squares``, ``gamma_lower_reg`` and ``gamma_upper_reg``
 have no caller in the library, so nothing in it loads ``scipy.optimize``.
@@ -426,10 +428,12 @@ def integrate(
     """Adaptive quadrature of f over (lo, hi); hi may be math.inf.
 
     The interval is split at the supplied interior breakpoints (known kinks
-    or jumps) and each piece is integrated adaptively; a semi-infinite tail
-    piece is handled by the integrator's variable substitution.
+    or jumps) and each piece is integrated adaptively to absolute and
+    relative tolerance ``tol``: a finite piece by QUADPACK's QAGS and the
+    semi-infinite tail by QAGI, which maps it onto (0, 1].  Raises
+    NumericError as soon as a rule's sum or error estimate is not finite.
     """
-    from scipy.integrate import quad
+    from . import _quadpack
 
     tol, lo = _require_positive("tol", tol), _require_real("lower limit", lo)
     hi = _scalar("upper limit", hi)
@@ -441,8 +445,8 @@ def integrate(
     err = 0.0
     evals = 0
     for a, b in zip(edges[:-1], edges[1:]):
-        v, e, info = quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)[:3]
+        v, e, n = _quadpack.qagi(f, a, tol) if b == math.inf else _quadpack.qags(f, a, b, tol)
         value += v
         err += e
-        evals += info["neval"]
+        evals += n
     return QuadResult(value, err, evals)

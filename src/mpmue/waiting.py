@@ -33,10 +33,19 @@ _EM1_SERIES = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 
 
 def _em1(z: float | np.ndarray) -> np.ndarray:
     """1 - (1 - e^-z) / z for z > 0, a float or an array, by its series
-    below z = _EM1_CUT."""
-    zs, zd = np.minimum(z, _EM1_CUT), np.maximum(z, _EM1_CUT)
-    series = np.polynomial.polynomial.polyval(zs, _EM1_SERIES) * zs
-    return np.where(z < _EM1_CUT, series, 1.0 - (-np.expm1(-zd)) / zd)
+    below z = _EM1_CUT: Horner's steps as ``polyval`` takes them, on those
+    elements only."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    small = z < _EM1_CUT
+    large = ~small
+    zs, zd = z[small], z[large]
+    c0 = _EM1_SERIES[-1] + zs * 0
+    for c in _EM1_SERIES[-2::-1]:
+        c0 = c + c0 * zs
+    out[small] = c0 * zs
+    out[large] = 1.0 - (-np.expm1(-zd)) / zd
+    return out
 
 
 def _each(f, t: np.ndarray) -> np.ndarray:

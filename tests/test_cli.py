@@ -252,6 +252,31 @@ def test_verify_writes_ledger(tmp_path):
     assert by_id["interarrival-mean-finite"]["paper_literal"] == math.inf
 
 
+# A fresh interpreter, so that nothing else has loaded scipy: verify's
+# quadrature is ported QUADPACK and its fits need no scipy.optimize.
+_VERIFY_CHILD = """
+import contextlib, io, json, sys
+import mpmue.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = mpmue.cli.main(["verify", "--draws", "2000", "--paths", "500", "--ledger", sys.argv[1]])
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"]))
+print(json.dumps({"code": code, "last": out.getvalue().splitlines()[-1], "loaded": loaded}))
+"""
+
+
+def test_verify_loads_no_quadrature_or_optimizer(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(mpmue.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", _VERIFY_CHILD, str(tmp_path / "l.json")],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout.strip().splitlines()[-1])
+    assert out == {"code": 0, "last": "79/79 checks passed", "loaded": []}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "flag, name, value",

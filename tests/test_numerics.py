@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpmue
-from mpmue.errors import BracketError, DomainError
+from mpmue.errors import BracketError, DomainError, NumericError
 from mpmue import numerics
 from mpmue.numerics import (
     find_root,
@@ -298,14 +298,76 @@ def test_integrate_breakpoints_with_infinite_tail():
     assert got == pytest.approx(2.0, rel=1e-10)
 
 
+# integrate is a port of QUADPACK's QAGS and QAGI, so each piece must give
+# what scipy.integrate.quad gives with limit 200 and epsabs = epsrel = tol:
+# the same value, error estimate and evaluation count, bit for bit.  The
+# rows take the plain rule, bisection, extrapolation, the tail's
+# substitution, the subdivision limit, extreme scales and a breakpoint.
+_QUADPACK_ROWS = [
+    ("x^2", lambda x: x * x, 0.0, 1.0, 1e-10, ()),
+    ("x^-0.5", lambda x: x**-0.5, 0.0, 1.0, 1e-10, ()),
+    ("log x", math.log, 0.0, 1.0, 1e-10, ()),
+    ("x^-0.9", lambda x: x**-0.9, 0.0, 1.0, 1e-10, ()),
+    ("|x - 1/3|^-0.5", lambda x: abs(x - 1.0 / 3.0) ** -0.5, 0.0, 1.0, 1e-10, ()),
+    ("step at 1.3", lambda x: 1.0 if x > 1.3 else 0.0, 0.0, 2.0, 1e-10, ()),
+    ("sin(1/x)", lambda x: math.sin(1.0 / x), 0.001, 1.0, 1e-10, ()),
+    ("sin(1/x) to the limit", lambda x: math.sin(1.0 / x), 0.0, 1.0, 1e-14, ()),
+    ("e^-x", lambda x: math.exp(-x), 0.0, math.inf, 1e-12, ()),
+    ("1/(1 + x^2)", lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf, 1e-12, ()),
+    ("e^-x cos 30x", lambda x: math.exp(-x) * math.cos(30.0 * x), 0.0, math.inf, 1e-10, ()),
+    ("x^-1.5", lambda x: x**-1.5, 1.0, math.inf, 1e-10, ()),
+    ("x^-1.01", lambda x: x**-1.01, 1.0, math.inf, 1e-10, ()),
+    ("1/x", lambda x: 1.0 / x, 1.0, math.inf, 1e-10, ()),
+    ("zero", lambda x: 0.0, 0.0, 1.0, 1e-10, ()),
+    ("zero tail", lambda x: 0.0, 2.0, math.inf, 1e-10, ()),
+    ("1e-300 x^-0.5", lambda x: 1e-300 * x**-0.5, 0.0, 1.0, 1e-10, ()),
+    ("1e-300 e^-x", lambda x: 1e-300 * math.exp(-x), 0.0, math.inf, 1e-12, ()),
+    ("1e300 x^2", lambda x: 1e300 * x * x, 0.0, 1.0, 1e-12, ()),
+    ("1e300 / (1 + x^2)", lambda x: 1e300 / (1.0 + x * x), 0.0, math.inf, 1e-12, ()),
+    ("x^-0.5 then e^-x, split at 1", lambda x: math.exp(-x) if x > 1.0 else x**-0.5,
+     0.0, math.inf, 1e-11, (1.0,)),
+]
+
+
+@pytest.mark.parametrize("name, f, lo, hi, tol, breakpoints", _QUADPACK_ROWS,
+                         ids=[row[0] for row in _QUADPACK_ROWS])
+def test_integrate_is_quadpack(name, f, lo, hi, tol, breakpoints):
+    from scipy.integrate import quad
+
+    edges = [lo, *breakpoints, hi]
+    want = [0.0, 0.0, 0]
+    for a, b in zip(edges[:-1], edges[1:]):
+        value, err, info = quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)[:3]
+        want = [want[0] + value, want[1] + err, want[2] + info["neval"]]
+    assert list(integrate(f, lo, hi, tol=tol, breakpoints=breakpoints)) == want
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, math.inf)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_raises_on_a_non_finite_integrand(lo, hi, bad):
+    # The first rule already meets the bad value, at the centre node of
+    # (0, 1) or of the tail's t in (0, 1), x = 1: 21 or 15 evaluations.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return bad if x == 0.5 or x == 1.0 or math.isnan(bad) else 1.0 / (1.0 + x * x)
+
+    with pytest.raises(NumericError, match="not finite"):
+        integrate(f, lo, hi, tol=1e-10)
+    assert len(calls) == (21 if hi == 1.0 else 15)
+
+
 # Run in a fresh interpreter.  Import and the numpy-only evaluators (the
 # samplers, the path simulator, MaxUExp's pdf, cdf and quantile, the fitters
 # on every fit_auto branch, the CLI's eval maxuexp and simulate path) must
 # leave all of scipy unloaded; the first pmf loads scipy.special and
 # rebinds both kernels' _cs to cython_special.
-# The sweep over every library evaluator must leave scipy.integrate and
-# scipy.optimize unloaded, and the three scipy-backed kernels must still work
-# once they import them on first call.
+# The sweep over every library evaluator must leave scipy.integrate,
+# scipy.optimize and the QUADPACK port (mpmue._quadpack) unloaded.
+# Quadrature loads the port at its first call and no scipy.integrate; the
+# two scipy-backed optimizers must still work once they import
+# scipy.optimize on first call.
 _COLD_START_CHILD = """
 import contextlib, io, json, math, sys
 import numpy as np
@@ -315,7 +377,8 @@ from mpmue import (ErlangMaxUExp, ExpMaxUExp, MaxUExp, MixedPoissonMaxUExp, Powe
 
 def lazy_loaded():
     return sorted(m for m in sys.modules
-                  if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"]))
+                  if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"])
+                  or m == "mpmue._quadpack")
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -402,7 +465,8 @@ def test_import_leaves_quadrature_and_optimizers_unloaded():
     assert out["fit_branches"] == ["unique", "lsq_refined", "lsq_refined", 0, 2, 1]
     assert out["special_after_pmf"]
     assert out["warm"] == [True, True]
-    assert "scipy.integrate" in out["after_calls"]
+    assert "scipy.integrate" not in out["after_calls"]
+    assert "mpmue._quadpack" in out["after_calls"]
     assert "scipy.optimize" in out["after_calls"]
     assert out["quad"] == pytest.approx(1.0, rel=1e-12)
     assert out["lsq"] == pytest.approx([2.0, -0.5], abs=1e-10)

@@ -14,7 +14,7 @@ from mpmue import (
 )
 from mpmue.numerics import integrate
 from mpmue.rng import _BLOCK
-from mpmue.waiting import _EM1_CUT, _em1
+from mpmue.waiting import _EM1_CUT, _EM1_SERIES, _em1
 
 
 def _ks2(x, y):
@@ -62,6 +62,23 @@ def _pdf_reference(a, lam, t):
         em2 = (-mpmath.expm1(-z) - z * mpmath.exp(-z)) / z**2
         ratio = -mpmath.expm1(-a * s) / (a * s)
         return float(a * em2 + (lam - t) / s**2 * ratio + t / s**2 * mpmath.exp(-a * s))
+
+
+def test_em1_series_is_polyval_bit_for_bit():
+    # _em1 takes Horner's steps on the elements below the cut only, as
+    # polyval takes them on the whole array, so every value is the same.
+    def polyval_form(z):
+        zs, zd = np.minimum(z, _EM1_CUT), np.maximum(z, _EM1_CUT)
+        series = np.polynomial.polynomial.polyval(zs, _EM1_SERIES) * zs
+        return np.where(z < _EM1_CUT, series, 1.0 - (-np.expm1(-zd)) / zd)
+
+    near = np.nextafter(_EM1_CUT, 0.0) + np.arange(-40, 41) * 1e-17
+    grid = np.concatenate([np.logspace(-12, 3, 1501), near, [_EM1_CUT]])
+    for z in (grid, grid[:1500].reshape(30, 50), np.array([]), 0.3, _EM1_CUT, 2.0,
+              np.float64(1e-9), np.array(0.7)):
+        got, want = _em1(z), polyval_form(z)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_em1_em2_and_pdf_match_mpmath():
