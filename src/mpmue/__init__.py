@@ -35,6 +35,7 @@ from .estimation import (
 )
 from .process import (
     MixedPoissonMaxUExp,
+    PathBatch,
     PowerTransform,
     ProcessPath,
     TableTransform,
@@ -69,6 +70,7 @@ __all__ = [
     "MaxUExpEstimator",
     "MixedPoissonMaxUExp",
     "NumericError",
+    "PathBatch",
     "PowerTransform",
     "ProcessPath",
     "RandomStream",

@@ -428,10 +428,11 @@ def integrate(
     """Adaptive quadrature of f over (lo, hi); hi may be math.inf.
 
     The interval is split at the supplied interior breakpoints (known kinks
-    or jumps) and each piece is integrated adaptively to absolute and
-    relative tolerance ``tol``: a finite piece by QUADPACK's QAGS and the
-    semi-infinite tail by QAGI, which maps it onto (0, 1].  Raises
-    NumericError as soon as a rule's sum or error estimate is not finite.
+    or jumps), each cut once however often it is given, and each piece is
+    integrated adaptively to absolute and relative tolerance ``tol``: a
+    finite piece by QUADPACK's QAGS and the semi-infinite tail by QAGI,
+    which maps it onto (0, 1].  Raises NumericError as soon as a rule's sum
+    or error estimate is not finite.
     """
     from . import _quadpack
 
@@ -439,7 +440,7 @@ def integrate(
     hi = _scalar("upper limit", hi)
     if not (lo < hi):
         raise DomainError(f"invalid interval [{lo}, {hi}]")
-    cuts = sorted(b for b in (_scalar("breakpoint", b) for b in breakpoints) if lo < b < hi)
+    cuts = sorted({b for b in (_scalar("breakpoint", b) for b in breakpoints) if lo < b < hi})
     edges = [lo, *cuts, hi]
     value = 0.0
     err = 0.0

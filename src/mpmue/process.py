@@ -6,6 +6,10 @@ m^n / n! * E(xi^n e^(-m xi)) with m = mu(t); joint laws over several times
 reduce to the same tilted-moment kernel evaluated at the latest clock value.
 The shared xi makes increments dependent (overdispersed), yet given
 N(t) = n the earlier count N(s) is plain Binomial(n, mu(s)/mu(t)).
+
+Simulated paths come as a ``PathBatch``: every path's xi and event times in
+flat numpy columns, counted at a time by ``counts_at`` in one pass, with a
+``ProcessPath`` built only for a path that is indexed or iterated.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
+from collections import abc
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -29,9 +35,9 @@ from .rng import RandomStream, counter_uniforms, substream_seeds
 # Fewest exponentials drawn per active path in one round of ``_simulate``.
 _ROUND = 8
 # Most events a batch may expect, the sum of its budgets xi mu(horizon),
-# checked before the first round.  A batch peaks at about 64 bytes per event
-# (tracemalloc, 1.1e6 events in 1000 paths or 1.2e6 in 10), so 2^24 events
-# is about 1.1 GB.
+# checked before the first round.  A batch peaks at about 49 bytes per event
+# (tracemalloc, 1.3e6 events in 1000 paths or 1.2e6 in 10), so 2^24 events
+# is about 0.8 GB; the returned batch holds 8.
 _EVENT_CAP = 2**24
 
 
@@ -123,6 +129,73 @@ class ProcessPath:
         if not (0.0 <= t <= self.horizon):
             raise DomainError(f"t must lie in [0, horizon], got {t!r}")
         return bisect.bisect_right(self.events, t)
+
+
+class PathBatch(abc.Sequence):
+    """Paths on [0, horizon] held as columns: ``xi`` (n,), the events of
+    every path in one flat path-major array, and ``offsets`` (n + 1,), so
+    that path i's events are ``events[offsets[i]:offsets[i + 1]]``.
+
+    A sequence of ``ProcessPath``, built only when indexed or iterated; a
+    slice is a list of them.  ``==`` compares another batch column by
+    column and a list or tuple path by path."""
+
+    __slots__ = ("xi", "events", "offsets", "horizon", "_lists")
+
+    def __init__(self, xi: np.ndarray, events: np.ndarray, offsets: np.ndarray, horizon: float):
+        self.xi, self.events, self.offsets, self.horizon = xi, events, offsets, horizon
+        self._lists = None
+
+    def __repr__(self) -> str:
+        return f"PathBatch({len(self)} paths, {len(self.events)} events, horizon={self.horizon!r})"
+
+    def __len__(self) -> int:
+        return len(self.xi)
+
+    def _columns(self) -> tuple[list[float], list[float], list[int]]:
+        """xi, events and offsets as lists, converted once."""
+        if self._lists is None:
+            self._lists = self.xi.tolist(), self.events.tolist(), self.offsets.tolist()
+        return self._lists
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("path index out of range")
+        xs, events, offsets = self._columns()
+        return ProcessPath(xs[i], events[offsets[i] : offsets[i + 1]], self.horizon)
+
+    def __iter__(self):
+        xs, events, offsets = self._columns()
+        lo = 0
+        for x, hi in zip(xs, offsets[1:]):
+            yield ProcessPath(x, events[lo:hi], self.horizon)
+            lo = hi
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PathBatch):
+            return (
+                self.horizon == other.horizon
+                and np.array_equal(self.xi, other.xi)
+                and np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.events, other.events)
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(p == q for p, q in zip(self, other))
+        return NotImplemented
+
+    def counts_at(self, t: float) -> np.ndarray:
+        """N(t) of every path, as one int array; t as ``ProcessPath.count_at`` takes it."""
+        t = _scalar("t", t)
+        if not (0.0 <= t <= self.horizon):
+            raise DomainError(f"t must lie in [0, horizon], got {t!r}")
+        seen = np.zeros(len(self.events) + 1, dtype=np.intp)
+        np.cumsum(self.events <= t, out=seen[1:])
+        return seen[self.offsets[1:]] - seen[self.offsets[:-1]]
 
 
 def to_increments(cumulative: Sequence[int]) -> list[int]:
@@ -262,30 +335,38 @@ class MixedPoissonMaxUExp:
     ) -> ProcessPath:
         """One trajectory on [0, horizon]: draw xi, then unit-rate arrival
         epochs S_k accepted while S_k <= xi * mu(horizon), mapped back through
-        the clock as t_k = mu^-1(S_k / xi).  The path batch of one stream,
-        starting at its position; consumes 2 + (events + 1) positions."""
+        the clock as t_k = mu^-1(S_k / xi).  The only path of the batch of
+        one stream, starting at its position; consumes 2 + (events + 1)
+        positions, and none where the batch raises."""
         seeds = np.array([stream.seed], dtype=np.uint64)
-        paths = self._simulate(transform, horizon, seeds, stream.position)
-        stream.position += 3 + len(paths[0].events)
-        return paths[0]
+        batch = self._simulate(transform, horizon, seeds, stream.position)
+        stream.position += 3 + len(batch.events)
+        return batch[0]
 
     def simulate_paths(
         self, transform: TimeTransform, horizon: float, count: int, seed: int
-    ) -> list[ProcessPath]:
+    ) -> PathBatch:
         """Batch of paths on per-path substreams of one seed, so any prefix of
         the batch is reproducible independently of the others: path i equals
-        ``simulate_path(transform, horizon, RandomStream(seed).substream(i))``."""
+        ``simulate_path(transform, horizon, RandomStream(seed).substream(i))``.
+        The ``PathBatch`` holds the paths as columns; ``counts_at`` counts
+        them all at one time, and a ``ProcessPath`` is built for a path only
+        when it is indexed or iterated."""
         seeds = substream_seeds(RandomStream(seed).seed, _require_count("count", count))
         return self._simulate(transform, horizon, seeds, 0)
 
     def _simulate(
         self, transform: TimeTransform, horizon: float, seeds: np.ndarray, position: int
-    ) -> list[ProcessPath]:
+    ) -> PathBatch:
         """Paths on the streams with the given seeds, all from one position,
         in one numpy pass.  Each stream gives xi from its next two draws and
         then unit exponentials, in rounds of a quarter of its draws so far
-        (``_ROUND`` at least) while below its budget.  A batch whose budgets
-        sum past ``_EVENT_CAP`` raises NumericError before the first round."""
+        (``_ROUND`` at least) while below its budget; the accepted sums,
+        sorted path-major and mapped through the clock's inverse, are the
+        batch's flat ``events`` column.  A batch whose budgets sum past
+        ``_EVENT_CAP`` raises NumericError before the first round, and one
+        whose event times do not rise from 0 within each path (a steep
+        clock's inverse underflows) raises it after the last."""
         horizon = _require_positive("horizon", horizon)
         mu_h = transform.value(horizon)
         xi = self.xi._from_uniforms(counter_uniforms(seeds[:, None], position, 2))
@@ -316,9 +397,16 @@ class MixedPoissonMaxUExp:
         sums = np.concatenate([np.zeros(0)] + sums)
         owners = np.concatenate([np.zeros(0, dtype=np.intp)] + owners)
         order = np.argsort(owners, kind="stable")
-        events = np.minimum(transform.inverse(sums[order] / xi[owners[order]]), horizon).tolist()
-        ends = np.cumsum(np.bincount(owners, minlength=len(seeds))).tolist()
-        starts = [0] + ends[:-1]
-        return [
-            ProcessPath(x, events[lo:hi], horizon) for x, lo, hi in zip(xi.tolist(), starts, ends)
-        ]
+        events = np.minimum(transform.inverse(sums[order] / xi[owners[order]]), horizon)
+        offsets = np.zeros(len(seeds) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owners, minlength=len(seeds)), out=offsets[1:])
+        # Each event against the one before it, or against 0 at a path's
+        # start: a steep clock's inverse underflows to 0 or to ties.
+        before = np.zeros(len(events) + 1)
+        before[1:] = events
+        before[offsets[:-1]] = 0.0
+        if not np.all(events > before[:-1]):
+            raise NumericError(
+                f"event times of {self!r} do not rise from 0: the clock's inverse underflows"
+            )
+        return PathBatch(xi, events, offsets, horizon)

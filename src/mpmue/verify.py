@@ -910,10 +910,10 @@ def _process_checks(a: float, lam: float, seed: int, paths: int):
             ("process.simulate_path",),
         )
     )
-    p0_hat = sum(1 for path in sim if path.count_at(1.0) == 0) / len(sim)
+    p0_hat = np.count_nonzero(sim.counts_at(1.0) == 0) / len(sim)
     p0 = pp.pmf(1.0, 0)
     z0 = abs(p0_hat - p0) / math.sqrt(p0 * (1.0 - p0) / len(sim))
-    counts2 = np.array([path.count_at(2.0) for path in sim], dtype=float)
+    counts2 = sim.counts_at(2.0).astype(float)
     mean2, _ = pp.mean_variance(2.0)
     z2 = _z_score(float(counts2.mean()), mean2, float(counts2.std(ddof=1)) / math.sqrt(len(sim)))
     checks.append(

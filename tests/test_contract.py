@@ -40,6 +40,7 @@ from mpmue import (
     MaxUExpEstimator,
     MixedPoissonMaxUExp,
     NumericError,
+    PathBatch,
     PowerTransform,
     ProcessPath,
     RandomStream,
@@ -78,6 +79,8 @@ def _numbers(value):
         return [value.a, value.lam]
     if isinstance(value, ProcessPath):
         return [value.xi, *value.events]
+    if isinstance(value, PathBatch):
+        return [*value.xi.tolist(), *value.events.tolist()]
     if isinstance(value, RandomStream):
         return [value.seed, value.position]
     if isinstance(value, dict):
@@ -201,6 +204,14 @@ STREAM = {
 
 PATH = {"count_at": (ONE, "count", False)}
 
+# ``count`` and ``index`` are the Sequence mixins, called with a path the
+# batch holds (``index`` raises ValueError for one it does not, as a list does).
+BATCH = {
+    "counts_at": (ONE, "count", False),
+    "count": (lambda b: [(p,) for p in [*b[:1], ProcessPath(1.0, [0.5], 1.0)]], "count", False),
+    "index": (lambda b: [(p,) for p in b[:1]], "count", False),
+}
+
 ESTIMATOR = {
     "fit": ([(x,) for x in SAMPLES], "nonneg", False),
     "get_params": ([()], "nonneg", False),
@@ -217,6 +228,14 @@ CLASSES = {
     TableTransform: (TRANSFORM, [TableTransform([(0.0, 0.0), (1.0, v), (2.0, 2.0 * v)]) for v in GRID]),
     RandomStream: (STREAM, [RandomStream(11)]),
     ProcessPath: (PATH, [ProcessPath(1.0, [0.5], 1.0)]),
+    PathBatch: (
+        BATCH,
+        [
+            MixedPoissonMaxUExp(MaxUExp(1.0, 1.0)).simulate_paths(PowerTransform(1.0), h, k, 11)
+            for h in GRID[:3]
+            for k in (0, 3)
+        ],
+    ),
     MaxUExpEstimator: (ESTIMATOR, [MaxUExpEstimator(m) for m in ("auto", "mom", "lsq")]),
 }
 

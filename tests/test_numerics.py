@@ -298,6 +298,14 @@ def test_integrate_breakpoints_with_infinite_tail():
     assert got == pytest.approx(2.0, rel=1e-10)
 
 
+def test_integrate_cuts_a_repeated_breakpoint_once():
+    # A repeated cut had split off an empty piece and integrated it: 63
+    # evaluations against 42 for the one cut, with the same value.
+    once = integrate(lambda x: x * x, 0.0, 2.0, breakpoints=[1.0])
+    assert integrate(lambda x: x * x, 0.0, 2.0, breakpoints=[1.0, 1.0]) == once
+    assert integrate(lambda x: x * x, 0.0, 2.0, breakpoints=[1.0, 1, 1.0]) == once
+
+
 # integrate is a port of QUADPACK's QAGS and QAGI, so each piece must give
 # what scipy.integrate.quad gives with limit 200 and epsabs = epsrel = tol:
 # the same value, error estimate and evaluation count, bit for bit.  The

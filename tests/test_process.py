@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,87 @@ def test_batch_events_rise_within_horizon(pp, clock, horizon):
         assert all(0.0 < t <= horizon for t in ev)
         assert all(b > a for a, b in zip(ev[:-1], ev[1:]))
         assert all(type(t) is float for t in ev) and type(path.xi) is float
+
+
+@pytest.mark.parametrize("clock,horizon", CLOCKS)
+def test_path_batch_is_a_sequence_of_paths(pp, clock, horizon):
+    batch = pp.simulate_paths(clock, horizon, 50, seed=31)
+    assert len(batch) == 50
+    root = RandomStream(31)
+    for i in (0, 7, 49, -1, -50):
+        want = _event_loop(pp, clock, horizon, root.substream(i % 50))
+        assert (batch[i].xi, batch[i].events, batch[i].horizon) == (*want, horizon)
+        assert type(batch[i]) is ProcessPath and type(batch[i].events) is list
+    assert batch[np.int64(3)] == batch[3]
+    for i in (50, -51):
+        with pytest.raises(IndexError):
+            batch[i]
+    paths = list(batch)
+    assert paths == [batch[i] for i in range(50)]
+    for cut in (slice(None, 40), slice(10, 20), slice(45, None), slice(None, None, -3), slice(60, 70)):
+        assert type(batch[cut]) is list and batch[cut] == paths[cut]
+    assert batch.offsets[0] == 0 and batch.offsets[-1] == len(batch.events)
+    assert batch.events.tolist() == [t for p in paths for t in p.events]
+
+
+def test_path_batch_equality(pp):
+    batch = pp.simulate_paths(PowerTransform(1.5), 3.0, 40, seed=5)
+    same = pp.simulate_paths(PowerTransform(1.5), 3.0, 40, seed=5)
+    other = pp.simulate_paths(PowerTransform(1.5), 3.0, 40, seed=6)
+    assert batch == same and not batch != same
+    assert batch != other and not batch == other
+    assert batch == list(batch) and list(batch) == batch and batch == tuple(batch)
+    assert batch != list(batch)[:-1] and batch != list(other)
+    assert batch != pp.simulate_paths(PowerTransform(1.5), 3.0, 39, seed=5)
+    assert (batch == "paths") is False
+    empty = pp.simulate_paths(PowerTransform(1.0), 2.0, 0, seed=1)
+    assert empty == [] and len(empty) == 0 and list(empty) == [] and empty[:5] == []
+
+
+@pytest.mark.parametrize("clock,horizon", CLOCKS)
+def test_counts_at_matches_count_at(pp, clock, horizon):
+    batch = pp.simulate_paths(clock, horizon, 200, seed=37)
+    times = [0.0, horizon, *np.linspace(0.0, horizon, 17).tolist(), *batch.events.tolist()]
+    for t in times:
+        counts = batch.counts_at(t)
+        assert counts.dtype.kind == "i"
+        assert counts.tolist() == [p.count_at(t) for p in batch]
+    for bad in (-1e-300, np.nextafter(horizon, math.inf), math.nan, np.array([1.0])):
+        with pytest.raises(DomainError):
+            batch.counts_at(bad)
+    assert pp.simulate_paths(clock, horizon, 0, seed=1).counts_at(horizon).tolist() == []
+
+
+def test_steep_clock_raises_rather_than_put_events_at_zero(pp):
+    # Under t^(1/1000) the clock's inverse y^1000 underflows: 1 126 of the
+    # 2 325 events of these 2 000 paths map to 0, and consecutive ones tie.
+    with pytest.raises(NumericError):
+        pp.simulate_paths(PowerTransform(1e-3), 2.0, 2000, seed=1)
+    stream = RandomStream(1)
+    with pytest.raises(NumericError):
+        pp.simulate_path(PowerTransform(1e-3), 2.0, stream)
+    assert stream.position == 0
+    # Under t^(1/50) the events still rise, and match the event loop.
+    clock = PowerTransform(0.02)
+    batch = pp.simulate_paths(clock, 2.0, 2000, seed=1)
+    for i, path in enumerate(batch[:100]):
+        assert _event_loop(pp, clock, 2.0, RandomStream(1).substream(i)) == (path.xi, path.events)
+    assert 0.0 < batch.events.min() and batch.counts_at(0.0).max() == 0
+
+
+def test_path_batch_memory_per_event(pp):
+    # 1.27e6 events in 1000 paths: the batch peaks below 64 bytes per event
+    # and holds at most 16 (the flat float64 column is 8).
+    tracemalloc.start()
+    try:
+        batch = pp.simulate_paths(PowerTransform(1.0), 1100.0, 1000, seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    events = len(batch.events)
+    assert events > 10**6
+    assert peak <= 64 * events
+    assert held <= 16 * events
 
 
 def test_table_inverse_array_matches_scalar():
