@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,8 +41,8 @@ def _parse_grid(arg: str) -> list[float]:
         raise DomainError(f"grid must look like lo:hi:steps, got {arg!r}")
     lo, hi = float(parts[0]), float(parts[1])
     steps = int(parts[2])
-    if steps < 2 or not hi > lo:
-        raise DomainError(f"grid needs hi > lo and steps >= 2, got {arg!r}")
+    if steps < 2 or not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"grid needs finite lo < hi and steps >= 2, got {arg!r}")
     return list(np.linspace(lo, hi, steps))
 
 
@@ -83,7 +84,8 @@ def _cmd_eval(args) -> int:
         pp = MixedPoissonMaxUExp(MaxUExp(args.a, args.lam))
         ns = set(args.n or [])
         if args.n_max is not None:
-            ns.update(range(args.n_max + 1))
+            # n_max itself joins the counts, so a negative one fails their check.
+            ns.update(range(args.n_max + 1), [args.n_max])
         if not ns:
             raise DomainError("give --n and/or --n-max")
         if min(ns) < 0:

@@ -68,6 +68,14 @@ def _scalar(name: str, x) -> float:
     return x
 
 
+def _not_nan(name: str, x) -> float:
+    """``_scalar`` of x, DomainError for nan; inf passes."""
+    x = _scalar(name, x)
+    if math.isnan(x):
+        raise DomainError(f"{name} must be a number, got nan")
+    return x
+
+
 def _require_real(name: str, x, lo: float = -math.inf, hi: float = math.inf) -> float:
     """``_scalar`` of x, DomainError unless lo < x < hi, so finite by
     default.  A float takes no further call: every pmf call runs this."""

@@ -8,8 +8,9 @@ The shared xi makes increments dependent (overdispersed), yet given
 N(t) = n the earlier count N(s) is plain Binomial(n, mu(s)/mu(t)).
 
 Simulated paths come as a ``PathBatch``: every path's xi and event times in
-flat numpy columns, counted at a time by ``counts_at`` in one pass, with a
-``ProcessPath`` built only for a path that is indexed or iterated.
+flat numpy columns and nothing else, counted at a time by ``counts_at`` in
+one pass.  Indexing builds one ``ProcessPath`` from its slices of the
+columns; a pass over the batch converts the columns for that pass only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from collections import abc
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -26,8 +26,8 @@ import numpy as np
 
 from .distribution import MaxUExp, _like
 from .errors import (
-    DomainError, NumericError, RangeError, _real, _require_count, _require_positive, _require_real,
-    _scalar,
+    DomainError, NumericError, RangeError, _not_nan, _real, _require_count, _require_positive,
+    _require_real, _scalar,
 )
 from .numerics import checked_exp
 from .rng import RandomStream, counter_uniforms, substream_seeds
@@ -136,15 +136,16 @@ class PathBatch(abc.Sequence):
     every path in one flat path-major array, and ``offsets`` (n + 1,), so
     that path i's events are ``events[offsets[i]:offsets[i + 1]]``.
 
-    A sequence of ``ProcessPath``, built only when indexed or iterated; a
-    slice is a list of them.  ``==`` compares another batch column by
-    column and a list or tuple path by path."""
+    A sequence of ``ProcessPath`` that keeps only these columns: an index
+    builds one path from its slices of them, a pass converts the columns
+    once for that pass alone, and a slice is a list of paths.  ``==``
+    compares another batch column by column and a list or tuple path by
+    path."""
 
-    __slots__ = ("xi", "events", "offsets", "horizon", "_lists")
+    __slots__ = ("xi", "events", "offsets", "horizon")
 
     def __init__(self, xi: np.ndarray, events: np.ndarray, offsets: np.ndarray, horizon: float):
         self.xi, self.events, self.offsets, self.horizon = xi, events, offsets, horizon
-        self._lists = None
 
     def __repr__(self) -> str:
         return f"PathBatch({len(self)} paths, {len(self.events)} events, horizon={self.horizon!r})"
@@ -152,29 +153,17 @@ class PathBatch(abc.Sequence):
     def __len__(self) -> int:
         return len(self.xi)
 
-    def _columns(self) -> tuple[list[float], list[float], list[int]]:
-        """xi, events and offsets as lists, converted once."""
-        if self._lists is None:
-            self._lists = self.xi.tolist(), self.events.tolist(), self.offsets.tolist()
-        return self._lists
-
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("path index out of range")
-        xs, events, offsets = self._columns()
-        return ProcessPath(xs[i], events[offsets[i] : offsets[i + 1]], self.horizon)
+        k = range(len(self))[i]
+        if isinstance(k, range):
+            return [self[j] for j in k]
+        lo, hi = self.offsets[k : k + 2].tolist()
+        return ProcessPath(self.xi[k].item(), self.events[lo:hi].tolist(), self.horizon)
 
     def __iter__(self):
-        xs, events, offsets = self._columns()
-        lo = 0
-        for x, hi in zip(xs, offsets[1:]):
+        events, offsets = self.events.tolist(), self.offsets.tolist()
+        for x, lo, hi in zip(self.xi.tolist(), offsets, offsets[1:]):
             yield ProcessPath(x, events[lo:hi], self.horizon)
-            lo = hi
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PathBatch):
@@ -283,7 +272,7 @@ class MixedPoissonMaxUExp:
 
     def posterior_pdf(self, m: float, n: int, x: float) -> float:
         """Density of xi given N = n at clock value m (Bayes weighting of the prior)."""
-        m, n, x = _require_positive("m", m), _require_count("n", n), _scalar("x", x)
+        m, n, x = _require_positive("m", m), _require_count("n", n), _not_nan("x", x)
         if x <= 0.0 or x == math.inf:
             return 0.0
         xi = self.xi

@@ -71,6 +71,9 @@ def ks_statistic(values, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     n = x.size
     if n == 0:
         raise DomainError("empty sample")
+    # Sorting puts nan last.
+    if not (-math.inf < x[0] and x[-1] < math.inf):
+        raise DomainError("sample values must be finite")
     f = np.asarray(cdf(x), dtype=float)
     if f.shape != x.shape:
         raise DomainError(f"cdf returned shape {f.shape} for a sample of shape {x.shape}")

@@ -17,7 +17,8 @@ import numpy as np
 
 from .distribution import MaxUExp, _like
 from .errors import (
-    DomainError, NumericError, _real, _require_count, _require_positive, _require_real, _scalar
+    DomainError, NumericError, _not_nan, _real, _require_count, _require_positive, _require_real,
+    _scalar,
 )
 from .numerics import checked_exp
 from .process import MixedPoissonMaxUExp
@@ -161,7 +162,7 @@ class ExpMaxUExp(ErlangMaxUExp):
 
     def joint_pdf(self, t: float, x: float) -> float:
         """Joint density of (T, xi) at (t, x): x e^(-tx) times the mixing density."""
-        t, x = _scalar("t", t), _scalar("x", x)
+        t, x = _not_nan("t", t), _not_nan("x", x)
         if t <= 0.0 or x <= 0.0 or x == math.inf:
             return 0.0
         return x * math.exp(-t * x) * self.xi.pdf(x)

@@ -236,6 +236,16 @@ def test_bad_grid_exits_2():
     assert "error:" in res.stderr
 
 
+def test_eval_rejects_non_finite_grid_and_negative_n_max(capsys):
+    for grid in ("0:inf:3", "-inf:1:3", "nan:1:3", "0:nan:3"):
+        assert main(["eval", "maxuexp", "--a", "1", "--lambda", "1", f"--grid={grid}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: grid needs finite lo < hi")
+    assert main(["eval", "pmf", "--a", "1", "--lambda", "1", "--mu", "1", "--n-max", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: counts must be >= 0\n"
+
+
 def test_verify_writes_ledger(tmp_path):
     ledger = tmp_path / "ledger.json"
     res = run_cli(

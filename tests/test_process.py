@@ -157,6 +157,12 @@ def test_posterior_reduces_to_prior_at_zero_time(pp):
     assert pp.posterior_mean(1e-9, 0) == pytest.approx(xi.mean(), rel=1e-6)
 
 
+def test_posterior_pdf_rejects_nan(pp):
+    with pytest.raises(DomainError):
+        pp.posterior_pdf(1.0, 2, math.nan)
+    assert pp.posterior_pdf(1.0, 2, math.inf) == pp.posterior_pdf(1.0, 2, -math.inf) == 0.0
+
+
 def test_posterior_mean_anchor_and_monotonicity(pp):
     assert pp.posterior_mean(1.0, 0) == pytest.approx(0.7166048804, rel=1e-8)
     means = [pp.posterior_mean(1.0, n) for n in range(8)]
@@ -545,17 +551,26 @@ def test_steep_clock_raises_rather_than_put_events_at_zero(pp):
 
 def test_path_batch_memory_per_event(pp):
     # 1.27e6 events in 1000 paths: the batch peaks below 64 bytes per event
-    # and holds at most 16 (the flat float64 column is 8).
+    # and holds at most 16 (the flat float64 column is 8), also once a path
+    # has been indexed, sliced or iterated.
     tracemalloc.start()
     try:
         batch = pp.simulate_paths(PowerTransform(1.0), 1100.0, 1000, seed=1)
         held, peak = tracemalloc.get_traced_memory()
+        batch[0]
+        after = [tracemalloc.get_traced_memory()[0]]
+        batch[:200]
+        after.append(tracemalloc.get_traced_memory()[0])
+        for _ in batch:
+            pass
+        after.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
     events = len(batch.events)
     assert events > 10**6
     assert peak <= 64 * events
     assert held <= 16 * events
+    assert all(h <= 16 * events for h in after), [h / events for h in after]
 
 
 def test_table_inverse_array_matches_scalar():

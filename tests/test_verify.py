@@ -254,6 +254,13 @@ def test_ks_statistic_one_array_call_matches_scalar_loop(law):
     assert stat == pytest.approx(reference, abs=1e-15)
 
 
+def test_ks_statistic_rejects_an_empty_or_non_finite_sample():
+    cdf = MaxUExp(1.0, 1.0).cdf
+    for sample in ([], [1.0, math.nan], [math.nan], [1.0, math.inf], [-math.inf, 1.0]):
+        with pytest.raises(DomainError):
+            ks_statistic(sample, cdf)
+
+
 def test_ks_statistic_rejects_a_cdf_that_does_not_map_arrays():
     with pytest.raises(DomainError):
         ks_statistic(np.linspace(0.1, 0.9, 5), lambda x: 0.5)

@@ -169,6 +169,18 @@ def test_joint_pdf_support_and_marginal():
     assert marg == pytest.approx(w.pdf(1.0), rel=1e-9)
 
 
+def test_joint_and_conditional_pdf_reject_nan():
+    w = ExpMaxUExp(1.0, 1.0)
+    for t, x in ((math.nan, 0.5), (1.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(DomainError):
+            w.joint_pdf(t, x)
+    with pytest.raises(DomainError):
+        w.conditional_mixing_pdf(1.0, math.nan)
+    assert w.joint_pdf(1.0, math.inf) == w.joint_pdf(1.0, -math.inf) == 0.0
+    assert w.joint_pdf(math.inf, 0.5) == w.joint_pdf(-math.inf, 0.5) == 0.0
+    assert w.conditional_mixing_pdf(1.0, math.inf) == w.conditional_mixing_pdf(1.0, -math.inf) == 0.0
+
+
 def test_extreme_parameters_keep_closed_forms_finite():
     # a s = 2e-600 and s^2 = 4e-600 underflow; with a -> 0 the law is the
     # Exp(lam)-mixed exponential, pdf lam/(lam + t)^2 and cdf t/(lam + t).
