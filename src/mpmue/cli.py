@@ -158,8 +158,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_momcurve(args) -> int:
-    if not (0.0 < args.lo < args.hi):
-        raise DomainError(f"need 0 < lo < hi, got lo={args.lo}, hi={args.hi}")
+    if not 0.0 < args.lo < args.hi < math.inf:
+        raise DomainError(f"need finite 0 < lo < hi, got lo={args.lo}, hi={args.hi}")
     if args.steps < 2:
         raise DomainError(f"need steps >= 2, got {args.steps}")
     _, argmin, gmin = mom_curve_extrema()

@@ -19,9 +19,11 @@ are normal doubles, and hands the values to ``_log_from_p`` and
 ``_log_from_q`` for their logs elsewhere, so that no gamma is evaluated
 twice.
 ``import mpmue`` loads no scipy module.  ``_cs`` is a stand-in that
-imports ``scipy.special`` at the first incomplete gamma (moments, ``lst``,
-``pmf``, the Erlang pdf and cdf, ``verify``) and rebinds ``_cs`` to
-``cython_special``; the samplers, ``simulate_paths``, ``MaxUExp``'s pdf, cdf
+loads ``scipy.special.cython_special`` at the first incomplete gamma
+(moments, ``lst``, ``pmf``, the Erlang pdf and cdf, ``verify``) and rebinds
+``_cs`` to it.  That load skips ``scipy.special``'s package ``__init__``
+unless ``scipy.special`` is already imported, and leaves ``scipy.special``
+itself unimported; the samplers, ``simulate_paths``, ``MaxUExp``'s pdf, cdf
 and quantile, ``mom_curve*`` and the fitters need only numpy.  The
 least-squares fit refines its step with ``minimize_bounded``, a port of
 scipy's bounded scalar minimizer that loads no scipy.  ``integrate`` runs
@@ -51,17 +53,57 @@ from .errors import (
 )
 
 
+def _import_cython_special_alone():
+    """``scipy.special.cython_special`` without running ``scipy.special``'s
+    package ``__init__``, or None if that load raises ``ImportError``.
+
+    The ``__init__`` costs about a hundred times the extension itself: it
+    loads every ufunc wrapper, and numpy's ``f2py``, ``testing``, ``ma``,
+    ``polynomial`` and ``random`` through scipy's array-API layer.  An
+    unexecuted package module stands in for ``scipy.special`` while the
+    extension and the private modules it needs import.  Then the stand-in
+    and every ``scipy.special.*`` entry this load added leave
+    ``sys.modules``, so a later ``import scipy.special`` runs the real
+    ``__init__``.  If the load fails, ``sys.modules`` is restored exactly as
+    it was.
+    """
+    from importlib import import_module
+    from importlib.util import find_spec, module_from_spec
+
+    saved = dict(sys.modules)
+    module = None
+    try:
+        spec = find_spec("scipy.special")
+        if spec is not None:
+            sys.modules["scipy.special"] = module_from_spec(spec)
+            module = import_module("scipy.special.cython_special")
+    except ImportError:
+        pass
+    finally:
+        for name in set(sys.modules).difference(saved):
+            if module is None or name == "scipy.special" or name.startswith("scipy.special."):
+                del sys.modules[name]
+        if module is None:
+            sys.modules.update(saved)
+    return module
+
+
 class _LazyCythonSpecial:
     """Stands in for ``scipy.special.cython_special`` until the first gamma.
 
-    The first attribute access imports the module and rebinds ``_cs`` to it
-    in each module of this package that still holds this stand-in, so warm
-    kernel calls reach the module directly.  A ``_cs`` bound to anything
-    else is left alone.
+    The first attribute access loads the module, through
+    ``_import_cython_special_alone`` unless ``scipy.special`` is already
+    imported or that load fails, and rebinds ``_cs`` to it in each module of
+    this package that still holds this stand-in, so warm kernel calls reach
+    the module directly.  A ``_cs`` bound to anything else is left alone.
     """
 
     def __getattr__(self, name: str):
-        from scipy.special import cython_special
+        cython_special = None
+        if "scipy.special" not in sys.modules:
+            cython_special = _import_cython_special_alone()
+        if cython_special is None:
+            from scipy.special import cython_special
 
         prefix = __package__ + "."
         for modname, module in list(sys.modules.items()):

@@ -48,7 +48,7 @@ from .process import (
     to_cumulative,
     to_increments,
 )
-from .rng import RandomStream
+from .rng import _BLOCK, RandomStream
 from .waiting import ErlangMaxUExp, ExpMaxUExp
 
 # Quadrature against closed form: the tier of every check that compares two
@@ -64,8 +64,10 @@ KS_COEFF_1PCT = 1.6276
 def ks_statistic(values, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Two-sided Kolmogorov distance between a sample and a cdf.
 
-    ``cdf`` maps an array to an array of the same shape; it is called once,
-    on the sorted sample.
+    ``cdf`` maps an array to an array of the same shape.  It is called on
+    the sorted sample in consecutive blocks of ``rng._BLOCK`` values, with a
+    running maximum, so no temporary is larger than a block; the statistic
+    equals that of one call on the whole sorted sample bit for bit.
     """
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
@@ -74,11 +76,15 @@ def ks_statistic(values, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     # Sorting puts nan last.
     if not (-math.inf < x[0] and x[-1] < math.inf):
         raise DomainError("sample values must be finite")
-    f = np.asarray(cdf(x), dtype=float)
-    if f.shape != x.shape:
-        raise DomainError(f"cdf returned shape {f.shape} for a sample of shape {x.shape}")
-    steps = np.arange(1, n + 1, dtype=float) / n
-    return float(max(np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+    stat = -math.inf
+    for lo in range(0, n, _BLOCK):
+        block = x[lo : lo + _BLOCK]
+        f = np.asarray(cdf(block), dtype=float)
+        if f.shape != block.shape:
+            raise DomainError(f"cdf returned shape {f.shape} for a block of shape {block.shape}")
+        steps = np.arange(lo + 1, lo + block.size + 1, dtype=float) / n
+        stat = np.max((stat, np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+    return float(stat)
 
 
 def ks_critical(n: int) -> float:
@@ -209,17 +215,20 @@ def check_mc(
     Mean mode needs the draws to have finite variance.  When the reference
     value is not finite, or a single draw dominates the variance estimate,
     the comparison switches to ``check_quantiles`` on the draws, against
-    ``cdf`` at ``cdf_points``.
+    ``cdf`` at ``cdf_points``.  It needs at least two draws.
     """
     draws = np.asarray(draws, dtype=float)
+    _require_count("len(draws)", draws.size, lo=2)
     why = None
     if not math.isfinite(closed_form):
         why = "reference value is not finite"
     else:
-        centered = draws - draws.mean()
-        ss = centered * centered
-        total = float(ss.sum())
-        if draws.size >= 100 and total > 0.0 and float(ss.max()) > 0.05 * total:
+        # Squared deviations, made in place: their sum is np.std's numerator.
+        mean = float(draws.mean())
+        squares = draws - mean
+        squares *= squares
+        total = float(squares.sum())
+        if draws.size >= 100 and total > 0.0 and float(squares.max()) > 0.05 * total:
             why = "one draw dominates the variance estimate"
 
     if why is not None:
@@ -235,8 +244,7 @@ def check_mc(
             )
         return check_quantiles(name, draws, cdf, cdf_points, why, ops)
 
-    mean = float(draws.mean())
-    z = _z_score(mean, closed_form, float(draws.std(ddof=1)) / math.sqrt(draws.size))
+    z = _z_score(mean, closed_form, math.sqrt(total / (draws.size - 1)) / math.sqrt(draws.size))
     return CheckResult(
         name=name,
         passed=z <= 4.0,

@@ -236,6 +236,14 @@ def test_bad_grid_exits_2():
     assert "error:" in res.stderr
 
 
+def test_momcurve_rejects_a_non_finite_end_before_printing():
+    for lo, hi in (("1", "inf"), ("nan", "5"), ("1", "nan"), ("inf", "inf")):
+        res = run_cli("momcurve", "--lo", lo, "--hi", hi, "--steps", "3")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: need finite 0 < lo < hi")
+
+
 def test_eval_rejects_non_finite_grid_and_negative_n_max(capsys):
     for grid in ("0:inf:3", "-inf:1:3", "nan:1:3", "0:nan:3"):
         assert main(["eval", "maxuexp", "--a", "1", "--lambda", "1", f"--grid={grid}"]) == 2

@@ -369,8 +369,10 @@ def test_integrate_raises_on_a_non_finite_integrand(lo, hi, bad):
 # Run in a fresh interpreter.  Import and the numpy-only evaluators (the
 # samplers, the path simulator, MaxUExp's pdf, cdf and quantile, the fitters
 # on every fit_auto branch, the CLI's eval maxuexp and simulate path) must
-# leave all of scipy unloaded; the first pmf loads scipy.special and
-# rebinds both kernels' _cs to cython_special.
+# leave all of scipy unloaded.  The first pmf loads scipy.special's
+# cython_special without scipy.special's package __init__ or the array-API
+# layer it pulls in, and rebinds both kernels' _cs to it; a later import of
+# scipy.special runs the real __init__ and finds the same cython_special.
 # The sweep over every library evaluator must leave scipy.integrate,
 # scipy.optimize and the QUADPACK port (mpmue._quadpack) unloaded.
 # Quadrature loads the port at its first call and no scipy.integrate; the
@@ -427,8 +429,17 @@ with contextlib.redirect_stdout(io.StringIO()):
                                  "--horizon", "5", "--seed", "3"])]
 scipy_after_numpy_sweep = scipy_loaded()
 proc.pmf(1.0, 3)
-special_after_pmf = "scipy.special" in sys.modules
+cs = mpmue.numerics._cs
+cs_loaded = [type(cs) is type(sys), getattr(cs, "__name__", None)]
+special_after_pmf = [m for m in ("scipy.special", "scipy.special._support_alternative_backends",
+                                 "scipy._lib.array_api_compat") if m in sys.modules]
+import scipy.special
+from scipy.special import bdtr
+import scipy.special.cython_special
 from scipy.special import cython_special
+later_imports = [scipy.special.cython_special is cs,
+                 scipy.special.cython_special.gammainc(2.5, 1.5) == mpmue.numerics._cs.gammainc(2.5, 1.5),
+                 bool(bdtr(3, 10, 0.5) == scipy.special.bdtr(3, 10, 0.5))]
 warm = [mpmue.distribution._cs is cython_special, mpmue.numerics._cs is cython_special]
 proc.posterior_mean(1.0, 3)
 proc.ordered_pmf([0.5, 1.0], [1, 2])
@@ -452,7 +463,8 @@ print(json.dumps({"after_import": after_import, "after_sweep": after_sweep,
                   "scipy_after_import": scipy_after_import, "cli_codes": cli_codes,
                   "scipy_after_numpy_sweep": scipy_after_numpy_sweep,
                   "fit_branches": fit_branches,
-                  "special_after_pmf": special_after_pmf, "warm": warm,
+                  "cs_loaded": cs_loaded, "special_after_pmf": special_after_pmf,
+                  "later_imports": later_imports, "warm": warm,
                   "after_calls": lazy_loaded(), "quad": quad, "lsq": lsq, "minimize": nm}))
 """
 
@@ -471,7 +483,9 @@ def test_import_leaves_quadrature_and_optimizers_unloaded():
     assert out["cli_codes"] == [0, 0]
     assert out["scipy_after_numpy_sweep"] == []
     assert out["fit_branches"] == ["unique", "lsq_refined", "lsq_refined", 0, 2, 1]
-    assert out["special_after_pmf"]
+    assert out["cs_loaded"] == [True, "scipy.special.cython_special"]
+    assert out["special_after_pmf"] == []
+    assert out["later_imports"] == [True, True, True]
     assert out["warm"] == [True, True]
     assert "scipy.integrate" not in out["after_calls"]
     assert "mpmue._quadpack" in out["after_calls"]
@@ -479,6 +493,23 @@ def test_import_leaves_quadrature_and_optimizers_unloaded():
     assert out["quad"] == pytest.approx(1.0, rel=1e-12)
     assert out["lsq"] == pytest.approx([2.0, -0.5], abs=1e-10)
     assert out["minimize"] == pytest.approx([3.0], abs=1e-6)
+
+
+def test_failed_cython_special_load_restores_sys_modules(monkeypatch):
+    """If the load that skips scipy.special's __init__ raises ImportError,
+    it returns None and leaves sys.modules exactly as it found it."""
+    import importlib
+
+    def blocked(name, package=None):
+        raise ImportError(f"blocked: {name}")
+
+    for name in [m for m in sys.modules if m == "scipy.special" or m.startswith("scipy.special.")]:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(importlib, "import_module", blocked)
+    before = dict(sys.modules)
+    assert numerics._import_cython_special_alone() is None
+    assert sys.modules.keys() == before.keys()
+    assert all(sys.modules[m] is module for m, module in before.items())
 
 
 def test_lazy_gammas_rebind_only_the_stand_in(monkeypatch):

@@ -19,6 +19,7 @@ from mpmue.verify import (
     ks_statistic,
     _process_checks,
 )
+from mpmue.rng import _BLOCK
 
 
 def test_check_result_line_format():
@@ -70,6 +71,22 @@ def test_ks_statistic_and_critical():
 def test_check_mc_mean_mode():
     res = check_mc("const-mean", np.full(500, 2.0), closed_form=2.0)
     assert res.passed
+
+
+def test_check_mc_z_score_uses_the_sample_standard_deviation():
+    for seed, n in enumerate((2, 3, 100, 1_001, 400_001)):
+        draws = RandomStream(seed).uniforms(n)
+        res = check_mc("uniform-mean", draws, closed_form=0.5)
+        assert "mean mode" in res.detail
+        assert res.value == abs(float(draws.mean()) - 0.5) / (
+            float(draws.std(ddof=1)) / math.sqrt(n)
+        )
+
+
+def test_check_mc_rejects_fewer_than_two_draws():
+    for draws in (np.array([]), np.array([1.0])):
+        with pytest.raises(DomainError, match="draws"):
+            check_mc("tiny", draws, closed_form=1.0)
 
 
 def test_check_mc_nonfinite_target_switches_to_quantile():
@@ -252,6 +269,25 @@ def test_ks_statistic_one_array_call_matches_scalar_loop(law):
     steps = np.arange(1, n + 1) / n
     reference = max(np.max(steps - f), np.max(f - (steps - 1.0 / n)))
     assert stat == pytest.approx(reference, abs=1e-15)
+
+
+def test_ks_statistic_evaluates_the_cdf_in_blocks():
+    d = MaxUExp(1.0, 1.0)
+    draws = d.sample_many(RandomStream(12), 70_000)
+    seen = []
+
+    def cdf(x):
+        seen.append(np.array(x, copy=True))
+        return d.cdf(x)
+
+    stat = ks_statistic(draws, cdf)
+    x = np.sort(draws)
+    assert [b.size for b in seen] == [_BLOCK, _BLOCK, 70_000 - 2 * _BLOCK]
+    assert np.array_equal(np.concatenate(seen), x)
+    n = x.size
+    f = d.cdf(x)
+    steps = np.arange(1, n + 1, dtype=float) / n
+    assert stat == max(np.max(steps - f), np.max(f - (steps - 1.0 / n)))
 
 
 def test_ks_statistic_rejects_an_empty_or_non_finite_sample():
