@@ -55,6 +55,15 @@ def _like(x: float | np.ndarray, out: np.ndarray) -> float | np.ndarray:
     return out if isinstance(x, np.ndarray) else float(out)
 
 
+def _log_sum_exp(terms: tuple[float, ...]) -> float:
+    """log of the sum of e^t over the terms, shifted by the largest; -inf
+    where every term is -inf."""
+    top = max(terms)
+    if top == -math.inf:
+        return top
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
 def _alternating_sum(terms) -> float:
     """Sum of a series whose terms fall in size, stopped at the first term
     below double precision of the partial sum."""
@@ -213,14 +222,12 @@ class MaxUExp:
         x = a * lam
         if k > 0.0:
             log_k = math.log(k)
-            terms = (
+            return _log_sum_exp((
                 k * log_a - math.log1p(k),
                 log_k + _log_p(k + 1.0, x) + math.lgamma(k + 1.0)
                 - log_a - (k + 1.0) * log_lam,
                 log_k + _log_q(k, x) + math.lgamma(k) - k * log_lam,
-            )
-            top = max(terms)
-            return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+            ))
         q = -k
         s = 1.0 - q
         log_x = log_a + log_lam
@@ -388,11 +395,7 @@ class MaxUExp:
             uniform = _log(_cs.gammainc(n, y) - n / y * _cs.gammainc(n + 1.0, y))
         log_r_n = -n * math.log1p(lam / m)
         p_z = math.log(n) - math.log(z) + _log_p(n + 1.0, z) if z > 0.0 else -math.inf
-        terms = (uniform, _log_q(n, z) + log_r_n, p_z + log_r_n)
-        top = max(terms)
-        if top == -math.inf:
-            return top
-        return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        return _log_sum_exp((uniform, _log_q(n, z) + log_r_n, p_z + log_r_n))
 
     def log_tilted_moment(self, m: float, n: int) -> float:
         """log E(X^n e^(-mX)) for finite m > 0 and integer n >= 0; finite where

@@ -26,8 +26,8 @@ import numpy as np
 
 from .distribution import MaxUExp, _like
 from .errors import (
-    DomainError, NumericError, RangeError, _not_nan, _real, _require_count, _require_positive,
-    _require_real, _scalar,
+    _COUNT_MAX, DomainError, NumericError, RangeError, _not_nan, _real, _require_count,
+    _require_positive, _require_real, _scalar,
 )
 from .numerics import checked_exp
 from .rng import RandomStream, counter_uniforms, substream_seeds
@@ -200,7 +200,7 @@ def to_cumulative(increments: Sequence[int]) -> list[int]:
 
 def conditional_binomial_pmf(n: int, mu_s: float, mu_t: float, j: int) -> float:
     """P(N(s) = j | N(t) = n) = Binomial(n, mu(s)/mu(t)) mass at j."""
-    n, j = _require_count("n", n), _require_count("j", j, lo=-(2**53))
+    n, j = _require_count("n", n), _require_count("j", j, lo=-_COUNT_MAX)
     mu_s, mu_t = _require_positive("mu_s", mu_s), _require_positive("mu_t", mu_t)
     if not mu_s < mu_t:
         raise DomainError(f"need mu_s < mu_t, got {mu_s!r}, {mu_t!r}")
@@ -249,7 +249,7 @@ class MixedPoissonMaxUExp:
         m, tail = _require_positive("m", m), _require_real("tail", tail, 0.0, 1.0)
         lo, hi = 0, 1
         while self.pmf_upper_tail_bound(m, hi) > tail:
-            if hi >= 2**53:
+            if hi >= _COUNT_MAX:
                 raise NumericError(f"truncation point of {self!r} at m={m!r} passes 2^53")
             lo, hi = hi, 2 * hi
         return bisect.bisect_left(

@@ -138,13 +138,10 @@ class RandomStream:
         self.seed = operator.index(seed) & _MASK
         self.position = _require_count("position", position, hi=math.inf)
 
-    def _next_u64(self) -> int:
-        self.position += 1
-        return _mix64(self.seed + self.position * _GAMMA)
-
     def uniform(self) -> float:
         """One double in the open interval (0, 1)."""
-        return ((self._next_u64() >> 11) + 0.5) * _TO_UNIT
+        self.position += 1
+        return ((_mix64(self.seed + self.position * _GAMMA) >> 11) + 0.5) * _TO_UNIT
 
     def uniforms(self, count: int) -> np.ndarray:
         """Vectorized batch of uniforms, bit-identical to ``count`` scalar draws."""

@@ -18,7 +18,6 @@ import numpy as np
 from .distribution import MaxUExp, _like
 from .errors import (
     DomainError, NumericError, _not_nan, _real, _require_count, _require_positive, _require_real,
-    _scalar,
 )
 from .numerics import checked_exp
 from .process import MixedPoissonMaxUExp
@@ -34,17 +33,13 @@ _EM1_SERIES = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 
 
 def _em1(z: float | np.ndarray) -> np.ndarray:
     """1 - (1 - e^-z) / z for z > 0, a float or an array, by its series
-    below z = _EM1_CUT: Horner's steps as ``polyval`` takes them, on those
-    elements only."""
+    below z = _EM1_CUT, on those elements only."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     small = z < _EM1_CUT
     large = ~small
     zs, zd = z[small], z[large]
-    c0 = _EM1_SERIES[-1] + zs * 0
-    for c in _EM1_SERIES[-2::-1]:
-        c0 = c + c0 * zs
-    out[small] = c0 * zs
+    out[small] = np.polyval(_EM1_SERIES[::-1], zs) * zs
     out[large] = 1.0 - (-np.expm1(-zd)) / zd
     return out
 
@@ -185,11 +180,16 @@ class ExpMaxUExp(ErlangMaxUExp):
         """Joint density of the first k inter-arrival times at (t_1, ..., t_k).
 
         A single mixing draw couples the coordinates, so this depends on the
-        arguments only through their sum.
+        arguments only through their sum.  The coordinates must be finite, as
+        ``pdf``'s t must; the density is 0 where their sum passes the double
+        range.
         """
-        ts = [_scalar("t", t) for t in ts]
+        ts = [_require_real("t", t) for t in ts]
         if not ts:
             raise DomainError("need at least one coordinate")
         if any(t <= 0.0 for t in ts):
             return 0.0
-        return self.xi.tilted_moment(sum(ts), len(ts))
+        total = sum(ts)
+        if total == math.inf:
+            return 0.0
+        return self.xi.tilted_moment(total, len(ts))

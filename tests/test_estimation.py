@@ -149,6 +149,17 @@ def test_solve_mom_clamps_exponential_like_ratios():
     assert rep.r_hat == pytest.approx(2.125)
 
 
+def test_solve_mom_keeps_ratios_just_below_two():
+    # Plain ratio of [1, c] is 2 - 4c/(1+c)^2, here 2 - 5e-7: inside the
+    # family range but above the clamp target 2 - 1e-6, so it keeps its own
+    # root and no clamp warning.
+    rep = solve_mom([1.0, 8e6], variant="plain")
+    assert 2.0 - 1e-6 < rep.r_hat < 2.0
+    assert rep.branch == "unique"
+    assert rep.warnings == []
+    assert mom_curve(rep.x_product) == pytest.approx(rep.r_hat, abs=1e-12)
+
+
 def test_solve_mom_ambiguous_branch():
     rep = solve_mom([1.0, 2.13066])  # unbiased ratio 1.3, inside the fold
     assert rep.branch == "ambiguous_two_roots"
@@ -406,6 +417,17 @@ def test_exceedance_confidence_large_n(n, p, k):
     want = math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
     rel = 1e-14 * math.lgamma(n + 1.0)
     assert exceedance_confidence(n, p, k) == pytest.approx(min(1.0, want), rel=rel)
+
+
+@pytest.mark.parametrize("k", [2**52 - 10, 2**52])
+def test_exceedance_confidence_near_the_median_at_n_2_53(k):
+    # scipy's betaincc(k + 1, n - k, 1/2) is nan here; the symmetric form
+    # I_(1/2)(n - k, k + 1) gives the value.  Reference: the local normal
+    # law of Binomial(n, 1/2), 1/2 + (k + 1/2 - n/2) / (sigma sqrt(2 pi))
+    # with sigma = sqrt(n)/2, whose error is O(1/n) here.
+    n = 2**53
+    want = 0.5 + ((k - n // 2) + 0.5) / (math.sqrt(n) / 2.0) / math.sqrt(2.0 * math.pi)
+    assert exceedance_confidence(n, 0.5, k) == pytest.approx(want, rel=1e-10)
 
 
 BRANCH_SAMPLES = {

@@ -17,6 +17,7 @@ from mpmue.verify import (
     check_value,
     ks_critical,
     ks_statistic,
+    _mean_se,
     _process_checks,
 )
 from mpmue.rng import _BLOCK
@@ -81,6 +82,8 @@ def test_check_mc_z_score_uses_the_sample_standard_deviation():
         assert res.value == abs(float(draws.mean()) - 0.5) / (
             float(draws.std(ddof=1)) / math.sqrt(n)
         )
+        mean, _, se = _mean_se(draws)
+        assert (mean, se) == (float(draws.mean()), float(draws.std(ddof=1)) / math.sqrt(n))
 
 
 def test_check_mc_rejects_fewer_than_two_draws():

@@ -256,6 +256,18 @@ def test_joint_interarrival_pdf_contracts():
     assert w.joint_interarrival_pdf([0.5, 0.0]) == 0.0
     with pytest.raises(DomainError):
         w.joint_interarrival_pdf([])
+    # Finite coordinates only, as pdf's t: joint([t]) = pdf(t) holds or
+    # raises alike at every t, and the error names t.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="t must"):
+            w.joint_interarrival_pdf([bad])
+        with pytest.raises(DomainError, match="t must"):
+            w.pdf(bad)
+        with pytest.raises(DomainError, match="t must"):
+            w.joint_interarrival_pdf([0.5, bad])
+    # A sum past the double range gives the density's limit there, 0.
+    assert w.joint_interarrival_pdf([1e308, 1e308]) == 0.0
+    assert w.joint_interarrival_pdf([1e300] * 3) == 0.0
     # Positive dependence: the joint density at equal coordinates exceeds
     # the product of the marginals.
     t = 1.0
