@@ -3,12 +3,14 @@ Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner (1983), with Wynn's
 epsilon algorithm (Wynn 1956) for the extrapolation.
 
 ``qags`` integrates a finite piece by QAGSE with the 21-point Gauss-Kronrod
-rule, and ``qagi`` a tail (a, inf) by QAGIE with the 15-point rule on
-x = a + (1 - t)/t, always with limit = 200 and epsabs = epsrel = tol.  Each
-takes the same points and gives the same value, error estimate and
-evaluation count as ``scipy.integrate.quad`` with those settings.  The
-adaptive loop's lists keep QUADPACK's indices, which start at 1, so their
-slot 0 is unused; the rules count their nodes j from 0.
+rule, and ``qagi`` a tail (a, inf) by QAGIE.  QAGIE's rule, QK15I, is the
+15-point rule on the integrand substituted by x = a + (1 - t)/t over t in
+(0, 1], so one rule routine, ``_rule``, serves both with its node table.
+Both run with limit = 200 and epsabs = epsrel = tol.  Each takes the same
+points and gives the same value, error estimate and evaluation count as
+``scipy.integrate.quad`` with those settings.  The adaptive loop's lists
+keep QUADPACK's indices, which start at 1, so their slot 0 is unused; the
+rule counts its nodes j from 0.
 
 ``numerics.integrate`` imports this module at its first call, so that
 ``import mpmue`` does not load it.
@@ -49,7 +51,7 @@ _WG10 = (0.066671344308688137593568809893332, 0.14945134915058059314577633965769
 _QK21 = (tuple((j, _XGK21[j], _WGK21[j], _WG10[j // 2]) for j in range(1, 10, 2))
          + tuple((j, _XGK21[j], _WGK21[j], 0.0) for j in range(0, 10, 2)))
 
-# QK15I: the 15-point Kronrod rule and the 7-point Gauss rule inside it, in
+# QK15: the 15-point Kronrod rule and the 7-point Gauss rule inside it, in
 # the same layout; the Gauss weights of the Kronrod-only nodes are 0, and
 # the rule walks (j, x_j, Kronrod weight, Gauss weight) in the order of j.
 _XGK15 = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
@@ -70,18 +72,22 @@ _EPS50 = 50.0 * _EPS
 _RESABS_FLOOR = _UFLOW / _EPS50
 
 
-def _qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
-    """QK21 on (a, b): the 21-point Kronrod sum, its error estimate, and the
-    integrals of |f| and of |f - mean| (QUADPACK's resabs and resasc)."""
+def _rule(f, nodes, wgk, wgc: float, a: float, b: float) -> tuple[float, float, float, float]:
+    """QK21 or QK15 on (a, b): the Kronrod sum, its error estimate, and the
+    integrals of |f| and of |f - mean| (QUADPACK's resabs and resasc).
+    ``nodes`` is ``_QK21`` or ``_QK15``, ``wgk`` the Kronrod weights with the
+    centre's last, and ``wgc`` the centre's Gauss weight.  The 10-point Gauss
+    rule has no centre node, so its sum starts at 0.0, not at 0.0 times f
+    there, which is nan where f is not finite."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     fc = float(f(centr))
-    resg = 0.0
-    resk = _WGK21[10] * fc
+    resg = wgc * fc if wgc else 0.0
+    resk = wgk[-1] * fc
     resabs = abs(resk)
-    fv1 = [0.0] * 10  # f at centr - x_j h
-    fv2 = [0.0] * 10  # f at centr + x_j h
-    for j, x, wk, wg in _QK21:
+    fv1 = [0.0] * len(nodes)  # f at centr - x_j h
+    fv2 = [0.0] * len(nodes)  # f at centr + x_j h
+    for j, x, wk, wg in nodes:
         absc = hlgth * x
         fval1 = fv1[j] = float(f(centr - absc))
         fval2 = fv2[j] = float(f(centr + absc))
@@ -89,36 +95,11 @@ def _qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
         resg += wg * fsum
         resk += wk * fsum
         resabs += wk * (abs(fval1) + abs(fval2))
-    return _error(hlgth, fc, fv1, fv2, resg, resk, resabs, _WGK21)
-
-
-def _qk15i(f, boun: float, a: float, b: float) -> tuple[float, float, float, float]:
-    """QK15I on t in (a, b) within (0, 1], for the integral of f over
-    (boun, inf) as that of f(boun + (1 - t)/t) / t^2; returns what
-    ``_qk21`` does."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    fc = float(f(boun + (1.0 - centr) / centr)) / centr / centr
-    resg = _WG7[7] * fc
-    resk = _WGK15[7] * fc
-    resabs = abs(resk)
-    fv1 = [0.0] * 7
-    fv2 = [0.0] * 7
-    for j, x, wk, wg in _QK15:
-        absc = hlgth * x
-        absc1 = centr - absc
-        absc2 = centr + absc
-        fval1 = fv1[j] = float(f(boun + (1.0 - absc1) / absc1)) / absc1 / absc1
-        fval2 = fv2[j] = float(f(boun + (1.0 - absc2) / absc2)) / absc2 / absc2
-        fsum = fval1 + fval2
-        resg += wg * fsum
-        resk += wk * fsum
-        resabs += wk * (abs(fval1) + abs(fval2))
-    return _error(hlgth, fc, fv1, fv2, resg, resk, resabs, _WGK15)
+    return _error(hlgth, fc, fv1, fv2, resg, resk, resabs, wgk)
 
 
 def _error(hlgth, fc, fv1, fv2, resg, resk, resabs, wgk) -> tuple[float, float, float, float]:
-    """The end both rules share: the sum over (a, b), QUADPACK's error
+    """The end of ``_rule``: the sum over (a, b), QUADPACK's error
     estimate from the Kronrod-Gauss difference, resabs and resasc.  ``fv1``
     and ``fv2`` hold f below and above the centre in the order of ``wgk``,
     whose last entry is the centre's.  Raises NumericError where the sum or
@@ -142,6 +123,13 @@ def _error(hlgth, fc, fv1, fv2, resg, resk, resabs, wgk) -> tuple[float, float, 
     return result, abserr, resabs, resasc
 
 
+def _sort_depth(last: int) -> int:
+    """How deep QPSRT keeps ``iord`` ordered with ``last`` intervals: all of
+    them up to _LIMIT/2 + 2, then only as many as the bisections left can
+    reach."""
+    return last if last <= 2 + _LIMIT // 2 else _LIMIT + 3 - last
+
+
 def _qpsrt(last: int, maxerr: int, elist: list, iord: list, nrmax: int) -> tuple[int, int]:
     """QPSRT: keeps ``iord`` listing the intervals by descending error
     estimate, as far as the remaining subdivisions can reach, and returns
@@ -158,7 +146,7 @@ def _qpsrt(last: int, maxerr: int, elist: list, iord: list, nrmax: int) -> tuple
             break
         iord[nrmax] = isucc
         nrmax -= 1
-    jupbn = last if last <= _LIMIT // 2 + 2 else _LIMIT + 3 - last
+    jupbn = _sort_depth(last)
     errmin = elist[last]
     jbnd = jupbn - 1
     # Insert errmax top-down, then errmin bottom-up.
@@ -259,21 +247,26 @@ def _qelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, int, floa
 def qags(f, a: float, b: float, tol: float) -> tuple[float, float, int]:
     """QAGSE: the integral of f over the finite (a, b), its error estimate
     and the number of evaluations of f."""
-    return _qage(partial(_qk21, f), 21, a, b, tol)
+    return _qage(partial(_rule, f, _QK21, _WGK21, 0.0), 21, a, b, tol)
 
 
 def qagi(f, bound: float, tol: float) -> tuple[float, float, int]:
-    """QAGIE: the integral of f over (bound, inf), through QK15I on t in
-    (0, 1], its error estimate and the number of evaluations of f."""
-    return _qage(partial(_qk15i, f, bound), 15, 0.0, 1.0, tol)
+    """QAGIE: the integral of f over (bound, inf), its error estimate and the
+    number of evaluations of f.  QK15I is the 15-point rule on t in (0, 1]
+    for g(t) = f(bound + (1 - t)/t) / t^2, whose integral is f's."""
+
+    def g(t: float) -> float:
+        return float(f(bound + (1.0 - t) / t)) / t / t
+
+    return _qage(partial(_rule, g, _QK15, _WGK15, _WG7[7]), 15, 0.0, 1.0, tol)
 
 
 def _qage(rule, points: int, a: float, b: float, tol: float) -> tuple[float, float, int]:
-    """The adaptive loop that QAGSE (with QK21) and QAGIE (with QK15I on
-    (0, 1)) share, for ``rule(a, b)`` with ``points`` nodes: bisect the
-    interval with the largest error estimate, and once the largest error
-    sits on the smallest intervals, extrapolate the sequence of sums by
-    QELG.  Returns the value, the error estimate and the number of
+    """The adaptive loop that QAGSE (with QK21) and QAGIE (with QK15 on its
+    substituted integrand over (0, 1)) share, for ``rule(a, b)`` with
+    ``points`` nodes: bisect the interval with the largest error estimate,
+    and once the largest error sits on the smallest intervals, extrapolate
+    the sequence of sums by QELG.  Returns the value, the error estimate and the number of
     evaluations of f."""
     epsabs = epsrel = tol
     result, abserr, defabs, resabs = rule(a, b)
@@ -358,9 +351,8 @@ def _qage(rule, points: int, a: float, b: float, tol: float) -> tuple[float, flo
         if ierro != 3 and erlarg > ertest:
             # The smallest intervals have the largest error: bisect the
             # larger ones first, while any is among those that can be.
-            jupbnd = last if last <= 2 + _LIMIT // 2 else _LIMIT + 3 - last
             larger = False
-            for _ in range(nrmax, jupbnd + 1):
+            for _ in range(nrmax, _sort_depth(last) + 1):
                 maxerr = iord[nrmax]
                 errmax = elist[maxerr]
                 if abs(blist[maxerr] - alist[maxerr]) > small:

@@ -119,16 +119,7 @@ def _cmd_eval(args) -> int:
 def _cmd_fit(args) -> int:
     values = [row[0] for row in _read_csv(args.input, ("x",))]
     report = MaxUExpEstimator(args.method, args.trim, args.variant).fit(values).report_
-    payload = {
-        "a": report.a,
-        "lambda": report.lam,
-        "x_product": report.x_product,
-        "r_hat": report.r_hat,
-        "branch": report.branch,
-        "objective": report.objective,
-        "warnings": list(report.warnings),
-    }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(report.to_json_dict(), indent=2))
     return 0
 
 

@@ -76,6 +76,24 @@ def _not_nan(name: str, x) -> float:
     return x
 
 
+def _sample(name: str, values) -> np.ndarray:
+    """``values`` as a float array of its own shape, each value a number as
+    ``_scalar`` takes one; DomainError for anything else, such as a string,
+    bytes, a complex number, a ragged nesting or a number past the double
+    range.  inf and nan pass: each caller checks its own range."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise DomainError(f"{name} must be an array of numbers, not a ragged nesting") from None
+    if arr.dtype.kind in "biuf":
+        return arr.astype(float, copy=False)
+    if arr.dtype.kind == "O":
+        # Fractions, ints past int64 and the like: each converts as a scalar does.
+        values = [_scalar(f"every value in {name}", v) for v in arr.flat]
+        return np.array(values, dtype=float).reshape(arr.shape)
+    raise DomainError(f"every value in {name} must be a real number, got {arr.dtype.name} values")
+
+
 def _require_real(name: str, x, lo: float = -math.inf, hi: float = math.inf) -> float:
     """``_scalar`` of x, DomainError unless lo < x < hi, so finite by
     default.  A float takes no further call: every pmf call runs this."""

@@ -43,6 +43,7 @@ from .errors import (
     _require_count,
     _require_positive,
     _require_real,
+    _sample,
     _scalar,
 )
 from .numerics import _cs, find_root, minimize_bounded
@@ -65,7 +66,7 @@ def validate_sample(values) -> np.ndarray:
 
 def _check_sample(values) -> np.ndarray:
     """Observations as a 1-D float array, all finite and positive, unsorted."""
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = _sample("sample", values).ravel()
     if arr.size == 0:
         raise InsufficientDataError("sample is empty")
     if not np.all(np.isfinite(arr)):
@@ -170,6 +171,22 @@ class FitReport:
 
     def params(self) -> tuple[float, float]:
         return self.a, self.lam
+
+    def to_json_dict(self) -> dict:
+        """The report as ``mpmue fit`` prints it: a, lambda, x_product, r_hat,
+        branch, objective, warnings, r_hat_variant, then the candidates as
+        [a, lambda] pairs."""
+        return {
+            "a": self.a,
+            "lambda": self.lam,
+            "x_product": self.x_product,
+            "r_hat": self.r_hat,
+            "branch": self.branch,
+            "objective": self.objective,
+            "warnings": list(self.warnings),
+            "r_hat_variant": self.r_hat_variant,
+            "candidates": [[a, lam] for a, lam in self.candidates],
+        }
 
 
 def _params_from_x(x: float, m1: float) -> tuple[float, float]:
@@ -450,7 +467,7 @@ class MaxUExpEstimator:
         return self
 
     def fit(self, X, y=None) -> "MaxUExpEstimator":
-        arr = np.asarray(X, dtype=float)
+        arr = _sample("X", X)
         if arr.ndim == 2 and arr.shape[1] == 1:
             arr = arr[:, 0]
         if arr.ndim != 1:

@@ -30,14 +30,14 @@ scipy's bounded scalar minimizer that loads no scipy.  ``integrate`` runs
 ``_quadpack``, a step-for-step port of QUADPACK's QAGS and QAGI (Piessens
 et al. 1983), the routines behind ``scipy.integrate.quad``, with the same
 points, value, error estimate and evaluation count, so it loads no
-``scipy.integrate`` either; it imports ``_quadpack`` on first call.  Only ``minimize`` and ``least_squares`` import ``scipy.optimize``,
-on first call, which also keeps the ``scipy.linalg`` and ``scipy.sparse``
-it pulls in unloaded.
+``scipy.integrate`` either; it imports ``_quadpack`` on first call.
 
-``minimize``, ``least_squares``, ``gamma_lower_reg`` and ``gamma_upper_reg``
-have no caller in the library, so nothing in it loads ``scipy.optimize``.
-They stay only because the benchmark's tracer (``benchmarks/tracing.py``)
-looks each up by name, with no default.
+``minimize`` and ``least_squares`` import ``scipy.optimize``, with the
+``scipy.linalg`` and ``scipy.sparse`` it pulls in, at their first call.
+They, ``gamma_lower_reg`` and ``gamma_upper_reg`` have no caller in the
+library, so nothing in it loads ``scipy.optimize``; they stay only because
+the benchmark's tracer (``benchmarks/tracing.py``) looks each up by name,
+with no default.
 """
 
 from __future__ import annotations

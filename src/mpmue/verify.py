@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distribution import MaxUExp
-from .errors import DomainError, _require_count
+from .errors import DomainError, _require_count, _sample
 from .numerics import gamma_lower, gamma_upper, integrate
 from .process import (
     MixedPoissonMaxUExp,
@@ -67,9 +67,10 @@ def ks_statistic(values, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     ``cdf`` maps an array to an array of the same shape.  It is called on
     the sorted sample in consecutive blocks of ``rng._BLOCK`` values, with a
     running maximum, so no temporary is larger than a block; the statistic
-    equals that of one call on the whole sorted sample bit for bit.
+    equals that of one call on the whole sorted sample bit for bit.  A
+    sample of any shape is read flat.
     """
-    x = np.sort(np.asarray(values, dtype=float))
+    x = np.sort(_sample("values", values).ravel())
     n = x.size
     if n == 0:
         raise DomainError("empty sample")
@@ -234,7 +235,7 @@ def check_mc(
     the comparison switches to ``check_quantiles`` on the draws, against
     ``cdf`` at ``cdf_points``.  It needs at least two draws.
     """
-    draws = np.asarray(draws, dtype=float)
+    draws = _sample("draws", draws).ravel()
     _require_count("len(draws)", draws.size, lo=2)
     why = None
     if not math.isfinite(closed_form):

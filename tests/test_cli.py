@@ -177,6 +177,7 @@ def test_fit_json_contract(tmp_path, capsys):
     rep = json.loads(res.stdout)
     assert list(rep.keys()) == [
         "a", "lambda", "x_product", "r_hat", "branch", "objective", "warnings",
+        "r_hat_variant", "candidates",
     ]
     assert rep["branch"] in ("unique", "ambiguous_two_roots", "fallback_min", "lsq_refined")
     assert abs(rep["a"] - 1.0) < 0.25
@@ -188,6 +189,8 @@ def test_fit_json_contract(tmp_path, capsys):
         want = MaxUExpEstimator(method).fit(draws).report_
         assert (rep["a"], rep["lambda"], rep["branch"]) == (want.a, want.lam, want.branch)
         assert rep["objective"] == want.objective and rep["warnings"] == want.warnings
+        assert rep["r_hat_variant"] == want.r_hat_variant
+        assert rep["candidates"] == [[a, lam] for a, lam in want.candidates]
 
 
 def test_fit_rejects_bad_rows(tmp_path):

@@ -13,16 +13,16 @@ The simulators run at every horizon.  On this grid each batch expects
 either at most about 3 events or at least 3e11, past the simulator's event
 cap, where it raises NumericError before its first round.
 
-Left out, on purpose:
-- the verify battery (``run_checks``, ``run_ledger``, ``write_ledger`` and
-  their records): it runs at fixed parameter points, see test_verify.py;
-- ``FitReport.params``: the fitters' reports are checked field by field.
+Left out, on purpose: the verify battery (``run_checks``, ``run_ledger``,
+``write_ledger`` and their records), which runs at fixed parameter points;
+see test_verify.py.
 """
 
 import inspect
 import math
 import numbers
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +47,8 @@ from mpmue import (
     RangeError,
     TableTransform,
 )
+from mpmue.estimation import validate_sample
+from mpmue.verify import ks_statistic
 
 GRID = (1e-300, 1e-12, 1.0, 1e12, 1e300)
 ARGS = GRID + (math.inf, 10**400)
@@ -212,6 +214,11 @@ BATCH = {
     "index": (lambda b: [(p,) for p in b[:1]], "count", False),
 }
 
+REPORT = {
+    "params": ([()], "nonneg", False),
+    "to_json_dict": ([()], "nonneg", False),
+}
+
 ESTIMATOR = {
     "fit": ([(x,) for x in SAMPLES], "nonneg", False),
     "get_params": ([()], "nonneg", False),
@@ -237,6 +244,7 @@ CLASSES = {
         ],
     ),
     MaxUExpEstimator: (ESTIMATOR, [MaxUExpEstimator(m) for m in ("auto", "mom", "lsq")]),
+    FitReport: (REPORT, [f(SAMPLES[2]) for f in (mpmue.solve_mom, mpmue.lsq_fit, mpmue.fit_auto)]),
 }
 
 # function -> (argument lists, kind)
@@ -265,7 +273,6 @@ FUNCTIONS = {
 LEFT_OUT = {
     "CheckResult",
     "DiscrepancyRecord",
-    "FitReport",
     "run_checks",
     "run_ledger",
     "write_ledger",
@@ -347,3 +354,68 @@ def test_scalar_arguments_reject_numpy_arrays():
     for probe in probes:
         with pytest.raises(DomainError):
             probe()
+
+
+# Every public function that takes a sample, called on the sample alone.
+SAMPLE_READERS = {
+    "validate_sample": validate_sample,
+    "empirical_moments": mpmue.empirical_moments,
+    "ratio_stat": mpmue.ratio_stat,
+    "solve_mom": mpmue.solve_mom,
+    "lsq_objective": lambda v: mpmue.lsq_objective(v, 1.0, 1.0),
+    "lsq_fit": mpmue.lsq_fit,
+    "histogram_init": mpmue.histogram_init,
+    "fit_auto": mpmue.fit_auto,
+    "MaxUExpEstimator.fit": lambda v: MaxUExpEstimator().fit(v),
+    "ks_statistic": lambda v: ks_statistic(v, MaxUExp(1.0, 1.0).cdf),
+}
+
+
+def test_bad_samples_raise_domain_error():
+    # Each is a good sample but for its values' type.  Read as numpy reads
+    # them, four raise OverflowError, TypeError or ValueError, the complex
+    # array loses its imaginary parts and the strings and bytes are numbers.
+    good = MaxUExp(1.0, 1.0).sample_many(RandomStream(5), 30).tolist()
+    bad = {
+        "past the double range": good + [10**400],
+        "complex": good + [2.0 + 1.0j],
+        "complex array": np.array(good, dtype=complex),
+        "not a number": good + ["a"],
+        "ragged": good + [[2.0]],
+        "strings": [repr(v) for v in good],
+        "bytes": [repr(v).encode() for v in good],
+    }
+    leaks = []
+    for name, f in SAMPLE_READERS.items():
+        for case, values in bad.items():
+            try:
+                f(values)
+            except DomainError:
+                continue
+            except Exception as exc:  # a raw error is the leak under test
+                leaks.append(f"{name}({case}): {type(exc).__name__}: {exc}")
+                continue
+            leaks.append(f"{name}({case}) returned")
+    assert leaks == []
+
+
+def test_numeric_samples_read_as_their_floats():
+    draws = MaxUExp(1.0, 1.0).sample_many(RandomStream(5), 30)
+    ints = (draws * 1000).astype(int)
+    for values, floats in (
+        ([Fraction(v) for v in draws], draws),
+        (draws.tolist(), draws),
+        (ints.tolist(), ints.astype(float)),
+        ([True] * 30, np.ones(30)),
+    ):
+        for name, f in SAMPLE_READERS.items():
+            try:
+                want = f(floats)
+            except TYPED as exc:
+                with pytest.raises(type(exc)):
+                    f(values)
+                continue
+            got = f(values)
+            if isinstance(want, MaxUExpEstimator):
+                got, want = got.report_, want.report_
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, name

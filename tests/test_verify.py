@@ -69,6 +69,13 @@ def test_ks_statistic_and_critical():
     assert ks_critical(n) == pytest.approx(1.6276 / math.sqrt(n))
 
 
+def test_ks_statistic_reads_any_shape_flat():
+    d = MaxUExp(1.0, 1.0)
+    draws = d.sample_many(RandomStream(3), 30)
+    assert ks_statistic(draws.reshape(5, 6), d.cdf) == ks_statistic(draws, d.cdf)
+    assert ks_statistic(np.array(0.3), d.cdf) == ks_statistic([0.3], d.cdf)
+
+
 def test_check_mc_mean_mode():
     res = check_mc("const-mean", np.full(500, 2.0), closed_form=2.0)
     assert res.passed
