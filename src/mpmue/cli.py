@@ -16,18 +16,19 @@ success (for ``verify``: all checks passed), 1 when verification fails,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 
 import numpy as np
 
+# The fitters (estimation) and the audit battery (verify) are imported inside
+# the subcommands that run them, so eval and simulate never load them.
 from .distribution import MaxUExp
-from .errors import DomainError
-from .estimation import MaxUExpEstimator, mom_curve, mom_curve_extrema
+from .errors import DomainError, _require_count
 from .process import MixedPoissonMaxUExp, PowerTransform, TableTransform
 from .rng import RandomStream
-from .verify import run_checks, run_ledger, write_ledger
 from .waiting import ErlangMaxUExp, ExpMaxUExp
 
 
@@ -82,16 +83,17 @@ def _parse_transform(arg: str):
 def _cmd_eval(args) -> int:
     if args.target == "pmf":
         pp = MixedPoissonMaxUExp(MaxUExp(args.a, args.lam))
-        ns = set(args.n or [])
-        if args.n_max is not None:
-            # n_max itself joins the counts, so a negative one fails their check.
-            ns.update(range(args.n_max + 1), [args.n_max])
-        if not ns:
+        given = args.n or []
+        if not given and args.n_max is None:
             raise DomainError("give --n and/or --n-max")
-        if min(ns) < 0:
+        if min([*given, args.n_max or 0]) < 0:
             raise DomainError("counts must be >= 0")
+        # Rows 0..n-max, then the larger --n counts in order; no table of
+        # all the counts is built, so a huge --n-max fails here at once.
+        top = -1 if args.n_max is None else _require_count("--n-max", args.n_max)
+        rest = sorted({_require_count("--n", n) for n in given if n > top})
         print("n,pmf")
-        for n in sorted(ns):
+        for n in itertools.chain(range(top + 1), rest):
             print(f"{n},{_fmt(pp.pmf(args.mu, n))}")
         return 0
 
@@ -117,6 +119,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .estimation import MaxUExpEstimator
+
     values = [row[0] for row in _read_csv(args.input, ("x",))]
     report = MaxUExpEstimator(args.method, args.trim, args.variant).fit(values).report_
     print(json.dumps(report.to_json_dict(), indent=2))
@@ -153,6 +157,8 @@ def _cmd_momcurve(args) -> int:
         raise DomainError(f"need finite 0 < lo < hi, got lo={args.lo}, hi={args.hi}")
     if args.steps < 2:
         raise DomainError(f"need steps >= 2, got {args.steps}")
+    from .estimation import mom_curve, mom_curve_extrema
+
     _, argmin, gmin = mom_curve_extrema()
     print(f"# argmin={argmin:.5g} min={gmin:.5g}")
     print("x,g")
@@ -162,6 +168,8 @@ def _cmd_momcurve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_checks, run_ledger, write_ledger
+
     checks = run_checks(seed=args.seed, mc_draws=args.draws, paths=args.paths)
     for check in checks:
         print(check.line())

@@ -30,6 +30,7 @@ KS comparisons.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distribution import MaxUExp
-from .errors import DomainError, _require_count, _sample
+from .errors import DomainError, InsufficientDataError, _require_count, _sample
 from .numerics import gamma_lower, gamma_upper, integrate
 from .process import (
     MixedPoissonMaxUExp,
@@ -73,7 +74,7 @@ def ks_statistic(values, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     x = np.sort(_sample("values", values).ravel())
     n = x.size
     if n == 0:
-        raise DomainError("empty sample")
+        raise InsufficientDataError("sample is empty")
     # Sorting puts nan last.
     if not (-math.inf < x[0] and x[-1] < math.inf):
         raise DomainError("sample values must be finite")
@@ -869,13 +870,15 @@ def _process_checks(a: float, lam: float, seed: int, paths: int):
             detail="single-time reduction, non-monotone zero, marginalization",
         )
     )
-    rng = np.random.default_rng(seed)
+    # 20 random cases: 1 to 4 clock values with gaps in [0.2, 1) and
+    # increments 0 to 3.
+    stream = RandomStream(seed + 6)
     inc_dev = 0.0
     round_ok = True
     for _ in range(20):
-        r = int(rng.integers(1, 5))
-        mus = np.cumsum(rng.uniform(0.2, 1.0, size=r)).tolist()
-        ms = [int(v) for v in rng.integers(0, 4, size=r)]
+        r = 1 + int(4 * stream.uniform())
+        mus = list(itertools.accumulate(0.2 + 0.8 * stream.uniform() for _ in range(r)))
+        ms = [int(4 * stream.uniform()) for _ in range(r)]
         inc_dev = max(
             inc_dev, abs(pp.increments_pmf(mus, ms) - pp.ordered_pmf(mus, to_cumulative(ms)))
         )

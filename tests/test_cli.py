@@ -115,6 +115,24 @@ def test_eval_pmf_rows():
         assert float(v) == pytest.approx(p.pmf(1.0, int(n)), rel=1e-11)
 
 
+def test_eval_pmf_rows_run_up_to_n_max_then_the_larger_counts():
+    res = run_cli(
+        "eval", "pmf", "--a", "1", "--lambda", "1", "--mu", "1",
+        "--n", "5", "--n", "2", "--n", "5", "--n-max", "3",
+    )
+    assert res.returncode == 0
+    assert [line.split(",")[0] for line in res.stdout.splitlines()] == ["n", "0", "1", "2", "3", "5"]
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--n"])
+def test_eval_pmf_rejects_a_count_past_2_53_at_once(flag):
+    # No table of the counts is built first: 10^20 rows would never fit.
+    res = run_cli("eval", "pmf", "--a", "1", "--lambda", "1", "--mu", "1", flag, str(10**20))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {flag} must be an integer from 0 to")
+
+
 def test_simulate_deterministic():
     a = run_cli("simulate", "xi", "--a", "1", "--lambda", "1", "--n", "5", "--seed", "42")
     b = run_cli("simulate", "xi", "--a", "1", "--lambda", "1", "--n", "5", "--seed", "42")
@@ -273,8 +291,9 @@ def test_verify_writes_ledger(tmp_path):
     assert by_id["interarrival-mean-finite"]["paper_literal"] == math.inf
 
 
-# A fresh interpreter, so that nothing else has loaded scipy: verify's
-# quadrature is ported QUADPACK and its fits need no scipy.optimize.
+# A fresh interpreter, so that nothing else has loaded scipy or numpy.random:
+# verify's quadrature is ported QUADPACK, its fits need no scipy.optimize and
+# its random cases come from the package's own RandomStream.
 _VERIFY_CHILD = """
 import contextlib, io, json, sys
 import mpmue.cli
@@ -282,7 +301,8 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = mpmue.cli.main(["verify", "--draws", "2000", "--paths", "500", "--ledger", sys.argv[1]])
 loaded = sorted(m for m in sys.modules
-                if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"]))
+                if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"],
+                                        ["numpy", "random"]))
 print(json.dumps({"code": code, "last": out.getvalue().splitlines()[-1], "loaded": loaded}))
 """
 
@@ -321,7 +341,7 @@ def test_verify_rejects_zero_draws_and_paths(tmp_path, flag, name, value):
 def test_verify_zero_tolerance_fails(tmp_path, monkeypatch):
     # One failing check must fail the run: exit 1 and a FAIL line.
     failing = CheckResult("broken", False, 1.0, 0.0, 0.0, "forced", ())
-    monkeypatch.setattr("mpmue.cli.run_checks", lambda **kwargs: [failing])
+    monkeypatch.setattr("mpmue.verify.run_checks", lambda **kwargs: [failing])
     res = run_cli(
         "verify", "--draws", "2000", "--paths", "500",
         "--ledger", str(tmp_path / "l.json"),

@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from mpmue import DomainError, ExpMaxUExp, MaxUExp, RandomStream, run_checks, run_ledger, write_ledger
+from mpmue import (
+    DomainError,
+    ExpMaxUExp,
+    InsufficientDataError,
+    MaxUExp,
+    RandomStream,
+    run_checks,
+    run_ledger,
+    write_ledger,
+)
 from mpmue.verify import (
     REQUIRED_OPS,
     CheckResult,
@@ -302,7 +311,9 @@ def test_ks_statistic_evaluates_the_cdf_in_blocks():
 
 def test_ks_statistic_rejects_an_empty_or_non_finite_sample():
     cdf = MaxUExp(1.0, 1.0).cdf
-    for sample in ([], [1.0, math.nan], [math.nan], [1.0, math.inf], [-math.inf, 1.0]):
+    with pytest.raises(InsufficientDataError, match="sample is empty"):
+        ks_statistic([], cdf)
+    for sample in ([1.0, math.nan], [math.nan], [1.0, math.inf], [-math.inf, 1.0]):
         with pytest.raises(DomainError):
             ks_statistic(sample, cdf)
 
