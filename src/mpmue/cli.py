@@ -23,13 +23,12 @@ import sys
 
 import numpy as np
 
-# The fitters (estimation) and the audit battery (verify) are imported inside
-# the subcommands that run them, so eval and simulate never load them.
+# The process, waiting-time, fitter (estimation) and audit (verify) layers
+# are imported inside the subcommands that run them, so that one subcommand
+# does not load the others' layers: eval of the Max-U-Exp law loads none.
 from .distribution import MaxUExp
 from .errors import DomainError, _require_count
-from .process import MixedPoissonMaxUExp, PowerTransform, TableTransform
 from .rng import RandomStream
-from .waiting import ErlangMaxUExp, ExpMaxUExp
 
 
 def _fmt(v: float) -> str:
@@ -67,6 +66,8 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> list[list[float]]:
 
 
 def _parse_transform(arg: str):
+    from .process import PowerTransform, TableTransform
+
     kind, _, rest = arg.partition(":")
     if kind == "power":
         return PowerTransform(float(rest) if rest else 1.0)
@@ -82,6 +83,8 @@ def _parse_transform(arg: str):
 
 def _cmd_eval(args) -> int:
     if args.target == "pmf":
+        from .process import MixedPoissonMaxUExp
+
         pp = MixedPoissonMaxUExp(MaxUExp(args.a, args.lam))
         given = args.n or []
         if not given and args.n_max is None:
@@ -104,10 +107,13 @@ def _cmd_eval(args) -> int:
         raise DomainError("give --x and/or --grid")
     if args.target == "maxuexp":
         dist = MaxUExp(args.a, args.lam)
-    elif args.target == "emue":
-        dist = ExpMaxUExp(args.a, args.lam)
     else:
-        dist = ErlangMaxUExp(args.order, args.a, args.lam)
+        from .waiting import ErlangMaxUExp, ExpMaxUExp
+
+        if args.target == "emue":
+            dist = ExpMaxUExp(args.a, args.lam)
+        else:
+            dist = ErlangMaxUExp(args.order, args.a, args.lam)
     # The cdf takes the grid as one array.  The pdf stays per point: its
     # float branch is the cheap one, and MaxUExp's array branch can differ
     # from it in the last printed digit.
@@ -130,6 +136,8 @@ def _cmd_fit(args) -> int:
 def _cmd_simulate(args) -> int:
     stream = RandomStream(args.seed)
     if args.target == "path":
+        from .process import MixedPoissonMaxUExp
+
         pp = MixedPoissonMaxUExp(MaxUExp(args.a, args.lam))
         transform = _parse_transform(args.mu)
         path = pp.simulate_path(transform, args.horizon, stream)
@@ -142,10 +150,13 @@ def _cmd_simulate(args) -> int:
         raise DomainError(f"--n must be >= 1, got {args.count}")
     if args.target == "xi":
         draws = MaxUExp(args.a, args.lam).sample_many(stream, args.count)
-    elif args.target == "tau":
-        draws = ExpMaxUExp(args.a, args.lam).sample_many(stream, args.count)
     else:
-        draws = ErlangMaxUExp(args.order, args.a, args.lam).sample_many(stream, args.count)
+        from .waiting import ErlangMaxUExp, ExpMaxUExp
+
+        if args.target == "tau":
+            draws = ExpMaxUExp(args.a, args.lam).sample_many(stream, args.count)
+        else:
+            draws = ErlangMaxUExp(args.order, args.a, args.lam).sample_many(stream, args.count)
     print("x")
     for v in draws:
         print(_fmt(v))

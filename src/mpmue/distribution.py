@@ -31,7 +31,7 @@ from .numerics import (
     checked_exp,
     find_root,
 )
-from .rng import RandomStream, _draw_rows
+from .rng import RandomStream, _draw_columns
 
 
 def _log(x: float) -> float:
@@ -178,12 +178,12 @@ class MaxUExp:
 
     def sample_many(self, stream: RandomStream, count: int) -> np.ndarray:
         """Vectorized draws, identical to ``count`` sequential ``sample`` calls."""
-        return _draw_rows(stream, count, 2, self._from_uniforms)
+        return _draw_columns(stream, count, 2, self._from_uniforms)
 
     def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Draws from rows of two uniforms, the uniform leg's first, as
-        ``sample`` takes them."""
-        return np.maximum(self.a * u[:, 0], -np.log(u[:, 1]) / self.lam)
+        """Draws from the columns of a (2, k) block of uniforms, the uniform
+        leg's row first, as ``sample`` takes them."""
+        return np.maximum(self.a * u[0], -np.log(u[1]) / self.lam)
 
     # -- closed-form functionals ----------------------------------------------
 

@@ -358,7 +358,7 @@ class MixedPoissonMaxUExp:
         clock's inverse underflows) raises it after the last."""
         horizon = _require_positive("horizon", horizon)
         mu_h = transform.value(horizon)
-        xi = self.xi._from_uniforms(counter_uniforms(seeds[:, None], position, 2))
+        xi = self.xi._from_uniforms(counter_uniforms(seeds[:, None], position, 2).T)
         with np.errstate(over="ignore"):
             budget = xi * mu_h
             expected = budget.sum()

@@ -15,12 +15,19 @@ mod 2^64)`` with SUBSTREAM_GAMMA = 0xD1B54A32D192ED03.  ``counter_uniforms``
 computes any range of draws of many streams without stepping a stream;
 ``MixedPoissonMaxUExp.simulate_paths`` draws every path of a batch that way.
 
-Batch draws are computed in blocks of ``_BLOCK`` positions, each mixed in
-place on two reused uint64 buffers and written straight into the float
-output, so a batch holds about the size of its output rather than several
-uint64 copies of it.  The samplers draw rows of uniforms block by block the
-same way (``_draw_rows``).  Any block of draws is a pure function of (seed,
-position), so the blocked values are bit-identical to one-shot draws.
+Batch draws are computed in blocks of ``_BLOCK`` positions by one routine
+(``_fill_uniforms``), which mixes a reused uint64 buffer in place, with the
+float output as its scratch, and writes straight into the output, so a batch
+holds about the size of its output rather than several uint64 copies of it.
+The samplers draw block by block the same way (``_draw_columns``), but
+column-major: a variate that takes ``width`` draws is one column of a
+(width, k) block, whose entry [j, r] is draw r * width + j + 1 past the
+block's start.  Each leg of the variates (the uniform leg, the exponential
+leg, each Erlang summand) is then a contiguous row, so the samplers take
+logs of contiguous rows and add legs row by row, where one variate per row
+would give strided columns and sums over a short axis.  Any block of draws
+is a pure function of (seed, position), so the blocked values are
+bit-identical to one-shot draws.
 
 Exponentials are ``-log(u) / rate`` with numpy's ``log`` in scalar and batch
 draws alike: numpy's and the math module's logarithms can differ in the
@@ -75,6 +82,24 @@ def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
+def _fill_uniforms(
+    seeds, position: int, steps: np.ndarray, z: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Uniforms of the counters ``seeds + position * GAMMA + steps`` mod 2^64
+    into the float array ``out``: ``steps`` holds j * GAMMA for the draw
+    ``position + j`` each entry takes, and ``z`` is a uint64 buffer of
+    ``out``'s shape.  The mixer's scratch is ``out`` itself, which it
+    leaves before the uniforms are written."""
+    np.add(steps, np.add(seeds, np.uint64((position * _GAMMA) & _MASK)), out=z)
+    _mix64_array(z, out.view(np.uint64))
+    # z >> 11 is below 2^53, so its conversion to a double is exact; numpy
+    # converts it faster read as int64, which holds it too.
+    z >>= _SHIFT_UNIT
+    np.add(z.view(np.int64), 0.5, out=out, casting="unsafe")
+    out *= _TO_UNIT
+    return out
+
+
 def counter_uniforms(seeds: np.ndarray, position: int, count: int) -> np.ndarray:
     """Uniform draws ``position + 1`` to ``position + count`` of the streams
     with the given uint64 seeds, positions taken mod 2^64.  A scalar seed
@@ -87,34 +112,37 @@ def counter_uniforms(seeds: np.ndarray, position: int, count: int) -> np.ndarray
     steps = np.arange(1, width + 1, dtype=np.uint64)
     steps *= _GAMMA_U64
     z = np.empty(out.shape[:-1] + (width,), dtype=np.uint64)
-    scratch = np.empty_like(z)
     for lo in range(0, count, _BLOCK):
         w = min(_BLOCK, count - lo)
-        zb, block = z[..., :w], out[..., lo : lo + w]
-        # Draw position + lo + j of a stream is seeds + (position + lo) * GAMMA
-        # + j * GAMMA mod 2^64: one offset per block, then the fixed steps.
-        np.add(steps[:w], np.add(seeds, np.uint64(((position + lo) * _GAMMA) & _MASK)), out=zb)
-        _mix64_array(zb, scratch[..., :w])
-        # z >> 11 is below 2^53, so its conversion to a double is exact.
-        zb >>= _SHIFT_UNIT
-        np.add(zb, 0.5, out=block, casting="unsafe")
-        block *= _TO_UNIT
+        # One offset per block, then the fixed steps.
+        _fill_uniforms(seeds, position + lo, steps[:w], z[..., :w], out[..., lo : lo + w])
     return out
 
 
-def _draw_rows(
+def _draw_columns(
     stream: RandomStream, count: int, width: int, draw: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """``count`` variates that each take ``width`` consecutive uniforms of
-    ``stream``: ``draw`` maps a (rows, width) block of uniforms to one value
-    per row.  Rows are drawn about ``_BLOCK`` uniforms at a time, in stream
-    order, so the output equals ``draw`` of all rows at once bit for bit."""
+    ``stream``: ``draw`` maps a (width, k) block of uniforms, one variate's
+    draws per column, to one value per column.  Columns are drawn about
+    ``_BLOCK`` uniforms at a time, in stream order, so the output equals
+    ``draw`` of all columns at once bit for bit."""
     count = _require_count("count", count)
     out = np.empty(count)
-    rows = max(1, _BLOCK // width)
-    for lo in range(0, count, rows):
-        k = min(rows, count - lo)
-        out[lo : lo + k] = draw(stream.uniforms(width * k).reshape(k, width))
+    cols = max(1, min(count, _BLOCK // width))
+    # (r * width + j + 1) * GAMMA mod 2^64 at [j, r]: entry [j, r] of a block
+    # is the stream's draw r * width + j + 1 past the block's start.
+    steps = np.arange(1, width * cols + 1, dtype=np.uint64).reshape(cols, width).T.copy()
+    steps *= _GAMMA_U64
+    # Flat buffers, so that a short last block is contiguous too.
+    z, u = np.empty(width * cols, dtype=np.uint64), np.empty(width * cols)
+    seed = np.uint64(stream.seed)
+    for lo in range(0, count, cols):
+        k = min(cols, count - lo)
+        zb, ub = z[: width * k].reshape(width, k), u[: width * k].reshape(width, k)
+        block = _fill_uniforms(seed, stream.position, steps[:, :k], zb, ub)
+        stream.position += width * k
+        out[lo : lo + k] = draw(block)
     return out
 
 

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .numerics import checked_exp
 from .process import MixedPoissonMaxUExp
-from .rng import RandomStream, _draw_rows
+from .rng import RandomStream, _draw_columns
 
 
 # 1 - (1 - e^-z)/z = sum over k >= 1 of (-1)^(k+1) z^k / (k+1)!.  Below
@@ -29,6 +29,9 @@ from .rng import RandomStream, _draw_rows
 # loses at most two bits to cancellation.
 _EM1_CUT = 0.5
 _EM1_SERIES = tuple((-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(1, 17))
+# numpy sums fewer terms than this left to right, and this many or more
+# pairwise.
+_PAIRWISE_MIN = 8
 
 
 def _em1(z: float | np.ndarray) -> np.ndarray:
@@ -39,7 +42,13 @@ def _em1(z: float | np.ndarray) -> np.ndarray:
     small = z < _EM1_CUT
     large = ~small
     zs, zd = z[small], z[large]
-    out[small] = np.polyval(_EM1_SERIES[::-1], zs) * zs
+    # Horner's rule in place, in np.polyval's steps and order.
+    y = np.zeros_like(zs)
+    for c in _EM1_SERIES[::-1]:
+        y *= zs
+        y += c
+    y *= zs
+    out[small] = y
     out[large] = 1.0 - (-np.expm1(-zd)) / zd
     return out
 
@@ -108,13 +117,24 @@ class ErlangMaxUExp:
 
     def sample_many(self, stream: RandomStream, count: int) -> np.ndarray:
         """Vectorized draws, identical to ``count`` sequential ``sample`` calls."""
-        return _draw_rows(stream, count, self.n + 2, self._from_uniforms)
+        return _draw_columns(stream, count, self.n + 2, self._from_uniforms)
 
     def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Draws from rows of n + 2 uniforms, taken in ``sample``'s order."""
+        """Draws from the columns of an (n + 2, k) block of uniforms, its
+        rows taken in ``sample``'s order.  The top sums the legs as numpy
+        sums a row of n (``sample``'s ``np.sum``): left to right below
+        ``_PAIRWISE_MIN`` terms, so by row adds, and pairwise from there,
+        so by numpy's own sum over the legs laid out as contiguous rows.
+        Summing the logs and negating the sum once is exact."""
         n = self.n
-        top = -np.log(u[:, :n]).sum(axis=1)
-        return top / self.xi._from_uniforms(u[:, n:])
+        legs = np.log(u[:n])
+        if n < _PAIRWISE_MIN:
+            top = legs[0]
+            for leg in legs[1:]:
+                top += leg
+        else:
+            top = np.ascontiguousarray(legs.T).sum(axis=1)
+        return -top / self.xi._from_uniforms(u[n:])
 
     def moment(self, q: float) -> float:
         """E(T_n^q) = (Gamma(q+n)/Gamma(n)) E(xi^-q); finite exactly for 0 < q < 2,

@@ -36,6 +36,13 @@ ENTRY_POINTS = [
         ["mpmue.estimation", "mpmue.verify", "numpy.random"],
         id="cli-eval",
     ),
+    pytest.param(
+        "import contextlib, io, mpmue.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert mpmue.cli.main(['eval', 'maxuexp', '--a', '1', '--lambda', '1', '--x', '0.5']) == 0",
+        ["mpmue.estimation", "mpmue.process", "mpmue.verify", "mpmue.waiting"],
+        id="cli-eval-maxuexp",
+    ),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpmue import DomainError, ErlangMaxUExp, MaxUExp
+from mpmue import DomainError, ErlangMaxUExp, ExpMaxUExp, MaxUExp
 from mpmue.rng import _BLOCK, RandomStream, counter_uniforms, substream_seeds
 
 
@@ -154,13 +154,16 @@ def _peak_ratio(draw):
     [
         lambda s: s.uniforms(10**6),
         lambda s: MaxUExp(1.0, 1.0).sample_many(s, 10**6),
+        lambda s: ExpMaxUExp(1.0, 1.0).sample_many(s, 10**6),
         lambda s: ErlangMaxUExp(3, 1.0, 1.0).sample_many(s, 10**6),
+        lambda s: ErlangMaxUExp(9, 1.0, 1.0).sample_many(s, 10**6),
     ],
-    ids=["uniforms", "maxuexp", "erlang3"],
+    ids=["uniforms", "maxuexp", "emue", "erlang3", "erlang9"],
 )
 def test_batch_draws_peak_near_output_size(sampler):
     # One-shot draws held 4x (uniforms), 8x (Max-U-Exp) and 20x (Erlang) of
-    # their output; blocked draws hold the output plus a block.
+    # their output; blocked draws hold the output plus a block's buffers
+    # (steps, counters, uniforms) and its temporaries.
     stream = RandomStream(5)
     assert _peak_ratio(lambda: sampler(stream)) <= 1.5
 

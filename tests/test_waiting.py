@@ -400,13 +400,13 @@ def test_sampling_scalar_vector_agree():
     vec = w.sample_many(RandomStream(31), 30)
     s = RandomStream(31)
     scl = np.array([w.sample(s) for _ in range(30)])
-    assert np.allclose(vec, scl, rtol=1e-14)
+    assert np.array_equal(vec, scl)
 
     e = ErlangMaxUExp(3, 1.1, 0.6)
     vec = e.sample_many(RandomStream(32), 30)
     s = RandomStream(32)
     scl = np.array([e.sample(s) for _ in range(30)])
-    assert np.allclose(vec, scl, rtol=1e-14)
+    assert np.array_equal(vec, scl)
 
 
 def _one_shot_erlang(e, stream, count):
@@ -417,7 +417,11 @@ def _one_shot_erlang(e, stream, count):
     return top / np.maximum(e.a * u[:, n], -np.log(u[:, n + 1]) / e.lam)
 
 
-@pytest.mark.parametrize("n", [1, 3])
+# numpy sums a row of up to 7 legs left to right and of 8 or more pairwise.
+ERLANG_ORDERS = [1, 2, 3, 7, 8, 9, 40]
+
+
+@pytest.mark.parametrize("n", ERLANG_ORDERS)
 def test_sample_many_blocks_match_one_shot(n):
     e = ErlangMaxUExp(n, 1.1, 0.6)
     rows = _BLOCK // (n + 2)  # rows drawn per block
@@ -429,8 +433,10 @@ def test_sample_many_blocks_match_one_shot(n):
         assert s.position == start + (n + 2) * count
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", ERLANG_ORDERS + [40_000])
 def test_sample_many_matches_sample_across_a_block_edge(n):
+    # At n = 40 000 a variate's n + 2 draws are more than a block: each
+    # block holds one variate, and there are 3.
     e = ErlangMaxUExp(n, 1.1, 0.6)
     count = _BLOCK // (n + 2) + 3
     s = RandomStream(34)
