@@ -78,6 +78,20 @@ def _parse_transform(arg: str):
     raise DomainError(f"unknown transform {arg!r}; use power:<c> or table:<file>")
 
 
+def _law(args):
+    """The law an ``eval`` or ``simulate`` target names: Max-U-Exp
+    (``maxuexp``, ``xi``), Exp-Max-U-Exp (``emue``, ``tau``) or Erlang of
+    ``--order`` (``erlang``).  The waiting-time layer loads only for the
+    last two."""
+    if args.target in ("maxuexp", "xi"):
+        return MaxUExp(args.a, args.lam)
+    from .waiting import ErlangMaxUExp, ExpMaxUExp
+
+    if args.target in ("emue", "tau"):
+        return ExpMaxUExp(args.a, args.lam)
+    return ErlangMaxUExp(args.order, args.a, args.lam)
+
+
 # -- subcommand bodies ------------------------------------------------------------
 
 
@@ -105,15 +119,7 @@ def _cmd_eval(args) -> int:
         xs.extend(_parse_grid(args.grid))
     if not xs:
         raise DomainError("give --x and/or --grid")
-    if args.target == "maxuexp":
-        dist = MaxUExp(args.a, args.lam)
-    else:
-        from .waiting import ErlangMaxUExp, ExpMaxUExp
-
-        if args.target == "emue":
-            dist = ExpMaxUExp(args.a, args.lam)
-        else:
-            dist = ErlangMaxUExp(args.order, args.a, args.lam)
+    dist = _law(args)
     # The cdf takes the grid as one array.  The pdf stays per point: its
     # float branch is the cheap one, and MaxUExp's array branch can differ
     # from it in the last printed digit.
@@ -148,15 +154,7 @@ def _cmd_simulate(args) -> int:
         return 0
     if args.count < 1:
         raise DomainError(f"--n must be >= 1, got {args.count}")
-    if args.target == "xi":
-        draws = MaxUExp(args.a, args.lam).sample_many(stream, args.count)
-    else:
-        from .waiting import ErlangMaxUExp, ExpMaxUExp
-
-        if args.target == "tau":
-            draws = ExpMaxUExp(args.a, args.lam).sample_many(stream, args.count)
-        else:
-            draws = ErlangMaxUExp(args.order, args.a, args.lam).sample_many(stream, args.count)
+    draws = _law(args).sample_many(stream, args.count)
     print("x")
     for v in draws:
         print(_fmt(v))

@@ -30,7 +30,7 @@ from .errors import (
     _require_positive, _require_real, _scalar,
 )
 from .numerics import checked_exp
-from .rng import RandomStream, counter_uniforms, substream_seeds
+from .rng import _BLOCK, RandomStream, _uniform_block, substream_seeds
 
 # Fewest exponentials drawn per active path in one round of ``_simulate``.
 _ROUND = 8
@@ -84,15 +84,15 @@ class PowerTransform:
 class TableTransform:
     """Piecewise-linear mu through (t_i, mu_i) anchors, starting at (0, 0).
 
-    Both coordinates must be strictly increasing, which makes each segment
-    exactly invertible.  Queries beyond the last anchor raise RangeError
-    rather than extrapolate.
+    Both coordinates must be finite and strictly increasing, which makes
+    each segment exactly invertible.  Queries beyond the last anchor raise
+    RangeError rather than extrapolate.
     """
 
     __slots__ = ("ts", "mus")
 
     def __init__(self, points: Sequence[tuple[float, float]]):
-        pts = [(_scalar("table t", t), _scalar("table mu", m)) for t, m in points]
+        pts = [(_require_real("table t", t), _require_real("table mu", m)) for t, m in points]
         if len(pts) < 2:
             raise DomainError("table needs at least two points")
         if pts[0] != (0.0, 0.0):
@@ -350,7 +350,10 @@ class MixedPoissonMaxUExp:
         """Paths on the streams with the given seeds, all from one position,
         in one numpy pass.  Each stream gives xi from its next two draws and
         then unit exponentials, in rounds of a quarter of its draws so far
-        (``_ROUND`` at least) while below its budget; the accepted sums,
+        (``_ROUND`` at least, ``_BLOCK`` at most) while below its budget.
+        Both come as ``rng``'s one block layout, a column per path, so a
+        round's running sums go down contiguous rows; the values do not
+        depend on how the draws are cut into rounds.  The accepted sums,
         sorted path-major and mapped through the clock's inverse, are the
         batch's flat ``events`` column.  A batch whose budgets sum past
         ``_EVENT_CAP`` raises NumericError before the first round, and one
@@ -358,7 +361,7 @@ class MixedPoissonMaxUExp:
         clock's inverse underflows) raises it after the last."""
         horizon = _require_positive("horizon", horizon)
         mu_h = transform.value(horizon)
-        xi = self.xi._from_uniforms(counter_uniforms(seeds[:, None], position, 2).T)
+        xi = self.xi._from_uniforms(_uniform_block(seeds, position, 2))
         with np.errstate(over="ignore"):
             budget = xi * mu_h
             expected = budget.sum()
@@ -371,16 +374,20 @@ class MixedPoissonMaxUExp:
         active = np.arange(len(seeds))
         sums, owners = [], []
         while active.size:
-            width = max(_ROUND, (position - first) // 4)
-            e = -np.log(counter_uniforms(seeds[active, None], position, width))
-            # The carried sum goes in first, so each row adds exactly as
-            # ``s += e`` would, one draw at a time.
-            cum = np.cumsum(np.concatenate([s[active, None], e], axis=1), axis=1)[:, 1:]
-            kept = cum <= budget[active, None]
+            width = min(_BLOCK, max(_ROUND, (position - first) // 4))
+            # Column i holds path active[i]'s next exponentials, its carried
+            # sum added to the first: each column adds exactly as ``s += e``
+            # would, one draw at a time.
+            cum = _uniform_block(seeds[active], position, width)
+            np.log(cum, out=cum)
+            np.negative(cum, out=cum)
+            cum[0] += s[active]
+            np.cumsum(cum, axis=0, out=cum)
+            kept = cum <= budget[active]
             sums.append(cum[kept])
-            owners.append(np.repeat(active, kept.sum(axis=1)))
-            going = kept[:, -1]
-            s[active[going]] = cum[going, -1]
+            owners.append(active[np.nonzero(kept)[1]])
+            going = kept[-1]
+            s[active[going]] = cum[-1, going]
             active = active[going]
             position += width
         sums = np.concatenate([np.zeros(0)] + sums)

@@ -11,23 +11,22 @@ Positions wrap mod 2^64, in scalar and batch draws alike.
 Because output depends only on (seed, position), batch draws vectorize to
 the exact sequence scalar draws produce, and substreams derive from the seed
 alone: ``substream(k)`` has seed ``mix64((seed + (k+1) * SUBSTREAM_GAMMA)
-mod 2^64)`` with SUBSTREAM_GAMMA = 0xD1B54A32D192ED03.  ``counter_uniforms``
-computes any range of draws of many streams without stepping a stream;
-``MixedPoissonMaxUExp.simulate_paths`` draws every path of a batch that way.
+mod 2^64)`` with SUBSTREAM_GAMMA = 0xD1B54A32D192ED03.
 
-Batch draws are computed in blocks of ``_BLOCK`` positions by one routine
-(``_fill_uniforms``), which mixes a reused uint64 buffer in place, with the
-float output as its scratch, and writes straight into the output, so a batch
-holds about the size of its output rather than several uint64 copies of it.
-The samplers draw block by block the same way (``_draw_columns``), but
-column-major: a variate that takes ``width`` draws is one column of a
-(width, k) block, whose entry [j, r] is draw r * width + j + 1 past the
-block's start.  Each leg of the variates (the uniform leg, the exponential
-leg, each Erlang summand) is then a contiguous row, so the samplers take
-logs of contiguous rows and add legs row by row, where one variate per row
-would give strided columns and sums over a short axis.  Any block of draws
-is a pure function of (seed, position), so the blocked values are
-bit-identical to one-shot draws.
+Batch draws have one layout, filled by one routine (``_fill_uniforms``): a
+(width, n) block whose column i holds draws position + 1 to position +
+width of the stream with seed ``seeds[i]``.  A stream's k consecutive
+variates of ``width`` draws each are k such columns, whose seeds are the
+stream's seed plus r * width * GAMMA for r < k, exact mod 2^64; so one
+stream's variates and many streams' rounds (``MixedPoissonMaxUExp``'s
+paths) are the same block.  Each leg of the variates (the uniform leg, the
+exponential leg, each Erlang summand, a path's next arrival) is then a
+contiguous row, so logs run on contiguous rows and legs add row by row.
+The routine mixes a uint64 buffer in place, with the float output as its
+scratch, and ``_draw_columns`` fills about ``_BLOCK`` draws at a time into
+reused buffers, so a batch holds about the size of its output rather than
+several uint64 copies of it.  Any block is a pure function of (seed,
+position), so the blocked values are bit-identical to one-shot draws.
 
 Exponentials are ``-log(u) / rate`` with numpy's ``log`` in scalar and batch
 draws alike: numpy's and the math module's logarithms can differ in the
@@ -55,7 +54,7 @@ _TO_UNIT = 2.0**-53
 # fit in a core's L2 cache.
 _BLOCK = 1 << 15
 # The uint64 operands of the array code, converted once: a path round draws
-# for only a few rows, where converting Python ints on each call would cost
+# for only a few columns, where converting Python ints on each call would cost
 # more than the arithmetic.
 _MIX_STEPS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
 _SHIFT_LAST = np.uint64(31)
@@ -82,67 +81,68 @@ def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def _fill_uniforms(
-    seeds, position: int, steps: np.ndarray, z: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Uniforms of the counters ``seeds + position * GAMMA + steps`` mod 2^64
-    into the float array ``out``: ``steps`` holds j * GAMMA for the draw
-    ``position + j`` each entry takes, and ``z`` is a uint64 buffer of
-    ``out``'s shape.  The mixer's scratch is ``out`` itself, which it
-    leaves before the uniforms are written."""
-    np.add(steps, np.add(seeds, np.uint64((position * _GAMMA) & _MASK)), out=z)
-    _mix64_array(z, out.view(np.uint64))
-    # z >> 11 is below 2^53, so its conversion to a double is exact; numpy
-    # converts it faster read as int64, which holds it too.
-    z >>= _SHIFT_UNIT
-    np.add(z.view(np.int64), 0.5, out=out, casting="unsafe")
-    out *= _TO_UNIT
-    return out
-
-
-def counter_uniforms(seeds: np.ndarray, position: int, count: int) -> np.ndarray:
-    """Uniform draws ``position + 1`` to ``position + count`` of the streams
-    with the given uint64 seeds, positions taken mod 2^64.  A scalar seed
-    gives a vector; a seed column of shape (n, 1) gives one row per stream.
-    The output is filled in blocks of ``_BLOCK`` draws along its last axis."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    out = np.empty(seeds.shape[:-1] + (count,))
-    width = min(count, _BLOCK)
-    # j * GAMMA mod 2^64 for j = 1 .. width: the draws of a block past its offset.
+def _steps(width: int) -> np.ndarray:
+    """The (width, 1) column j * GAMMA mod 2^64 for j = 1 .. width."""
     steps = np.arange(1, width + 1, dtype=np.uint64)
     steps *= _GAMMA_U64
-    z = np.empty(out.shape[:-1] + (width,), dtype=np.uint64)
-    for lo in range(0, count, _BLOCK):
-        w = min(_BLOCK, count - lo)
-        # One offset per block, then the fixed steps.
-        _fill_uniforms(seeds, position + lo, steps[:w], z[..., :w], out[..., lo : lo + w])
+    return steps[:, None]
+
+
+def _fill_uniforms(
+    seeds: np.ndarray, position: int, steps: np.ndarray, z: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Uniforms into the (width, n) float array ``out``: column i holds draws
+    ``position + 1`` to ``position + width`` of the stream with the uint64
+    seed ``seeds[i]``, positions taken mod 2^64.  ``steps`` is
+    ``_steps(width)``, ``out`` is contiguous and ``z`` is a contiguous uint64
+    buffer of its shape.  The mixer's scratch is ``out`` itself, which it
+    leaves before the uniforms are written."""
+    np.add(seeds, np.add(steps, np.uint64((position * _GAMMA) & _MASK)), out=z)
+    # numpy runs the mixer's ufuncs faster on one axis; both arrays are
+    # contiguous, so the flat arrays are views.
+    flat_z, flat_out = z.reshape(-1), out.reshape(-1)
+    _mix64_array(flat_z, flat_out.view(np.uint64))
+    # z >> 11 is below 2^53, so its conversion to a double is exact; numpy
+    # converts it faster read as int64, which holds it too.
+    flat_z >>= _SHIFT_UNIT
+    np.add(flat_z.view(np.int64), 0.5, out=flat_out, casting="unsafe")
+    flat_out *= _TO_UNIT
     return out
+
+
+def _uniform_block(seeds: np.ndarray, position: int, width: int) -> np.ndarray:
+    """A new (width, len(seeds)) block of ``_fill_uniforms``."""
+    out = np.empty((width, len(seeds)))
+    return _fill_uniforms(seeds, position, _steps(width), np.empty(out.shape, np.uint64), out)
 
 
 def _draw_columns(
-    stream: RandomStream, count: int, width: int, draw: Callable[[np.ndarray], np.ndarray]
+    stream: RandomStream, count: int, width: int, draw: Callable[[np.ndarray], np.ndarray] | None
 ) -> np.ndarray:
     """``count`` variates that each take ``width`` consecutive uniforms of
     ``stream``: ``draw`` maps a (width, k) block of uniforms, one variate's
-    draws per column, to one value per column.  Columns are drawn about
-    ``_BLOCK`` uniforms at a time, in stream order, so the output equals
-    ``draw`` of all columns at once bit for bit."""
+    draws per column, to one value per column; with no ``draw`` (width 1)
+    the uniforms are the variates, filled straight into the output.
+    Columns are drawn about ``_BLOCK`` uniforms at a time, in stream order,
+    so the output equals ``draw`` of all columns at once bit for bit."""
     count = _require_count("count", count)
     out = np.empty(count)
     cols = max(1, min(count, _BLOCK // width))
-    # (r * width + j + 1) * GAMMA mod 2^64 at [j, r]: entry [j, r] of a block
-    # is the stream's draw r * width + j + 1 past the block's start.
-    steps = np.arange(1, width * cols + 1, dtype=np.uint64).reshape(cols, width).T.copy()
-    steps *= _GAMMA_U64
+    # Column r of a block starts r * width draws past the block's start.
+    seeds = np.arange(cols, dtype=np.uint64)
+    seeds *= np.uint64((width * _GAMMA) & _MASK)
+    seeds += np.uint64(stream.seed)
+    steps = _steps(width)
     # Flat buffers, so that a short last block is contiguous too.
-    z, u = np.empty(width * cols, dtype=np.uint64), np.empty(width * cols)
-    seed = np.uint64(stream.seed)
+    z, u = np.empty(width * cols, dtype=np.uint64), np.empty(width * cols if draw else 0)
     for lo in range(0, count, cols):
         k = min(cols, count - lo)
-        zb, ub = z[: width * k].reshape(width, k), u[: width * k].reshape(width, k)
-        block = _fill_uniforms(seed, stream.position, steps[:, :k], zb, ub)
+        zb = z[: width * k].reshape(width, k)
+        ub = u[: width * k].reshape(width, k) if draw else out[None, lo : lo + k]
+        block = _fill_uniforms(seeds[:k], stream.position, steps, zb, ub)
         stream.position += width * k
-        out[lo : lo + k] = draw(block)
+        if draw:
+            out[lo : lo + k] = draw(block)
     return out
 
 
@@ -173,10 +173,7 @@ class RandomStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """Vectorized batch of uniforms, bit-identical to ``count`` scalar draws."""
-        count = _require_count("count", count)
-        u = counter_uniforms(np.uint64(self.seed), self.position, count)
-        self.position += count
-        return u
+        return _draw_columns(self, count, 1, None)
 
     def exponential(self, rate: float = 1.0) -> float:
         """Exponential draw by inverse transform; consumes one position.

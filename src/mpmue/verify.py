@@ -65,11 +65,12 @@ KS_COEFF_1PCT = 1.6276
 def ks_statistic(values, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Two-sided Kolmogorov distance between a sample and a cdf.
 
-    ``cdf`` maps an array to an array of the same shape.  It is called on
-    the sorted sample in consecutive blocks of ``rng._BLOCK`` values, with a
-    running maximum, so no temporary is larger than a block; the statistic
-    equals that of one call on the whole sorted sample bit for bit.  A
-    sample of any shape is read flat.
+    ``cdf`` maps an array to an array of the same shape, of values in
+    [0, 1]; any other shape, a value outside [0, 1] or nan raises
+    DomainError.  It is called on the sorted sample in consecutive blocks of
+    ``rng._BLOCK`` values, with a running maximum, so no temporary is larger
+    than a block; the statistic equals that of one call on the whole sorted
+    sample bit for bit.  A sample of any shape is read flat.
     """
     x = np.sort(_sample("values", values).ravel())
     n = x.size
@@ -84,8 +85,11 @@ def ks_statistic(values, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
         f = np.asarray(cdf(block), dtype=float)
         if f.shape != block.shape:
             raise DomainError(f"cdf returned shape {f.shape} for a block of shape {block.shape}")
+        # nan fails both comparisons.
+        if not (np.min(f) >= 0.0 and np.max(f) <= 1.0):
+            raise DomainError("cdf returned a value outside [0, 1] or nan")
         steps = np.arange(lo + 1, lo + block.size + 1, dtype=float) / n
-        stat = np.max((stat, np.max(steps - f), np.max(f - (steps - 1.0 / n))))
+        stat = max(stat, np.max(steps - f), np.max(f - (steps - 1.0 / n)))
     return float(stat)
 
 

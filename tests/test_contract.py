@@ -232,7 +232,7 @@ CLASSES = {
     ExpMaxUExp: (EXP, [ExpMaxUExp(a, lam) for a, lam in PARAMS]),
     MixedPoissonMaxUExp: (PROCESS, [MixedPoissonMaxUExp(MaxUExp(a, lam)) for a, lam in PARAMS]),
     PowerTransform: (TRANSFORM, [PowerTransform(c) for c in GRID]),
-    TableTransform: (TRANSFORM, [TableTransform([(0.0, 0.0), (1.0, v), (2.0, 2.0 * v)]) for v in GRID]),
+    TableTransform: (TRANSFORM, [TableTransform([(0.0, 0.0), (1.0, v / 2), (2.0, v)]) for v in GRID]),
     RandomStream: (STREAM, [RandomStream(11)]),
     ProcessPath: (PATH, [ProcessPath(1.0, [0.5], 1.0)]),
     PathBatch: (

@@ -19,6 +19,7 @@ from mpmue import (
     to_cumulative,
     to_increments,
 )
+from mpmue.rng import _BLOCK
 
 
 @pytest.fixture
@@ -268,6 +269,11 @@ def test_table_transform():
         TableTransform([(0.0, 1.0), (1.0, 2.0)])
     with pytest.raises(DomainError):
         TableTransform([(0.0, 0.0), (1.0, 2.0), (2.0, 1.5)])
+    # An infinite last anchor was accepted: value and inverse then gave nan
+    # past the last finite one, and a path batch on it expected nan events.
+    for anchor in [(math.inf, math.inf), (2.0, math.inf), (math.inf, 3.0), (2.0, math.nan)]:
+        with pytest.raises(DomainError, match="table"):
+            TableTransform([(0.0, 0.0), (1.0, 2.0), anchor])
 
 
 def test_process_path_container():
@@ -391,14 +397,24 @@ def test_batch_matches_event_loop(pp, clock, horizon):
 
 
 def test_long_path_matches_event_loop(pp):
-    # About 2e4 events: the rounds grow to a quarter of the draws so far,
-    # and the path is still the event-at-a-time one, bit for bit.
-    clock, horizon = PowerTransform(1.0), 3.5e4
-    stream, loop = RandomStream(1), RandomStream(1)
-    path = pp.simulate_path(clock, horizon, stream)
-    assert 1.5e4 < len(path.events) < 3e4
-    assert _event_loop(pp, clock, horizon, loop) == (path.xi, path.events)
-    assert stream.position == loop.position == 3 + len(path.events)
+    # Rounds grow to a quarter of the draws so far, capped at _BLOCK draws,
+    # and the path is still the event-at-a-time one, bit for bit:
+    # - about 2e4 events, in growing rounds;
+    # - past 5 * _BLOCK events, so at least one round is capped (the draws
+    #   so far grow by a quarter a round, so some round starts between 4 and
+    #   5 * _BLOCK draws);
+    # - a stream at position 2^64 - 4, whose first round wraps mod 2^64.
+    clock = PowerTransform(1.0)
+    for horizon, position, fewest, most in (
+        (3.5e4, 0, 1.5e4, 3e4),
+        (3.5e5, 0, 5 * _BLOCK, 3e5),
+        (50.0, 2**64 - 4, 50, 200),
+    ):
+        stream, loop = RandomStream(1, position), RandomStream(1, position)
+        path = pp.simulate_path(clock, horizon, stream)
+        assert fewest < len(path.events) < most
+        assert _event_loop(pp, clock, horizon, loop) == (path.xi, path.events)
+        assert stream.position == loop.position == position + 3 + len(path.events)
 
 
 def test_simulate_path_consumes_its_draws(pp):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpmue import DomainError, ErlangMaxUExp, ExpMaxUExp, MaxUExp
-from mpmue.rng import _BLOCK, RandomStream, counter_uniforms, substream_seeds
+from mpmue.rng import _BLOCK, RandomStream, _uniform_block, substream_seeds
 
 
 def test_deterministic_and_seed_sensitive():
@@ -113,7 +113,7 @@ BLOCK_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
 def test_blocked_draws_match_one_shot(count):
     seed = np.uint64(0xC0FFEE)
     want = _one_shot_uniforms(seed, 12345, count)
-    assert np.array_equal(counter_uniforms(seed, 12345, count), want)
+    assert np.array_equal(_uniform_block(np.array([seed]), 12345, count)[:, 0], want)
     s = RandomStream(0xC0FFEE, position=12345)
     assert np.array_equal(s.uniforms(count), want)
     assert s.position == 12345 + count
@@ -126,16 +126,20 @@ def test_blocked_draws_wrap_inside_a_block(position):
     # The 2^64 wrap falls inside the first or the second block.
     count = 2 * _BLOCK + 3
     want = _one_shot_uniforms(np.uint64(77), position, count)
-    assert np.array_equal(counter_uniforms(np.uint64(77), position, count), want)
+    got = _uniform_block(np.array([77], dtype=np.uint64), position, count)
+    assert np.array_equal(got[:, 0], want)
     assert np.array_equal(RandomStream(77, position=position).uniforms(count), want)
 
 
 @pytest.mark.parametrize("rows,count", [(1000, 8), (3, _BLOCK + 5)])
 def test_blocked_draws_of_a_seed_column(rows, count):
-    seeds = substream_seeds(2024, rows)[:, None]
-    got = counter_uniforms(seeds, 2**64 - 4, count)
-    assert got.shape == (rows, count)
-    assert np.array_equal(got, _one_shot_uniforms(seeds, 2**64 - 4, count))
+    # One column per seed, each the one-shot draws of its stream; the 2^64
+    # wrap falls inside every column.
+    seeds = substream_seeds(2024, rows)
+    got = _uniform_block(seeds, 2**64 - 4, count)
+    assert got.shape == (count, rows)
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(got[:, i], _one_shot_uniforms(seed, 2**64 - 4, count))
 
 
 def _peak_ratio(draw):

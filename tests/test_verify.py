@@ -323,6 +323,21 @@ def test_ks_statistic_rejects_a_cdf_that_does_not_map_arrays():
         ks_statistic(np.linspace(0.1, 0.9, 5), lambda x: 0.5)
 
 
+@pytest.mark.parametrize("value", [2.0, -0.5, 1.0 + 2.0**-52, math.nan])
+def test_ks_statistic_rejects_a_cdf_value_outside_the_unit_interval(value):
+    # The last of 40 000 sorted values is the bad one, in the second block.
+    x = np.linspace(0.01, 0.99, 40_000)
+
+    def cdf(block):
+        f = block.copy()
+        f[block == x[-1]] = value
+        return f
+
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        ks_statistic(x, cdf)
+    assert ks_statistic(x, lambda block: np.clip(2.0 * block - 0.5, 0.0, 1.0)) <= 1.0
+
+
 # Each parameter point runs these checks in this order: (name, ops, tol);
 # None marks a 1% KS gate, whose tol is ks_critical(n).
 _POINT_CONTRACT = [
