@@ -177,14 +177,17 @@ def _cmd_momcurve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_checks, run_ledger, write_ledger
+    from .verify import _oracle_scope, run_checks, run_ledger, write_ledger
 
-    checks = run_checks(seed=args.seed, mc_draws=args.draws, paths=args.paths)
-    for check in checks:
-        print(check.line())
-    # The discrepancy verdicts need enough draws for the literal formulas to
-    # sit clear of the Monte Carlo noise band, whatever --draws asks for.
-    records = run_ledger(mc_draws=max(args.draws, 50_000), seed=args.seed + 999)
+    # One oracle table for the command: the ledger reads the integrals the
+    # battery computed, and the table goes with the command.
+    with _oracle_scope():
+        checks = run_checks(seed=args.seed, mc_draws=args.draws, paths=args.paths)
+        for check in checks:
+            print(check.line())
+        # The discrepancy verdicts need enough draws for the literal formulas
+        # to sit clear of the Monte Carlo noise band, whatever --draws asks for.
+        records = run_ledger(mc_draws=max(args.draws, 50_000), seed=args.seed + 999)
     write_ledger(args.ledger, records)
     for rec in records:
         print(f"LEDGER {rec.formula_id}: {rec.verdict}")

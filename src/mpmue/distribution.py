@@ -75,13 +75,17 @@ def _alternating_sum(terms) -> float:
 
 
 class MaxUExp:
-    """max(U(0, a), Exp(lam)); frozen parameter pair (a, lam)."""
+    """max(U(0, a), Exp(lam)); frozen parameter pair (a, lam).
 
-    __slots__ = ("a", "lam")
+    ``_last`` holds the last tilted moment computed, as one (m, n, value)
+    tuple (``_log_tilted``)."""
+
+    __slots__ = ("a", "lam", "_last")
 
     def __init__(self, a: float, lam: float):
         self.a = _require_positive("a", a)
         self.lam = _require_positive("lam", lam)
+        self._last = (None, None, None)
 
     def __repr__(self) -> str:
         return f"MaxUExp(a={self.a}, lam={self.lam})"
@@ -403,11 +407,25 @@ class MaxUExp:
         return self._log_tilted(_require_positive("m", m), _require_count("n", n))
 
     def _log_tilted(self, m: float, n: int) -> float:
-        """``log_tilted_moment`` for checked arguments."""
+        """``log_tilted_moment`` for checked arguments.
+
+        The law remembers its last result: a call at the (m, n) of the one
+        before returns the same double without running the count kernel.
+        So a posterior density over x at one (m, n) computes its normalizer
+        once, and a sweep of posterior means over n, which asks for n before
+        n + 1, runs the kernel once per n.  Each new result replaces the
+        whole (m, n, value) tuple in one attribute store, so a reader on
+        another thread sees either the old entry or the new one, never a
+        mix; a NumericError stores nothing."""
+        last_m, last_n, value = self._last
+        if last_m == m and last_n == n:
+            return value
         log_p = self._count_pmf(m, n)[1]
         if not log_p > -math.inf:
             raise NumericError(f"tilted moment lost to cancellation at m={m!r}, n={n}")
-        return log_p + math.lgamma(n + 1.0) - n * math.log(m)
+        value = log_p + math.lgamma(n + 1.0) - n * math.log(m)
+        self._last = (m, n, value)
+        return value
 
     def tilted_moment(self, m: float, n: int) -> float:
         """E(X^n e^(-mX)), the common core of the inter-arrival, Erlang and

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from collections import abc
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -85,7 +86,10 @@ class TableTransform:
     """Piecewise-linear mu through (t_i, mu_i) anchors, starting at (0, 0).
 
     Both coordinates must be finite and strictly increasing, which makes
-    each segment exactly invertible.  Queries beyond the last anchor raise
+    each segment exactly invertible.  Each segment's slope and its
+    reciprocal must be finite normal doubles, since ``np.interp`` steps
+    along the slope: a steeper or flatter segment would give inf or 0
+    inside the table's range.  Queries beyond the last anchor raise
     RangeError rather than extrapolate.
     """
 
@@ -97,8 +101,16 @@ class TableTransform:
             raise DomainError("table needs at least two points")
         if pts[0] != (0.0, 0.0):
             raise DomainError("table must start at (0, 0)")
-        if not all(t1 > t0 and m1 > m0 for (t0, m0), (t1, m1) in zip(pts, pts[1:])):
-            raise DomainError("table coordinates must be strictly increasing")
+        tiny = sys.float_info.min
+        for (t0, m0), (t1, m1) in zip(pts, pts[1:]):
+            if not (t1 > t0 and m1 > m0):
+                raise DomainError("table coordinates must be strictly increasing")
+            dt, dm = t1 - t0, m1 - m0
+            if not (tiny <= dm / dt < math.inf and tiny <= dt / dm < math.inf):
+                raise DomainError(
+                    f"table segment ({t0!r}, {m0!r}) to ({t1!r}, {m1!r}) has a slope or inverse "
+                    "slope outside the normal double range"
+                )
         self.ts, self.mus = (list(column) for column in zip(*pts))
 
     @staticmethod
@@ -271,7 +283,10 @@ class MixedPoissonMaxUExp:
         return self.xi.lst(m * (1.0 - z))
 
     def posterior_pdf(self, m: float, n: int, x: float) -> float:
-        """Density of xi given N = n at clock value m (Bayes weighting of the prior)."""
+        """Density of xi given N = n at clock value m (Bayes weighting of the
+        prior).  Its normalizer is the tilted moment at (m, n), which the law
+        remembers (``MaxUExp._log_tilted``): over many x at one (m, n), as a
+        grid or a quadrature asks, it is computed once."""
         m, n, x = _require_positive("m", m), _require_count("n", n), _not_nan("x", x)
         if x <= 0.0 or x == math.inf:
             return 0.0
@@ -279,9 +294,13 @@ class MixedPoissonMaxUExp:
         return checked_exp(n * math.log(x) - m * x + xi._log_pdf(x) - xi._log_tilted(m, n))
 
     def posterior_mean(self, m: float, n: int) -> float:
-        """E(xi | N = n), a ratio of consecutive tilted moments."""
+        """E(xi | N = n), a ratio of consecutive tilted moments.  The moment
+        at n is asked for first, so that in a sweep over n the moment at
+        n + 1 is the next call's first, which the law remembers
+        (``MaxUExp._log_tilted``): the sweep runs the kernel once per n."""
         m, n = _require_positive("m", m), _require_count("n", n)
-        return checked_exp(self.xi._log_tilted(m, n + 1) - self.xi._log_tilted(m, n))
+        lo = self.xi._log_tilted(m, n)
+        return checked_exp(self.xi._log_tilted(m, n + 1) - lo)
 
     def factorial_moment(self, m: float, k: int) -> float:
         """E(N(N-1)...(N-k+1)) = m^k E(xi^k)."""

@@ -26,13 +26,26 @@ integrals); 0 for exact remaps and yes/no properties; 5% for the t^2 tail
 index; four standard errors for Monte Carlo means and quantile z-scores,
 three binomial sigma for single-probability gates, and 1% significance for
 KS comparisons.
+
+A run computes each distinct oracle integral once: the tilted moments, the
+variance, the reciprocal moments, a waiting law's density mass and the
+arrival-time regression are kept in one table keyed by what they integrate
+(``_oracle``), and a family of integrals over one costly factor (``lst``, a
+waiting-time density) keeps the factor's value at each node.  The table
+lives for one ``mpmue verify`` command, whose battery fills it and whose
+ledger reads it, or else for one ``run_checks`` or ``run_ledger`` call;
+nothing of it reaches the next.  A reused value is the double the integral
+gives afresh, so the checks and the ledger are the same either way.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import math
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -159,8 +172,23 @@ def check_density(
     ops: tuple[str, ...] = (),
 ) -> CheckResult:
     """Total mass of a density within tol of 1."""
+    return _check_mass(name, _density_mass(pdf, support, tol, breakpoints), tol, ops)
+
+
+def _density_mass(
+    pdf: Callable[[float], float],
+    support: tuple[float, float],
+    tol: float,
+    breakpoints: Sequence[float] = (),
+) -> float:
+    """The quadrature mass ``check_density`` compares with 1 at tol, taken to
+    a hundredth of tol, within [1e-12, 1e-9]."""
     inner = max(min(tol * 1e-2, 1e-9), 1e-12)
-    mass = integrate(pdf, support[0], support[1], tol=inner, breakpoints=breakpoints).value
+    return integrate(pdf, support[0], support[1], tol=inner, breakpoints=breakpoints).value
+
+
+def _check_mass(name: str, mass: float, tol: float, ops: tuple[str, ...]) -> CheckResult:
+    """A density's quadrature mass within tol of 1."""
     return CheckResult(
         name=name,
         passed=abs(mass - 1.0) <= tol,
@@ -327,6 +355,41 @@ REQUIRED_OPS = frozenset(
 _PARAM_POINTS = ((1.0, 1.0), (2.0, 0.5))
 
 
+# -- the run's oracle table ------------------------------------------------------
+
+# The oracle integrals of the current run (see the module docstring); None
+# outside a run.  A context variable, so that runs on two threads keep two
+# tables.
+_ORACLES: ContextVar[dict | None] = ContextVar("mpmue_verify_oracles", default=None)
+
+
+@contextlib.contextmanager
+def _oracle_scope():
+    """Open a run's oracle table, or join the one a caller opened; the
+    outermost scope drops the table at its end.  Also a decorator."""
+    if _ORACLES.get() is not None:
+        yield
+        return
+    token = _ORACLES.set({})
+    try:
+        yield
+    finally:
+        _ORACLES.reset(token)
+
+
+def _oracle(key: tuple, integral: Callable[[], float]) -> float:
+    """``integral()``, computed once per key in the run's table, and afresh
+    outside a run.  The key names the integrand and every number it and the
+    quadrature read, as the integrand reads them, so that two keys are equal
+    only for the same integral of the same function."""
+    table = _ORACLES.get()
+    if table is None:
+        return integral()
+    if key not in table:
+        table[key] = integral()
+    return table[key]
+
+
 def _quad(f: Callable[[float], float], a: float, tol: float) -> float:
     """Integral of f over (0, inf), split at the jump a of the mixing density."""
     return integrate(f, 0.0, math.inf, tol=tol, breakpoints=[a]).value
@@ -338,15 +401,38 @@ def _expect(d: MaxUExp, g: Callable[[float], float], tol: float) -> float:
 
 
 def _tilted_quad(d: MaxUExp, m: float, n: float) -> float:
-    """Oracle for E(X^n e^(-mX)) that never touches the closed kernel."""
-    return _expect(d, lambda x: x**n * math.exp(-m * x), 1e-12)
+    """Oracle for E(X^n e^(-mX)) that never touches the closed kernel; once
+    per (a, lam, m, n) in a run."""
+    return _oracle(
+        ("tilted", d.a, d.lam, m, n),
+        lambda: _expect(d, lambda x: x**n * math.exp(-m * x), 1e-12),
+    )
 
 
 def _variance_quad(d: MaxUExp) -> float:
-    """Oracle for Var(X) from the first two raw moments by quadrature."""
-    m1 = _expect(d, lambda x: x, 1e-13)
-    m2 = _expect(d, lambda x: x * x, 1e-13)
-    return m2 - m1 * m1
+    """Oracle for Var(X) from the first two raw moments by quadrature; once
+    per (a, lam) in a run."""
+
+    def variance() -> float:
+        m1 = _expect(d, lambda x: x, 1e-13)
+        m2 = _expect(d, lambda x: x * x, 1e-13)
+        return m2 - m1 * m1
+
+    return _oracle(("variance", d.a, d.lam), variance)
+
+
+def _neg_moment_quad(d: MaxUExp, q: float) -> float:
+    """Oracle for E(X^-q); once per (a, lam, q) in a run."""
+    return _oracle(("neg-moment", d.a, d.lam, q), lambda: _expect(d, lambda x: x**-q, 1e-11))
+
+
+def _arrival_mean_quad(x: float) -> float:
+    """Oracle for E(T | xi = x), the integral of t x e^(-tx) over t; once per
+    x in a run, since it does not depend on the law."""
+    return _oracle(
+        ("arrival-mean", x),
+        lambda: integrate(lambda t: t * x * math.exp(-t * x), 0.0, math.inf, tol=1e-12).value,
+    )
 
 
 def _distribution_checks(a: float, lam: float, seed: int, mc_draws: int):
@@ -411,7 +497,7 @@ def _distribution_checks(a: float, lam: float, seed: int, mc_draws: int):
     checks.append(
         check_value(
             f"maxuexp-neg-moment-vs-quadrature[{tag}]",
-            [(d.neg_moment(q), _expect(d, lambda x, q=q: x**-q, 1e-11)) for q in (0.25, 0.5, 0.75)],
+            [(d.neg_moment(q), _neg_moment_quad(d, q)) for q in (0.25, 0.5, 0.75)],
             QUAD_TOL,
             ops=("maxuexp.neg_moment",),
             relative=True,
@@ -419,7 +505,9 @@ def _distribution_checks(a: float, lam: float, seed: int, mc_draws: int):
     )
     # Mellin route: E(X^-q) = (1/Gamma(q)) * integral of t^(q-1) lst(t), an
     # integral in t, not x.  Its q >= 1 points reach the orders 1 - q <= 0
-    # that the moment kernel takes from a continued fraction.
+    # that the moment kernel takes from a continued fraction.  The three
+    # integrals share lst's value at each node.
+    lst = functools.cache(d.lst)
     checks.append(
         check_value(
             f"maxuexp-neg-moment-mellin[{tag}]",
@@ -427,7 +515,7 @@ def _distribution_checks(a: float, lam: float, seed: int, mc_draws: int):
                 (
                     d.neg_moment(q),
                     integrate(
-                        lambda t, q=q: t ** (q - 1.0) * d.lst(t), 0.0, math.inf, tol=1e-11
+                        lambda t, q=q: t ** (q - 1.0) * lst(t), 0.0, math.inf, tol=1e-11
                     ).value
                     / math.exp(math.lgamma(q)),
                 )
@@ -495,11 +583,14 @@ def _waiting_checks(a: float, lam: float, seed: int, mc_draws: int):
     tag = f"a={a:g},lam={lam:g}"
     checks: list[CheckResult] = []
 
-    checks.append(
-        check_density(
-            f"emue-pdf-mass[{tag}]", w.pdf, (0.0, math.inf), 1e-6, ops=("waiting.emue_pdf",)
+    def pdf_mass(e: ErlangMaxUExp) -> float:
+        # ExpMaxUExp's pdf is the order-1 Erlang pdf, so emue-pdf-mass and
+        # erlang-pdf-mass-n1 share one integral.
+        return _oracle(
+            ("erlang-mass", a, lam, e.n), lambda: _density_mass(e.pdf, (0.0, math.inf), 1e-6)
         )
-    )
+
+    checks.append(_check_mass(f"emue-pdf-mass[{tag}]", pdf_mass(w), 1e-6, ("waiting.emue_pdf",)))
     checks.append(
         check_value(
             f"emue-cdf-vs-quadrature[{tag}]",
@@ -521,13 +612,15 @@ def _waiting_checks(a: float, lam: float, seed: int, mc_draws: int):
             detail="t^2 tail mass vs 2*lam/a at t=1e3",
         )
     )
+    # The three moment integrals share the density's value at each node.
+    w_pdf = functools.cache(w.pdf)
     checks.append(
         check_value(
             f"emue-moment-vs-quadrature[{tag}]",
             [
                 (
                     w.moment(q),
-                    integrate(lambda t, q=q: t**q * w.pdf(t), 0.0, math.inf, tol=1e-11).value,
+                    integrate(lambda t, q=q: t**q * w_pdf(t), 0.0, math.inf, tol=1e-11).value,
                 )
                 for q in (0.5, 1.0, 1.5)
             ],
@@ -585,10 +678,7 @@ def _waiting_checks(a: float, lam: float, seed: int, mc_draws: int):
         check_value(
             f"emue-regress-arrival[{tag}]",
             [
-                (
-                    w.mean_arrival_given_mixing(x),
-                    integrate(lambda t, x=x: t * x * math.exp(-t * x), 0.0, math.inf, tol=1e-12).value,
-                )
+                (w.mean_arrival_given_mixing(x), _arrival_mean_quad(x))
                 for x in (0.5, 2.0)
             ],
             1e-9,
@@ -620,12 +710,11 @@ def _waiting_checks(a: float, lam: float, seed: int, mc_draws: int):
     )
     for n in (1, 2, 3):
         checks.append(
-            check_density(
+            _check_mass(
                 f"erlang-pdf-mass-n{n}[{tag}]",
-                ErlangMaxUExp(n, a, lam).pdf,
-                (0.0, math.inf),
+                pdf_mass(ErlangMaxUExp(n, a, lam)),
                 1e-6,
-                ops=("waiting.erlang_pdf",),
+                ("waiting.erlang_pdf",),
             )
         )
     e1 = ErlangMaxUExp(1, a, lam)
@@ -666,13 +755,14 @@ def _waiting_checks(a: float, lam: float, seed: int, mc_draws: int):
             detail="finite piece plus complementary tail",
         )
     )
+    e2_pdf = functools.cache(e2.pdf)
     checks.append(
         check_value(
             f"erlang-moment-vs-quadrature[{tag}]",
             [
                 (
                     e2.moment(q),
-                    integrate(lambda t, q=q: t**q * e2.pdf(t), 0.0, math.inf, tol=1e-10).value,
+                    integrate(lambda t, q=q: t**q * e2_pdf(t), 0.0, math.inf, tol=1e-10).value,
                 )
                 for q in (0.5, 1.0)
             ],
@@ -719,9 +809,10 @@ def _process_checks(a: float, lam: float, seed: int, paths: int):
     )
 
     def pmf_oracle(m: float, n: int) -> float:
+        log_n_factorial = math.lgamma(n + 1)
         return _expect(
             d,
-            lambda x: math.exp(n * math.log(m * x) - m * x - math.lgamma(n + 1)) if x > 0 else 0.0,
+            lambda x: math.exp(n * math.log(m * x) - m * x - log_n_factorial) if x > 0 else 0.0,
             1e-13,
         )
 
@@ -830,7 +921,7 @@ def _process_checks(a: float, lam: float, seed: int, paths: int):
         )
     )
     mono = all(
-        pp.posterior_mean(1.0, n + 1) > pp.posterior_mean(1.0, n) for n in range(10)
+        pp.posterior_mean(1.0, n) < pp.posterior_mean(1.0, n + 1) for n in range(10)
     )
     checks.append(
         check_flag(
@@ -961,11 +1052,13 @@ def _process_checks(a: float, lam: float, seed: int, paths: int):
     return checks
 
 
+@_oracle_scope()
 def run_checks(
     seed: int = 20260814, mc_draws: int = 200_000, paths: int = 10_000
 ) -> list[CheckResult]:
     """The full oracle battery plus the coverage audit.  Both budgets are
-    at least 2: a standard error needs two draws."""
+    at least 2: a standard error needs two draws.  The call is one run of
+    the oracle table, unless it joins a ``mpmue verify`` command's."""
     mc_draws = _require_count("mc_draws", mc_draws, lo=2)
     paths = _require_count("paths", paths, lo=2)
     checks: list[CheckResult] = []
@@ -1121,9 +1214,13 @@ def _literal_conditional_density(d: MaxUExp, t: float, x: float) -> float:
     return a * lam * x * t * t * s**3 * math.exp(-s * x) / den
 
 
-def _literal_posterior_pdf(pp: MixedPoissonMaxUExp, m: float, n: int, x: float) -> float:
-    # Carries one extra factor of m, and the tail exponent reads m - lam
-    # instead of m + lam.
+def _literal_posterior_pdf(
+    pp: MixedPoissonMaxUExp, m: float, n: int
+) -> Callable[[float], float]:
+    """The printed posterior density of xi given N = n at clock value m, as
+    a function of x.  It carries one extra factor of m, and its tail
+    exponent reads m - lam instead of m + lam.  Its normalizer, four
+    incomplete gammas, is built once here, not at every x."""
     d = pp.xi
     a, lam = d.a, d.lam
     s = lam + m
@@ -1132,18 +1229,25 @@ def _literal_posterior_pdf(pp: MixedPoissonMaxUExp, m: float, n: int, x: float) 
         + m**n * gamma_lower(n + 1.0, a * s) * (n * lam - m) / s ** (n + 2.0)
         + (n * a * lam * m**n * gamma_upper(float(n), a * s) / s ** (n + 1.0) if n > 0 else 0.0)
     )
-    if x <= 0.0:
-        return 0.0
-    if x <= a:
-        z = lam * x
-        num = m ** (n + 1.0) * x**n * math.exp(-m * x) * (-math.expm1(-z) + z * math.exp(-z))
-        return num / den
-    return a * m ** (n + 1.0) * x**n * lam * math.exp(-x * (m - lam)) / den
+
+    def pdf(x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        if x <= a:
+            z = lam * x
+            num = m ** (n + 1.0) * x**n * math.exp(-m * x) * (-math.expm1(-z) + z * math.exp(-z))
+            return num / den
+        return a * m ** (n + 1.0) * x**n * lam * math.exp(-x * (m - lam)) / den
+
+    return pdf
 
 
+@_oracle_scope()
 def run_ledger(mc_draws: int = 200_000, seed: int = 7_654_321) -> list[DiscrepancyRecord]:
     """Evaluate every recorded formula discrepancy at two parameter points,
-    with at least 2 Monte Carlo draws: a standard error needs two."""
+    with at least 2 Monte Carlo draws: a standard error needs two.  The call
+    is one run of the oracle table, unless it joins a ``mpmue verify``
+    command's."""
     mc_draws = _require_count("mc_draws", mc_draws, lo=2)
     tol = QUAD_TOL
     records: list[DiscrepancyRecord] = []
@@ -1228,7 +1332,7 @@ def run_ledger(mc_draws: int = 200_000, seed: int = 7_654_321) -> list[Discrepan
     for a, lam in ((1.0, 1.0), (2.0, 0.5)):
         d = MaxUExp(a, lam)
         q = 0.5
-        oracle = _expect(d, lambda x: x**-q, 1e-11)
+        oracle = _neg_moment_quad(d, q)
         points.append(
             (
                 f"a={a:g}, lambda={lam:g}, q={q:g}",
@@ -1264,7 +1368,7 @@ def run_ledger(mc_draws: int = 200_000, seed: int = 7_654_321) -> list[Discrepan
     points = []
     for a, lam, m, n in ((1.0, 1.0, 2.0, 1), (2.0, 0.5, 1.5, 2)):
         pp = MixedPoissonMaxUExp(MaxUExp(a, lam))
-        literal_mass = _quad(lambda x: _literal_posterior_pdf(pp, m, n, x), a, 1e-10)
+        literal_mass = _quad(_literal_posterior_pdf(pp, m, n), a, 1e-10)
         corrected_mass = _quad(lambda x: pp.posterior_pdf(m, n, x), a, 1e-10)
         points.append(
             (f"a={a:g}, lambda={lam:g}, m={m:g}, n={n}", literal_mass, corrected_mass, 1.0, 1e-6)

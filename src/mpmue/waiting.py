@@ -184,7 +184,8 @@ class ExpMaxUExp(ErlangMaxUExp):
 
     def conditional_mixing_pdf(self, t: float, x: float) -> float:
         """Density of xi given T = t.  Given T = t, xi has the law it has
-        given N(t) = 1, so this is that count's posterior density."""
+        given N(t) = 1, so this is that count's posterior density, whose
+        normalizer is computed once over many x at one t."""
         return MixedPoissonMaxUExp(self.xi).posterior_pdf(t, 1, x)
 
     def mean_mixing_given_arrival(self, t: float) -> float:

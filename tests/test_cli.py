@@ -291,6 +291,47 @@ def test_verify_writes_ledger(tmp_path):
     assert by_id["interarrival-mean-finite"]["paper_literal"] == math.inf
 
 
+def test_verify_oracle_table_lives_for_one_command(tmp_path, monkeypatch):
+    # The battery and the ledger of one command share a table of oracle
+    # integrals.  A second command starts from an empty table: it makes the
+    # same quadrature and count-kernel calls and prints the same lines.
+    import mpmue.verify as verify
+
+    counts = {"integrate": 0, "kernel": 0}
+    joint_at = []
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+
+        return call
+
+    def joint_pdf(self, t, x, _joint_pdf=ExpMaxUExp.joint_pdf):
+        joint_at.append(t)
+        return _joint_pdf(self, t, x)
+
+    monkeypatch.setattr(verify, "integrate", counted("integrate", verify.integrate))
+    monkeypatch.setattr(MaxUExp, "_count_pmf", counted("kernel", MaxUExp._count_pmf))
+    monkeypatch.setattr(ExpMaxUExp, "joint_pdf", joint_pdf)
+    runs = []
+    for _ in range(2):
+        counts.update(integrate=0, kernel=0)
+        joint_at.clear()
+        res = run_cli("verify", "--draws", "2000", "--paths", "500",
+                      "--ledger", str(tmp_path / "l.json"))
+        assert res.returncode == 0
+        assert verify._ORACLES.get() is None
+        runs.append((res.stdout, dict(counts)))
+        # emue-joint-marginals integrates joint_pdf itself over x at t = 0.5
+        # and 2, not a tilted-moment integral that equals it: at each
+        # parameter point a QAGS piece of 21 nodes or more, then a QAGI
+        # piece of 15 or more.
+        for t in (0.5, 2.0):
+            assert joint_at.count(t) >= 2 * (21 + 15)
+    assert runs[0] == runs[1]
+
+
 # A fresh interpreter, so that nothing else has loaded scipy or numpy.random:
 # verify's quadrature is ported QUADPACK, its fits need no scipy.optimize and
 # its random cases come from the package's own RandomStream.

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from mpmue import (
     DomainError,
     ErlangMaxUExp,
+    ExpMaxUExp,
     MaxUExp,
     MixedPoissonMaxUExp,
     NumericError,
@@ -274,6 +277,26 @@ def test_table_transform():
     for anchor in [(math.inf, math.inf), (2.0, math.inf), (math.inf, 3.0), (2.0, math.nan)]:
         with pytest.raises(DomainError, match="table"):
             TableTransform([(0.0, 0.0), (1.0, 2.0), anchor])
+
+
+def test_table_transform_rejects_slopes_past_the_double_range():
+    # np.interp steps along each segment's slope: a slope of 1e600 gave
+    # value(5e-301) = inf and inverse(5e299) = 0.0, and one of 1e-600 gave
+    # inverse(5e-301) = inf, inside the table's range.
+    for points in (
+        [(0.0, 0.0), (1e-300, 1e300)],
+        [(0.0, 0.0), (1e300, 1e-300)],
+        [(0.0, 0.0), (1.0, 2.0), (1.0 + 2.0**-52, 1e300)],
+        [(0.0, 0.0), (1.0, 1e-300), (2.0, 1e-300 + 1e-310)],
+    ):
+        with pytest.raises(DomainError, match="segment"):
+            TableTransform(points)
+    # The steepest and flattest slopes the contract tables use still pass.
+    steep = TableTransform([(0.0, 0.0), (1.0, 5e299), (2.0, 1e300)])
+    flat = TableTransform([(0.0, 0.0), (1.0, 5e-301), (2.0, 1e-300)])
+    for tr, mu in ((steep, 2.5e299), (flat, 2.5e-301)):
+        assert tr.value(0.5) == pytest.approx(mu, rel=1e-15)
+        assert tr.inverse(mu) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_process_path_container():
@@ -660,3 +683,108 @@ def test_count_laws_return_finite_or_raise_typed_errors(a):
                     erlang = ErlangMaxUExp(n, a, lam)
                     finite += _finite_or_typed(erlang.cdf, m, probability=True)
     assert finite > 0
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (m, n) of every count-kernel call, counted on the class."""
+    calls = []
+    kernel = MaxUExp._count_pmf
+
+    def counted(self, m, n):
+        calls.append((m, n))
+        return kernel(self, m, n)
+
+    monkeypatch.setattr(MaxUExp, "_count_pmf", counted)
+    return calls
+
+
+def test_posterior_mean_sweep_runs_the_kernel_once_per_count(kernel_calls):
+    # posterior_mean asks for the tilted moment at n, then at n + 1, and the
+    # law remembers its last one, so the next n finds it: 122 kernel calls
+    # for 121 means, where recomputing both moments took 242.
+    pp = MixedPoissonMaxUExp(MaxUExp(1.0, 1.0))
+    means = [pp.posterior_mean(2.0, n) for n in range(121)]
+    assert len(kernel_calls) == 122
+    fresh = [MixedPoissonMaxUExp(MaxUExp(1.0, 1.0)).posterior_mean(2.0, n) for n in range(121)]
+    assert means == fresh
+
+
+def test_posterior_pdf_over_x_computes_its_normalizer_once(kernel_calls):
+    pp = MixedPoissonMaxUExp(MaxUExp(1.0, 1.0))
+    xs = [0.05 * i for i in range(1, 51)]
+    values = [pp.posterior_pdf(1.5, 3, x) for x in xs]
+    assert len(kernel_calls) == 1
+    fresh = [MixedPoissonMaxUExp(MaxUExp(1.0, 1.0)).posterior_pdf(1.5, 3, x) for x in xs]
+    assert values == fresh
+    # The conditional mixing density is the n = 1 posterior at clock t.
+    w = ExpMaxUExp(2.0, 0.5)
+    kernel_calls.clear()
+    values = [w.conditional_mixing_pdf(0.7, x) for x in xs]
+    assert len(kernel_calls) == 1
+    assert values == [ExpMaxUExp(2.0, 0.5).conditional_mixing_pdf(0.7, x) for x in xs]
+
+
+def test_ordered_pmf_at_one_last_clock_and_count_runs_the_kernel_once(kernel_calls):
+    # The conditional-binomial identity divides ordered_pmf([1, 2], [j, 4])
+    # by pmf(2, 4); every j has the same last clock value and count.
+    pp = MixedPoissonMaxUExp(MaxUExp(1.0, 1.0))
+    values = [pp.ordered_pmf([1.0, 2.0], [j, 4]) for j in range(5)]
+    assert len(kernel_calls) == 1
+    assert values == [
+        MixedPoissonMaxUExp(MaxUExp(1.0, 1.0)).ordered_pmf([1.0, 2.0], [j, 4]) for j in range(5)
+    ]
+
+
+def test_remembered_tilted_moments_are_the_recomputed_doubles(kernel_calls):
+    # Calls that alternate two laws, two clock values and two counts: each
+    # equals, bit for bit, the same call on a fresh law, and each law
+    # remembers only its own last moment.
+    laws = (MaxUExp(1.0, 1.0), MaxUExp(2.0, 0.5))
+    cases = [
+        (laws[i % 2], (0.5, 3.0)[i // 2 % 2], (2, 7)[i // 4 % 2]) for i in range(16)
+    ] * 2
+    for d, m, n in cases:
+        fresh = MaxUExp(d.a, d.lam)
+        pp, fresh_pp = MixedPoissonMaxUExp(d), MixedPoissonMaxUExp(fresh)
+        assert d.log_tilted_moment(m, n).hex() == fresh.log_tilted_moment(m, n).hex()
+        assert pp.posterior_pdf(m, n, 0.8).hex() == fresh_pp.posterior_pdf(m, n, 0.8).hex()
+        assert pp.posterior_mean(m, n).hex() == fresh_pp.posterior_mean(m, n).hex()
+        assert pp.ordered_pmf([m], [n]).hex() == fresh_pp.ordered_pmf([m], [n]).hex()
+    kernel_calls.clear()
+    d1, d2 = laws
+    d1.log_tilted_moment(0.5, 2)
+    d2.log_tilted_moment(0.5, 2)
+    d1.log_tilted_moment(0.5, 2)
+    d2.log_tilted_moment(0.5, 2)
+    assert len(kernel_calls) == 2
+
+
+def test_threads_sharing_a_law_read_only_whole_entries():
+    # Four threads on one law step through the same four (m, n) at four
+    # phases, so the remembered entry keeps changing under each of them.
+    # A reader that saw one call's (m, n) with another's value would
+    # return a wrong double.
+    d = MaxUExp(1.0, 1.0)
+    cases = [(0.5, 2), (3.0, 7), (0.75, 3), (8.0, 11)]
+    want = {c: MaxUExp(1.0, 1.0).log_tilted_moment(*c) for c in cases}
+    wrong = []
+
+    def work(phase):
+        for i in range(8000):
+            c = cases[(i // 2 + phase) % 4]
+            if d.log_tilted_moment(*c) != want[c]:
+                wrong.append(c)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
